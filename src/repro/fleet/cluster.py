@@ -37,7 +37,7 @@ from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.node import NodeSpec, TenantShare, simulate_node
 from repro.fleet.router import Router, make_placement
 from repro.obs.metrics import MetricsSnapshot
-from repro.serve.slo import TenantAccount, tenant_row
+from repro.serve.slo import TenantAccount, tenant_rows
 from repro.serve.traffic import TenantSpec
 
 NODE_EXECUTORS: Tuple[str, ...] = ("serial", "process")
@@ -370,10 +370,7 @@ def run_fleet(
         if pool is not None:
             pool.shutdown()
 
-    rows = _merge_reports(reports, tenants, config, extra_columns or {})
-    elapsed_ns = sum(
-        max(r["elapsed_ns"] for r in reports if r["epoch"] == epoch)
-        for epoch in range(config.epochs))
+    rows, elapsed_ns = _merge_reports(reports, config, extra_columns or {})
     chaos_summary = None
     if config.chaos is not None:
         chaos_summary = {
@@ -508,27 +505,30 @@ def _failover(
 # --------------------------------------------------------------------------- #
 # The deterministic merge
 # --------------------------------------------------------------------------- #
-def _merge_reports(reports: List[Dict[str, Any]],
-                   tenants: Tuple[TenantSpec, ...],
-                   config: FleetConfig,
-                   extra: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Fold per-(node, epoch) reports into per-tenant + ``__all__`` rows.
+def _merge_reports(reports: List[Dict[str, Any]], config: FleetConfig,
+                   extra: Dict[str, Any]) -> Tuple[List[Dict[str, Any]], float]:
+    """Fold per-(node, epoch) reports into per-tenant + ``__all__`` rows;
+    returns them with the fleet's elapsed time (the slowest node of each
+    epoch, summed).
 
     Reports are consumed sorted by ``(epoch, node_id)`` — the canonical
     order no matter which executor produced them — so sample concatenation
-    (and therefore every percentile) is reproducible bit for bit.
+    (and therefore every percentile) is reproducible bit for bit.  Each
+    tenant's samples come from the ``latency_ns.<tenant>`` histogram of the
+    report's own metrics snapshot.
     """
     ordered = sorted(reports, key=lambda r: (r["epoch"], r["node_id"]))
     chaos = config.chaos is not None
     per_tenant: Dict[str, TenantAccount] = {}
     samples: Dict[str, List[float]] = {}
     for report in ordered:
+        histograms = report["metrics"]["histograms"]
         for name, account in report["tenants"].items():
             if name not in per_tenant:
                 per_tenant[name] = TenantAccount(name, slo_ns=account["slo_ns"])
                 samples[name] = []
             per_tenant[name].add(account)
-            samples[name].extend(account["latency_samples"])
+            samples[name].extend(histograms[f"latency_ns.{name}"])
 
     epochs = sorted({r["epoch"] for r in ordered})
     elapsed_ns = sum(max(r["elapsed_ns"] for r in ordered if r["epoch"] == e)
@@ -563,15 +563,7 @@ def _merge_reports(reports: List[Dict[str, Any]],
     totals["reconfig_overhead"] = (totals["reconfig_us_total"] / busy_us
                                    if busy_us > 0 else 0.0)
 
-    rows: List[Dict[str, Any]] = []
-    cluster = TenantAccount("__all__")
-    all_samples: List[float] = []
-    for name in sorted(per_tenant):
-        rows.append(tenant_row(per_tenant[name], samples[name], elapsed_ns,
-                               extra, chaos))
-        cluster.add(vars(per_tenant[name]))
-        all_samples.extend(samples[name])
-    rows.append(tenant_row(cluster, all_samples, elapsed_ns, extra, chaos))
+    rows = tenant_rows(per_tenant, samples, elapsed_ns, extra, chaos)
     for row in rows:
         row.update(totals)
-    return rows
+    return rows, elapsed_ns

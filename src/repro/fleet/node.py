@@ -35,8 +35,8 @@ import random
 
 from repro.core.control_hub import program_cycles
 from repro.serve.catalog import resolve_accelerator
+from repro.serve.deployment import Deployment
 from repro.serve.scheduler import FabricScheduler, ServeConfig
-from repro.serve.slo import SloMonitor
 from repro.serve.traffic import Request, TenantSpec, TrafficSource
 from repro.sim import Delay, Simulator
 
@@ -122,29 +122,8 @@ def migration_stall_ns(scheduler: FabricScheduler, accelerator: str,
     return cycles * 1000.0 / system_mhz + state_transfer_ns
 
 
-def _attach_node_energy(sim: Simulator, scheduler: FabricScheduler):
-    """One :class:`EnergyModel` per fabric (each tracks its own eFPGA clock
-    domain); the node's energy is their sum."""
-    from repro.power.model import EnergyModel, PowerConfig
-
-    area_mm2 = max(accelerator.synthesis.area_mm2
-                   for accelerator in scheduler.accelerators.values())
-    models = []
-    for fabric in scheduler.fabrics:
-        energy = EnergyModel(PowerConfig(enabled=True), sim,
-                             name=f"{fabric.name}.energy")
-        energy.sys_domain = scheduler.sys_domain
-        energy.fpga_domain = fabric.clock_generator.fpga_domain
-        energy.num_tiles = 1
-        energy.set_efpga_area(area_mm2)
-        fabric.energy = energy
-        models.append(energy)
-    return models
-
-
-def _replay_burst(sim: Simulator, scheduler: FabricScheduler,
-                  tenant: TenantSpec, count: int, seed: int,
-                  start_delay_ns: float, start_id: int):
+def _replay_burst(scheduler: FabricScheduler, tenant: TenantSpec, count: int,
+                  seed: int, start_delay_ns: float, start_id: int):
     """Re-offer ``count`` requests a dead node lost for ``tenant``.
 
     The burst arrives right after the tenant's migration blackout on its
@@ -182,7 +161,6 @@ def simulate_node(
     patience_ns: float = 100_000.0,
     state_transfer_ns: float = DEFAULT_STATE_TRANSFER_NS,
     power: bool = False,
-    max_events: int = 20_000_000,
     chaos_events: Tuple[Any, ...] = (),
     chaos_recovery: bool = True,
     failed_fabrics: Tuple[int, ...] = (),
@@ -191,8 +169,9 @@ def simulate_node(
 ) -> Dict[str, Any]:
     """Simulate one node for one epoch; returns a picklable report dict.
 
-    The report carries per-tenant accounting (including raw latency samples
-    so the cluster can merge exact percentiles), the node-level signals the
+    The report carries per-tenant accounting, a metrics snapshot (whose
+    ``latency_ns.<tenant>`` histograms hold the raw samples the cluster
+    merges into exact percentiles), the node-level signals the
     router and autoscaler react to (time-weighted queue depth, busy
     fraction, shed counts) and — with ``power=True`` — the node's energy.
     Everything is a plain dict/list/float so a
@@ -212,7 +191,6 @@ def simulate_node(
     global fleet timeline) only when enabled, so monitor-off reports keep
     their exact shape.
     """
-    sim = Simulator()
     config = ServeConfig(
         policy=policy,
         num_fabrics=node.fabrics,
@@ -223,42 +201,24 @@ def simulate_node(
         accelerators=tuple(dict.fromkeys(
             share.tenant.accelerator for share in shares)) or ("popcount",),
     )
-    monitor = SloMonitor(sim, name=node.name)
-    scheduler = FabricScheduler(sim, config, monitor=monitor)
-    telemetry = None
-    if telemetry_window_us is not None:
-        from repro.obs.monitor import TelemetryMonitor
-
-        telemetry = TelemetryMonitor(
-            monitor, telemetry_window_us * 1000.0, node_id=node.node_id,
-            epoch=epoch, t0_ps=epoch * int(round(epoch_ns * 1000.0)))
-        scheduler.attach_telemetry(telemetry)
-    energy_models = _attach_node_energy(sim, scheduler) if power else []
-
     chaos_engaged = bool(chaos_events) or bool(failed_fabrics) or bool(replays)
-    if chaos_engaged:
-        scheduler.recovery = chaos_recovery
-        # Damage carried over from earlier epochs: dead before t=0, no new
-        # fault window opens (the impact was accounted when it happened).
-        for index in failed_fabrics:
-            if 0 <= index < len(scheduler.fabrics):
-                scheduler.fabrics[index].fail(reason="carryover")
-        if chaos_events:
-            from repro.chaos import FaultInjector
+    deployment = Deployment(
+        config, name=node.name, telemetry_window_us=telemetry_window_us,
+        node_id=node.node_id, epoch=epoch,
+        t0_ps=epoch * int(round(epoch_ns * 1000.0)), power=power,
+        chaos_events=chaos_events if chaos_engaged else None,
+        recovery=chaos_recovery, failed_fabrics=failed_fabrics)
+    sim, scheduler, monitor = deployment.sim, deployment.scheduler, deployment.monitor
 
-            FaultInjector(sim, scheduler, chaos_events,
-                          recovery=chaos_recovery)
-
-    migrations = 0
-    stall_ns_total = 0.0
+    #: Per tenant: its index among the shares and its migration blackout.
+    placed: Dict[str, Tuple[int, float]] = {}
     sources = []
     for index, share in enumerate(shares):
         stall = 0.0
         if share.migrated:
             stall = migration_stall_ns(scheduler, share.tenant.accelerator,
                                        node.system_mhz, state_transfer_ns)
-            migrations += 1
-            stall_ns_total += stall
+        placed[share.tenant.name] = (index, stall)
         # Pre-register so a tenant whose blackout swallows the whole epoch
         # still reports a (zeroed) row instead of silently vanishing.
         monitor.register(share.tenant.name, share.tenant.slo_ns)
@@ -270,56 +230,32 @@ def simulate_node(
             start_delay_ns=stall,
         ))
     processes = [process for source in sources for process in source.start()]
-    if replays:
-        share_by_name = {share.tenant.name: (index, share)
-                         for index, share in enumerate(shares)}
-        for name, count in replays:
-            if name not in share_by_name or count < 1:
-                continue
-            index, share = share_by_name[name]
-            stall = (migration_stall_ns(scheduler, share.tenant.accelerator,
-                                        node.system_mhz, state_transfer_ns)
-                     if share.migrated else 0.0)
-            processes.append(sim.process(
-                _replay_burst(sim, scheduler, share.tenant, count,
-                              node_seed(seed, node.node_id, epoch), stall,
-                              start_id=(epoch * len(shares) + index)
-                              * 1_000_000 + 500_000),
-                name=f"{node.name}.replay.{name}"))
+    for name, count in replays:
+        if name not in placed or count < 1:
+            continue
+        index, stall = placed[name]
+        processes.append(sim.process(
+            _replay_burst(scheduler, shares[index].tenant, count,
+                          node_seed(seed, node.node_id, epoch), stall,
+                          start_id=(epoch * len(shares) + index)
+                          * 1_000_000 + 500_000),
+            name=f"{node.name}.replay.{name}"))
 
-    def supervisor():
-        for process in processes:
-            if not process.finished:
-                yield process
-        scheduler.close()
-
-    sim.process(supervisor(), name=f"{node.name}.supervisor")
-    for model in energy_models:
-        model.begin_window()
-    sim.run(max_events=max_events)
-    if chaos_engaged:
-        scheduler.flush_pending()
-    elapsed_ns = max(sim.now, epoch_ns)
-    for model in energy_models:
-        model.end_window()
-
-    tenants = {name: dict(vars(account), latency_samples=list(
-                   monitor.latency_histogram(name).samples))
+    elapsed_ns = deployment.run(processes, epoch_ns)
+    tenants = {name: dict(vars(account))
                for name, account in sorted(monitor.accounts.items())}
 
     totals = scheduler.fabric_totals()
     busy_ns = (totals["service_us_total"] + totals["reconfig_us_total"]) * 1000.0
     # Unified metrics (repro.obs): the node's registries — scheduler fault
-    # counters + SLO StatSet — as one snapshot, shipped in dict form (the
-    # report is plain JSON data by contract).  Gauges carry the steering
-    # signals so a fleet-level snapshot merge can reason about peaks
-    # without re-reading every report.
-    from repro.obs.metrics import MetricsSnapshot
-
-    scheduler.metrics.gauge("queue_depth_mean").set(
-        monitor.queue_depth.time_weighted_mean())
-    scheduler.metrics.gauge("busy_fraction").set(
-        busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0)
+    # counters + SLO StatSet, latency samples included — as one snapshot,
+    # shipped in dict form (the report is plain JSON data by contract).
+    # Gauges carry the steering signals so a fleet-level snapshot merge can
+    # reason about peaks without re-reading every report.
+    queue_depth_mean = monitor.queue_depth.time_weighted_mean()
+    busy_fraction = busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0
+    scheduler.metrics.gauge("queue_depth_mean").set(queue_depth_mean)
+    scheduler.metrics.gauge("busy_fraction").set(busy_fraction)
     if queue_capacity is not None:
         # Admission-queue free-slot low-water mark.  A *min*-merge gauge:
         # the fleet-wide value is the worst node's headroom, which a
@@ -327,15 +263,13 @@ def simulate_node(
         peak_depth = max(monitor.queue_depth.values, default=0.0)
         scheduler.metrics.gauge("free_capacity", mode="min").set(
             queue_capacity - peak_depth)
-    metrics = MetricsSnapshot.merged(
-        (scheduler.metrics.snapshot(), monitor.metrics.snapshot())).as_dict()
-    energy_pj = sum(model.last_window_pj or 0.0 for model in energy_models)
+    metrics = deployment.metrics().as_dict()
+    energy_pj = sum(model.last_window_pj or 0.0 for model in deployment.energy)
     breakdown: Dict[str, float] = {}
-    for model in energy_models:
+    for model in deployment.energy:
         for domain, pj in model.last_window_breakdown.items():
             breakdown[domain] = breakdown.get(domain, 0.0) + pj
-    if telemetry is not None:
-        telemetry.finalize(elapsed_ns)
+    telemetry = deployment.telemetry
     report_extra: Dict[str, Any] = (
         {"telemetry": telemetry.stream.as_dict()} if telemetry is not None else {})
     return {
@@ -347,8 +281,8 @@ def simulate_node(
         "elapsed_ns": elapsed_ns,
         "tenants": tenants,
         # -- signals the router/autoscaler steer on --------------------- #
-        "queue_depth_mean": monitor.queue_depth.time_weighted_mean(),
-        "busy_fraction": busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0,
+        "queue_depth_mean": queue_depth_mean,
+        "busy_fraction": busy_fraction,
         "submitted": sum(t["submitted"] for t in tenants.values()),
         "completed": sum(t["completed"] for t in tenants.values()),
         "shed": sum(t["shed"] for t in tenants.values()),
@@ -356,8 +290,8 @@ def simulate_node(
         "reconfigurations": totals["reconfigurations"],
         "reconfig_us_total": totals["reconfig_us_total"],
         "service_us_total": totals["service_us_total"],
-        "migrations": migrations,
-        "migration_stall_ns": stall_ns_total,
+        "migrations": sum(share.migrated for share in shares),
+        "migration_stall_ns": sum((stall for _, stall in placed.values()), 0.0),
         "metrics": metrics,
         "energy_pj": energy_pj,
         "energy_breakdown": breakdown,

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.serve.scheduler import FabricScheduler, ServeConfig
-from repro.serve.slo import SloMonitor
+from repro.serve.deployment import Deployment
+from repro.serve.scheduler import ServeConfig
 from repro.serve.traffic import TenantSpec, build_sources
-from repro.sim import Simulator
 
 DEFAULT_SEED = 2023
 
@@ -81,7 +80,6 @@ def run_serve(
     patience_ns: float = 100_000.0,
     seed: int = DEFAULT_SEED,
     power: bool = False,
-    max_events: int = 20_000_000,
     chaos: Optional[Any] = None,
     regions: int = 1,
     region_fabric_scale: float = 1.0,
@@ -122,13 +120,12 @@ def run_serve(
     inside the SLO hooks (no sim events), so even a monitor-on run is
     bit-identical to a monitor-off one (pinned by ``tests/test_alerts.py``).
     """
-    if regions > 1 and power:
+    if power and num_fabrics != 1:
         raise ValueError(
-            "power accounting is not supported with regions > 1: the "
-            "EnergyModel tracks one shared eFPGA clock domain, but a "
-            "region grid runs each resident design at its own clock")
+            "energy accounting supports exactly one fabric per deployment "
+            f"(the energy columns describe one eFPGA clock domain), got "
+            f"{num_fabrics}")
     tenants = get_mix(tenant_mix)
-    sim = Simulator()
     config = ServeConfig(
         policy=policy,
         num_fabrics=num_fabrics,
@@ -138,134 +135,69 @@ def run_serve(
         regions=regions,
         region_fabric_scale=region_fabric_scale,
     )
-    monitor = SloMonitor(sim)
-    scheduler = FabricScheduler(sim, config, monitor=monitor)
-    if tracer is not None:
-        scheduler.attach_tracer(tracer)
-    telemetry = None
-    if telemetry_window_us is not None:
-        from repro.obs.monitor import TelemetryMonitor
-
-        telemetry = TelemetryMonitor(monitor, telemetry_window_us * 1000.0)
-        scheduler.attach_telemetry(telemetry)
-
-    energy = None
-    if power:
-        energy = _attach_energy(sim, scheduler)
-
     duration_ns = duration_us * 1000.0
-    if chaos is not None:
-        from repro.chaos import FaultInjector
-
-        FaultInjector(
-            sim, scheduler,
-            chaos.schedule.events(
-                epoch=0, node_id=0, fabrics=num_fabrics, epoch_ns=duration_ns),
-            recovery=chaos.recovery,
-        )
+    deployment = Deployment(
+        config, tracer=tracer, telemetry_window_us=telemetry_window_us,
+        power=power,
+        chaos_events=None if chaos is None else chaos.schedule.events(
+            epoch=0, node_id=0, fabrics=num_fabrics, epoch_ns=duration_ns),
+        recovery=chaos is None or chaos.recovery)
+    scheduler, monitor = deployment.scheduler, deployment.monitor
     sources = build_sources(
-        sim, tenants, scheduler.submit,
+        deployment.sim, tenants, scheduler.submit,
         total_rate_rps=arrival_rate_krps * 1000.0,
         duration_ns=duration_ns, seed=seed,
     )
-    processes = [process for source in sources for process in source.start()]
-
-    def supervisor():
-        for process in processes:
-            if not process.finished:
-                yield process
-        scheduler.close()
-
-    sim.process(supervisor(), name="serve.supervisor")
-    if energy is not None:
-        energy.begin_window()
-    sim.run(max_events=max_events)
-    if chaos is not None:
-        # A chaos run can end with every fabric dead and requests stranded
-        # in the queue; shed them so submitted == completed + shed holds.
-        scheduler.flush_pending()
-    elapsed_ns = max(sim.now, duration_ns)
-    if energy is not None:
-        energy.end_window()
+    elapsed_ns = deployment.run(
+        [process for source in sources for process in source.start()],
+        duration_ns)
 
     totals = scheduler.fabric_totals()
-    extra: Dict[str, Any] = {
+    busy_us = totals["service_us_total"] + totals["reconfig_us_total"]
+    columns = dict(totals, reconfig_overhead=(
+        totals["reconfig_us_total"] / busy_us if busy_us > 0 else 0.0),
+        elapsed_us=elapsed_ns / 1000.0)
+    if regions > 1:
+        columns.update(scheduler.region_totals(),
+                       region_fabric_scale=region_fabric_scale)
+    rows = monitor.tenant_rows(elapsed_ns, extra={
         "policy": policy,
         "tenant_mix": tenant_mix,
         "arrival_rate_krps": arrival_rate_krps,
         "num_fabrics": num_fabrics,
-    }
-    rows = monitor.tenant_rows(elapsed_ns, extra=extra)
-    busy_us = totals["service_us_total"] + totals["reconfig_us_total"]
+    })
     for row in rows:
-        row.update(totals)
-        row["reconfig_overhead"] = (
-            totals["reconfig_us_total"] / busy_us if busy_us > 0 else 0.0)
-        row["elapsed_us"] = elapsed_ns / 1000.0
+        row.update(columns)
+    energy = deployment.energy[0] if power else None
     if energy is not None:
-        _add_energy_columns(rows, energy)
-    if regions > 1:
-        region_totals = scheduler.region_totals()
-        for row in rows:
-            row.update(region_totals)
-            row["region_fabric_scale"] = region_fabric_scale
+        _add_energy_columns(rows[-1], energy)
     if monitor.faults > 0:
         # Deployment-wide fault accounting; columns only exist once a
         # fault actually fired, so fault-free goldens never change shape.
         chaos_totals = scheduler.chaos_totals()
         for row in rows:
             row.update(chaos_totals)
-    from repro.obs.metrics import MetricsSnapshot
-
-    if telemetry is not None:
-        telemetry.finalize(elapsed_ns)
+    telemetry = deployment.telemetry
     return {"rows": rows, "scheduler": scheduler, "monitor": monitor,
             "energy": energy, "elapsed_ns": elapsed_ns, "tracer": tracer,
-            "metrics": MetricsSnapshot.merged(
-                (scheduler.metrics.snapshot(), monitor.metrics.snapshot())),
+            "metrics": deployment.metrics(),
             "telemetry": telemetry.stream if telemetry is not None else None,
             "chaos": scheduler.chaos_totals() if chaos is not None else None}
 
 
-def _attach_energy(sim: Simulator, scheduler: FabricScheduler):
-    """Wire a standalone :class:`EnergyModel` onto a one-fabric deployment."""
-    from repro.power.model import EnergyModel, PowerConfig
-
-    if len(scheduler.fabrics) != 1:
-        raise ValueError(
-            "energy accounting supports exactly one fabric per deployment "
-            f"(the EnergyModel tracks one eFPGA clock domain), got "
-            f"{len(scheduler.fabrics)}"
-        )
-    fabric = scheduler.fabrics[0]
-    energy = EnergyModel(PowerConfig(enabled=True), sim, name="serve.energy")
-    energy.sys_domain = scheduler.sys_domain
-    energy.fpga_domain = fabric.clock_generator.fpga_domain
-    # One control tile; the fabric silicon is provisioned for the largest
-    # catalog bitstream it may host (fixed leakage area, like real silicon).
-    energy.num_tiles = 1
-    energy.set_efpga_area(max(
-        accelerator.synthesis.area_mm2
-        for accelerator in scheduler.accelerators.values()
-    ))
-    fabric.energy = energy
-    return energy
-
-
-def _add_energy_columns(rows: List[Dict[str, Any]], energy) -> None:
+def _add_energy_columns(row: Dict[str, Any], energy) -> None:
+    """Energy is deployment-wide, so only the ``__all__`` row carries it."""
     window_nj = (energy.last_window_pj or 0.0) / 1000.0
-    for row in rows:
-        if row["tenant"] != "__all__":
-            continue
-        completed = row["completed"]
-        row["energy_nj"] = window_nj
-        row["energy_per_request_nj"] = window_nj / completed if completed else 0.0
-        row["avg_power_mw"] = energy.last_window_avg_power_mw
-        breakdown = energy.last_window_breakdown
-        fpga_nj = breakdown.get("fpga", 0.0) / 1000.0
-        row["e_fpga_nj"] = fpga_nj
-        row["e_static_nj"] = breakdown.get("static", 0.0) / 1000.0
-        row["e_clock_nj"] = breakdown.get("clock", 0.0) / 1000.0
+    breakdown = energy.last_window_breakdown
+    completed = row["completed"]
+    row.update(
+        energy_nj=window_nj,
+        energy_per_request_nj=window_nj / completed if completed else 0.0,
+        avg_power_mw=energy.last_window_avg_power_mw,
+        e_fpga_nj=breakdown.get("fpga", 0.0) / 1000.0,
+        e_static_nj=breakdown.get("static", 0.0) / 1000.0,
+        e_clock_nj=breakdown.get("clock", 0.0) / 1000.0,
+    )
 
 
 # --------------------------------------------------------------------------- #

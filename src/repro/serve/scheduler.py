@@ -188,7 +188,7 @@ class FabricContext:
         self.reconfig_ns_total = 0.0
         self.service_ns_total = 0.0
         #: Energy hook: when set, served cycles and clock retunes feed the
-        #: attached :class:`~repro.power.model.EnergyModel` (see run_serve).
+        #: attached :class:`~repro.power.model.EnergyModel` (see Deployment).
         self.energy = None
         #: Observability hook (:mod:`repro.obs`): when a Tracer is attached
         #: (see :meth:`FabricScheduler.attach_tracer`) the serve path records

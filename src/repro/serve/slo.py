@@ -98,6 +98,25 @@ def tenant_row(account: TenantAccount, samples: List[float], elapsed_ns: float,
     return row
 
 
+def tenant_rows(accounts: Dict[str, TenantAccount],
+                samples: Dict[str, List[float]], elapsed_ns: float,
+                extra: Optional[Dict[str, Any]],
+                chaos: bool) -> List[Dict[str, Any]]:
+    """One :func:`tenant_row` per account in name order (deterministic
+    whatever the completion interleaving), then an ``__all__`` row over
+    their summed counts and concatenated samples."""
+    rows: List[Dict[str, Any]] = []
+    totals = TenantAccount(name="__all__")
+    all_samples: List[float] = []
+    for name in sorted(accounts):
+        totals.add(vars(accounts[name]))
+        all_samples.extend(samples[name])
+        rows.append(tenant_row(accounts[name], samples[name], elapsed_ns,
+                               extra, chaos))
+    rows.append(tenant_row(totals, all_samples, elapsed_ns, extra, chaos))
+    return rows
+
+
 class SloMonitor(LifecycleSubscriber):
     """Collects per-tenant latency/queue/goodput statistics for one run."""
 
@@ -201,25 +220,11 @@ class SloMonitor(LifecycleSubscriber):
 
     def tenant_rows(self, elapsed_ns: float,
                     extra: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
-        """One report row per tenant plus an ``__all__`` aggregate row.
-
-        ``elapsed_ns`` is the measured window (goodput denominator);
-        ``extra`` columns (policy, rate, ...) are prepended to every row.
-        Rows are emitted in tenant-name order so reports are deterministic
-        regardless of completion interleaving.
-        """
+        """:func:`tenant_rows` over this run: ``elapsed_ns`` is the goodput
+        denominator, and chaos columns appear once a fault was injected."""
         if elapsed_ns <= 0:
             raise ValueError(f"elapsed_ns must be positive, got {elapsed_ns}")
-        rows: List[Dict[str, Any]] = []
-        totals = TenantAccount(name="__all__")
-        all_latencies: List[float] = []
-        # Chaos columns only appear once a fault was actually injected.
-        chaos = self.faults > 0
-        for name in sorted(self.accounts):
-            account = self.accounts[name]
-            samples = self.latency_histogram(name).samples
-            all_latencies.extend(samples)
-            totals.add(vars(account))
-            rows.append(tenant_row(account, samples, elapsed_ns, extra, chaos))
-        rows.append(tenant_row(totals, all_latencies, elapsed_ns, extra, chaos))
-        return rows
+        samples = {name: self.latency_histogram(name).samples
+                   for name in sorted(self.accounts)}
+        return tenant_rows(self.accounts, samples, elapsed_ns, extra,
+                           self.faults > 0)
