@@ -174,9 +174,11 @@ def run_serve(
     if monitor.faults > 0:
         # Deployment-wide fault accounting; columns only exist once a
         # fault actually fired, so fault-free goldens never change shape.
+        # The tenant's own fault_shed/replayed columns are kept.
         chaos_totals = scheduler.chaos_totals()
         for row in rows:
-            row.update(chaos_totals)
+            for key, value in chaos_totals.items():
+                row.setdefault(key, value)
     telemetry = deployment.telemetry
     return {"rows": rows, "scheduler": scheduler, "monitor": monitor,
             "energy": energy, "elapsed_ns": elapsed_ns, "tracer": tracer,

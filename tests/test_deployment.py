@@ -33,6 +33,7 @@ from repro.chaos import ChaosConfig, FaultSchedule, FaultSpec
 from repro.fleet import FleetConfig, node_seed, run_fleet
 from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.experiments import FLEET_TENANTS
+from repro.obs.experiments import noise_schedule
 from repro.serve.experiments import get_mix, run_serve, serve_energy_cell
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
@@ -148,6 +149,12 @@ LAW_CASES = {
     "affinity_duo": dict(policy="affinity", mix="duo"),
     "affinity_duo_power": dict(policy="affinity", mix="duo", power=True),
     "fcfs_quad_telemetry": dict(policy="fcfs", mix="quad", telemetry=100.0),
+    "affinity_duo_chaos_recovery": dict(
+        policy="affinity", mix="duo",
+        chaos=ChaosConfig(noise_schedule(4.0, 2023), recovery=True)),
+    "affinity_duo_chaos_no_recovery": dict(
+        policy="affinity", mix="duo",
+        chaos=ChaosConfig(noise_schedule(4.0, 2023), recovery=False)),
 }
 
 
@@ -181,3 +188,22 @@ def _assert_law(fleet, serve):
 @pytest.mark.parametrize("case", sorted(LAW_CASES))
 def test_one_node_one_epoch_fleet_is_a_serve_run(case):
     _assert_law(*_law_pair(**LAW_CASES[case]))
+
+
+def test_serve_chaos_rows_keep_per_tenant_fault_columns():
+    """Deployment-wide fault counters never overwrite a tenant's own
+    ``fault_shed``/``replayed``: each tenant sheds at least what it lost to
+    faults, and the tenants add up to the ``__all__`` row."""
+    for recovery in (False, True):
+        rows = run_serve(
+            "affinity", tenant_mix="duo", arrival_rate_krps=250.0,
+            duration_us=600.0, seed=5,
+            chaos=ChaosConfig(noise_schedule(4.0, 2023),
+                              recovery=recovery))["rows"]
+        *tenants, total = rows
+        assert [row["tenant"] for row in tenants] == ["alpha", "beta"]
+        assert total["fault_shed"] > 0 or total["replayed"] > 0
+        for row in tenants:
+            assert row["fault_shed"] <= row["shed"], (recovery, row["tenant"])
+        for key in ("fault_shed", "replayed"):
+            assert sum(row[key] for row in tenants) == total[key], key
