@@ -8,29 +8,12 @@ optional on-disk JSON caching under ``<cache_dir>/<experiment>/<key>.json``)
 and returned as a typed :class:`~repro.api.results.ResultSet`.  Discover and
 run everything from the command line with ``python -m repro list`` /
 ``python -m repro run fig9``.
-
-The ``run_*`` functions re-exported here are backward-compatible shims that
-keep the original list-of-dicts return shapes.
 """
 
-from repro.analysis.experiments import (
-    APPLICATION_CONFIGS,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_table1,
-    run_table2,
-)
+from repro.analysis.experiments import APPLICATION_CONFIGS
 from repro.analysis.reporting import format_table
 
 __all__ = [
     "APPLICATION_CONFIGS",
-    "run_table1",
-    "run_table2",
-    "run_fig9",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
     "format_table",
 ]

@@ -1,31 +1,23 @@
-"""Legacy experiment runners plus the paper's reference numbers.
+"""The paper's reference numbers and the Fig. 12 application set.
 
-The actual measurement logic now lives in the experiment registry
+The measurement logic lives in the experiment registry
 (:mod:`repro.api.registry`), where every table/figure is a named,
 discoverable :class:`~repro.api.spec.ExperimentSpec` — enumerate them with
 ``python -m repro list`` and run them with :class:`repro.api.runner.Runner`
 (optionally in parallel and with on-disk JSON caching under
-``<cache_dir>/<experiment>/<key>.json``).
-
-This module keeps two things:
-
-* the paper-reported constants (``TABLE2_PAPER``, ``FIG9_PAPER``, ...) and
-  the thirteen Fig. 12 :class:`ApplicationConfig` entries, which the
-  registry wraps;
-* thin backward-compatible shims — ``run_table1`` .. ``run_fig12`` — with
-  the original signatures and return shapes (lists of dicts; a summary dict
-  for Fig. 12), implemented on top of the new API.
+``<cache_dir>/<experiment>/<key>.json``).  This module holds the
+paper-reported constants (``TABLE2_PAPER``, ``FIG9_PAPER``, ...) and the
+thirteen Fig. 12 :class:`ApplicationConfig` entries the registry wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.platform.config import SystemKind  # noqa: F401  (re-exported for callers)
 from repro.workloads import barnes_hut, bfs, dijkstra, pdes, popcount, sort, tangent
 from repro.workloads.common import BenchmarkResult, WorkloadParams
-from repro.workloads.synthetic import BANDWIDTH_MECHANISMS, LATENCY_MECHANISMS
 
 
 # --------------------------------------------------------------------------- #
@@ -107,65 +99,3 @@ APPLICATION_CONFIGS: List[ApplicationConfig] = [
 #: Geometric means quoted in the paper for Fig. 12.
 FIG12_PAPER_GEOMEAN = {"duet": 4.53, "fpsoc": 2.14}
 FIG12_PAPER_ADP_GEOMEAN = {"duet": 0.61, "fpsoc": 1.23}
-
-
-# --------------------------------------------------------------------------- #
-# Backward-compatible runners (thin shims over repro.api)
-# --------------------------------------------------------------------------- #
-def _run_serial(experiment: str, **overrides) -> "repro.api.results.ResultSet":  # noqa: F821
-    # Imported lazily: repro.api.registry imports this module for the
-    # constants above, so a top-level import would be circular.
-    from repro.api.runner import Runner
-
-    return Runner().run(experiment, **overrides)
-
-
-def run_table1() -> List[Dict[str, object]]:
-    """Area and typical frequency of Dolly's hard components."""
-    return _run_serial("table1").to_dicts()
-
-
-def run_table2() -> List[Dict[str, object]]:
-    """Clock frequency, area and utilization of the soft accelerators."""
-    return _run_serial("table2").to_dicts()
-
-
-def run_fig9(frequencies: Sequence[float] = (100.0, 200.0, 500.0),
-             mechanisms: Sequence[str] = LATENCY_MECHANISMS) -> List[Dict[str, object]]:
-    return _run_serial("fig9", mechanism=tuple(mechanisms),
-                       fpga_mhz=tuple(frequencies)).to_dicts()
-
-
-def run_fig10(frequencies: Sequence[float] = (20.0, 50.0, 100.0, 200.0, 500.0),
-              mechanisms: Sequence[str] = BANDWIDTH_MECHANISMS,
-              quad_words: int = 128) -> List[Dict[str, object]]:
-    """Bandwidth sweep.  ``quad_words`` defaults to 128 (vs the paper's 512)
-    to keep pure-Python simulation time reasonable; pass 512 for the full
-    experiment."""
-    return _run_serial("fig10", mechanism=tuple(mechanisms),
-                       fpga_mhz=tuple(frequencies),
-                       quad_words=quad_words).to_dicts()
-
-
-def run_fig11(processor_counts: Sequence[int] = (1, 2, 4, 8, 16),
-              accesses_per_processor: int = 32) -> List[Dict[str, object]]:
-    return _run_serial("fig11", num_processors=tuple(processor_counts),
-                       accesses_per_processor=accesses_per_processor).to_dicts()
-
-
-def run_fig12(configs: Optional[Sequence[ApplicationConfig]] = None) -> Dict[str, object]:
-    """Run every benchmark on the three systems; returns rows plus geomeans."""
-    from repro.api.registry import _APP_BY_LABEL, fig12_row, fig12_summary
-
-    configs = list(configs) if configs is not None else APPLICATION_CONFIGS
-    if all(_APP_BY_LABEL.get(config.label) is config for config in configs):
-        results = _run_serial("fig12", benchmark=tuple(c.label for c in configs))
-        rows = results.to_dicts()
-        summary_stats = dict(results.summary)
-    else:
-        # Ad-hoc configs (not in the registry) run through the same cell logic.
-        rows = [fig12_row(config) for config in configs]
-        summary_stats = fig12_summary(rows)
-    summary: Dict[str, object] = {"rows": rows}
-    summary.update(summary_stats)
-    return summary

@@ -3,8 +3,7 @@
 Importing this module registers every experiment of the paper's evaluation:
 
 * the six paper experiments — ``table1``, ``table2``, ``fig9``, ``fig10``,
-  ``fig11`` and ``fig12`` — whose cells produce rows identical to the legacy
-  ``repro.analysis.experiments.run_*`` functions;
+  ``fig11`` and ``fig12``;
 * one ``app/<name>`` experiment per Fig. 12 application configuration
   (``app/tangent`` .. ``app/bfs/16``) sweeping the three system kinds
   (processor-only, FPSoC, Duet).

@@ -212,7 +212,3 @@ class NocNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NocNetwork {self.topology!r} @{self.domain.freq_mhz}MHz>"
-
-
-#: Backwards-compatible alias — the seed's mesh-only network class.
-MeshNetwork = NocNetwork

@@ -6,7 +6,7 @@ from typing import Dict, List
 import pytest
 
 from repro.mem import AddressMap, DirectoryShard, MainMemory, MemoryConfig, PrivateCacheAgent
-from repro.noc import MeshNetwork, TileRouter
+from repro.noc import NocNetwork, TileRouter
 from repro.sim import ClockDomain, Simulator
 
 
@@ -16,7 +16,7 @@ class MiniSystem:
 
     sim: Simulator
     clock: ClockDomain
-    network: MeshNetwork
+    network: NocNetwork
     config: MemoryConfig
     memory: MainMemory
     address_map: AddressMap
@@ -30,7 +30,7 @@ def build_mini_system(width=2, height=2, num_agents=2, freq_mhz=1000.0, config=N
                       topology=None) -> MiniSystem:
     sim = Simulator()
     clock = ClockDomain(sim, freq_mhz, "sys")
-    network = MeshNetwork(sim, clock, width, height, topology=topology)
+    network = NocNetwork(sim, clock, width, height, topology=topology)
     config = config or MemoryConfig()
     memory = MainMemory(config)
     tiles = list(range(width * height))

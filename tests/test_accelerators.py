@@ -16,7 +16,7 @@ from repro.accel.sortnet import (
 )
 from repro.accel.tangent import from_fixed as tan_from_fixed
 from repro.accel.tangent import piecewise_linear_tangent, to_fixed as tan_to_fixed
-from repro.analysis.experiments import run_table1, run_table2
+from repro.api import Runner
 
 
 # --------------------------------------------------------------------------- #
@@ -87,14 +87,14 @@ def test_sorting_network_supported_sizes_only():
 # Tables I / II runners
 # --------------------------------------------------------------------------- #
 def test_table1_rows_match_paper_constants():
-    rows = run_table1()
+    rows = Runner().run("table1").to_dicts()
     by_name = {row["component"]: row for row in rows}
     assert by_name["Ariane"]["scaled_area_mm2"] == pytest.approx(1.56)
     assert by_name["P-Mesh Socket"]["scaled_freq_mhz"] == pytest.approx(711.0)
 
 
 def test_table2_covers_all_seven_benchmarks_with_sane_values():
-    rows = run_table2()
+    rows = Runner().run("table2").to_dicts()
     names = {row["benchmark"] for row in rows}
     assert {"tangent", "popcount", "sort32", "sort64", "sort128",
             "dijkstra", "barnes-hut", "bfs", "pdes"} <= names

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.analysis import APPLICATION_CONFIGS, run_fig9
+from repro.analysis import APPLICATION_CONFIGS
 from repro.api import (
     ExperimentSpec,
     Runner,
@@ -18,7 +18,11 @@ from repro.api import (
     list_experiments,
     register_experiment,
 )
-from repro.workloads.synthetic import measure_bandwidth, measure_latency
+from repro.workloads.synthetic import (
+    LATENCY_MECHANISMS,
+    measure_bandwidth,
+    measure_latency,
+)
 
 PAPER_EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12")
 
@@ -101,12 +105,6 @@ def test_serial_run_matches_direct_measurement():
     direct = measure_latency("shadow_reg", 100.0)
     assert results[0].measured_roundtrip_ns == direct.roundtrip_ns
     assert results[0].paper_roundtrip_ns == 42
-
-
-def test_legacy_shim_matches_api_rows():
-    api_rows = Runner().run("fig9", fpga_mhz=(100.0,)).to_dicts()
-    legacy_rows = run_fig9(frequencies=(100.0,))
-    assert api_rows == legacy_rows
 
 
 def test_parallel_runner_matches_serial_fig12():
@@ -324,12 +322,14 @@ def test_cli_list_shows_all_paper_experiments():
     assert set(PAPER_EXPERIMENTS) <= set(names)
 
 
-def test_cli_run_fig9_json_matches_legacy():
+def test_cli_run_fig9_json_matches_runner():
     proc = _cli("run", "fig9", "--json")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["experiment"] == "fig9"
-    assert payload["rows"] == run_fig9()
+    assert payload["rows"] == Runner().run(
+        "fig9", mechanism=LATENCY_MECHANISMS,
+        fpga_mhz=(100.0, 200.0, 500.0)).to_dicts()
 
 
 def test_cli_run_unknown_experiment_fails_cleanly():

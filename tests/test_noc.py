@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc import Mesh2D, MeshNetwork, MessagePlane, NocMessage
+from repro.noc import Mesh2D, NocNetwork, MessagePlane, NocMessage
 from repro.sim import ClockDomain, Delay, Simulator
 
 
@@ -102,7 +102,7 @@ def test_message_stamp_first_occurrence_wins():
 def _build_network(width=2, height=2, freq=1000.0):
     sim = Simulator()
     clk = ClockDomain(sim, freq, "sys")
-    network = MeshNetwork(sim, clk, width, height)
+    network = NocNetwork(sim, clk, width, height)
     return sim, clk, network
 
 
@@ -216,7 +216,7 @@ def test_network_plane_isolation():
     # Same load on a single plane takes longer than split across two planes.
     sim2 = Simulator()
     clk2 = ClockDomain(sim2, 1000.0)
-    network2 = MeshNetwork(sim2, clk2, 4, 1)
+    network2 = NocNetwork(sim2, clk2, 4, 1)
     for node in range(4):
         network2.attach(node, lambda m: None)
     finish = {}

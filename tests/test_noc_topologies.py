@@ -25,7 +25,6 @@ from repro.noc import (
     Crossbar,
     Mesh2D,
     MessagePlane,
-    MeshNetwork,
     NocMessage,
     NocNetwork,
     Ring,
@@ -186,10 +185,10 @@ def test_contention_increases_latency_on_every_topology(kind):
     assert run(4) > run(1)
 
 
-def test_mesh_network_alias_still_works():
+def test_network_from_dimensions_is_a_mesh():
     sim = Simulator()
     clock = ClockDomain(sim, 1000.0)
-    network = MeshNetwork(sim, clock, 2, 2)
+    network = NocNetwork(sim, clock, 2, 2)
     assert isinstance(network, NocNetwork)
     assert network.topology.kind == "mesh"
     assert network.node_count == 4
