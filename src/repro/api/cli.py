@@ -18,7 +18,7 @@ Subcommands:
 * ``alerts`` — run one telemetry-observed chaos fleet and print the typed
   alert log plus its detection scores against the injected fault
   schedule; see ``docs/alerting.md``;
-* ``trend``  — fold committed ``BENCH_*.json`` reports into a single
+* ``trend``  — fold ``BENCH_*.json`` perf reports into a single
   calibration-normalized performance trend table; see
   ``docs/performance.md``.
 
@@ -393,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_alerts.set_defaults(func=cmd_alerts)
 
     p_trend = subparsers.add_parser(
-        "trend", help="fold committed BENCH_*.json reports into one "
+        "trend", help="fold BENCH_*.json perf reports into one "
                       "calibration-normalized trend table")
     p_trend.add_argument("reports", nargs="+", metavar="BENCH.json",
                          help="perf reports, oldest first (e.g. "
-                              "BENCH_kernel.json BENCH_obs.json)")
+                              "BENCH_kernel.json bench-current.json)")
     p_trend.add_argument("--baseline-report", default=None, metavar="FILE",
                          help="report whose values anchor every ratio "
                               "(default: each benchmark's first appearance)")

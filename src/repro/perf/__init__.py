@@ -105,8 +105,7 @@ SUITE = [
     # The gated tracing-on twin of serve_requests_per_sec: identical
     # workload with a live repro.obs Tracer attached, so the lifecycle
     # hooks' hot-path cost is measured (and gated) directly — same
-    # pattern as noc_messages_per_sec_hooks_on (BENCH_obs.json CI
-    # artifact).
+    # pattern as noc_messages_per_sec_hooks_on.
     BenchSpec(
         name="serve_requests_per_sec_tracing_on",
         fn=micro.serve_request_throughput,
@@ -116,8 +115,7 @@ SUITE = [
     ),
     # The gated region-granular serving number: the duo workload on one
     # shared 4-region fabric under the affinity policy — allocator, span
-    # hot swaps and partial-image programming on the measured path
-    # (BENCH_reconfig.json CI artifact).
+    # hot swaps and partial-image programming on the measured path.
     BenchSpec(
         name="reconfig_requests_per_sec",
         fn=micro.reconfig_request_throughput,
@@ -127,7 +125,7 @@ SUITE = [
     ),
     # The gated fleet number: requests served per wall second through the
     # cluster layer — placement, the epoch driver, per-node serving and
-    # the deterministic merge (BENCH_fleet.json CI artifact).
+    # the deterministic merge.
     BenchSpec(
         name="fleet_requests_per_sec",
         fn=micro.fleet_request_throughput,
@@ -141,7 +139,7 @@ SUITE = [
     # workload with live 100us telemetry windows on every node and the
     # default alert rules evaluated on the merged stream each epoch —
     # the observability layer's hot-path cost, gated like the tracing-on
-    # and power hooks-on twins (BENCH_obs.json CI artifact).
+    # and power hooks-on twins.
     BenchSpec(
         name="fleet_requests_per_sec_monitor_on",
         fn=micro.fleet_request_throughput,
@@ -154,7 +152,7 @@ SUITE = [
     ),
     # The gated chaos number: the fleet path under injected faults with
     # recovery on — spare promotion, failover re-placement, replay bursts
-    # and image scrubbing included (BENCH_chaos.json CI artifact).
+    # and image scrubbing included.
     BenchSpec(
         name="chaos_requests_per_sec",
         fn=micro.chaos_request_throughput,

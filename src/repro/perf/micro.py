@@ -33,16 +33,14 @@ budget:
 * :func:`reconfig_request_throughput` — the same serving workload on a
   region-gridded fabric (:mod:`repro.reconfig`): allocator, span hot
   swaps and partial-image programming on the hot path — the gated
-  ``reconfig_requests_per_sec`` number, published in the
-  ``BENCH_reconfig.json`` CI artifact.
+  ``reconfig_requests_per_sec`` number.
 * :func:`fleet_request_throughput` — served requests per wall second
   through the :mod:`repro.fleet` cluster layer (placement, per-node
   simulation, deterministic merge): the gated ``fleet_requests_per_sec``
-  number, published in the ``BENCH_fleet.json`` CI artifact.
+  number.
 * :func:`chaos_request_throughput` — the same fleet path under injected
   faults with recovery on (:mod:`repro.chaos`): the gated
-  ``chaos_requests_per_sec`` number, published in the
-  ``BENCH_chaos.json`` CI artifact.
+  ``chaos_requests_per_sec`` number.
 
 All of them return a rate (per wall second), so *higher is better* and
 regressions show up as ratios < 1 against the recorded baseline.
@@ -240,7 +238,7 @@ def reconfig_request_throughput(duration_us: float = 4_000.0,
     startable-filter worker path and partial-image programming through
     ``Bitstream.for_regions`` — the region layer's end-to-end overhead per
     request.  Fully deterministic; only the wall clock varies between
-    repeats (``BENCH_reconfig.json`` CI artifact, gated).
+    repeats (gated).
     """
     from repro.serve.experiments import run_serve
 
@@ -271,7 +269,7 @@ def fleet_request_throughput(nodes: int = 4, epochs: int = 3,
     all on the measured path — under a flat offered rate, so the number
     tracks the cluster layer's end-to-end overhead per request.  The
     workload is fully deterministic; only the wall clock varies between
-    repeats (``BENCH_fleet.json`` CI artifact, gated).
+    repeats (gated).
 
     ``monitoring=True`` attaches the live telemetry layer: every node runs
     with a 100us :class:`~repro.obs.TelemetryMonitor` window and the
@@ -314,7 +312,7 @@ def chaos_request_throughput(nodes: int = 3, spares: int = 1,
     image scrubbing are all on the measured path.  Fault draws resolve in
     the parent before any node simulates, so the workload is fully
     deterministic; only the wall clock varies between repeats
-    (``BENCH_chaos.json`` CI artifact, gated).
+    (gated).
     """
     from repro.chaos import ChaosConfig
     from repro.chaos.experiments import build_schedule

@@ -1,7 +1,7 @@
 """Performance trend folding: many ``BENCH_*.json`` reports, one table.
 
-The repo commits one perf baseline per subsystem (``BENCH_kernel.json``,
-``BENCH_obs.json``, ``BENCH_fleet.json``, ...), each recorded with the
+The repo commits one perf baseline, ``BENCH_kernel.json``; every fresh
+``repro perf`` report has the same shape, and each is recorded with the
 machine calibration of the box that produced it.  This module folds any
 number of them into a single trend view:
 

@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Fold committed ``BENCH_*.json`` reports into one performance trend.
+"""Fold ``BENCH_*.json`` perf reports into one performance trend.
 
 Thin wrapper over ``python -m repro trend`` (the logic lives in
 :mod:`repro.perf.trend`) so CI and scripts can call it without spelling
 the package path::
 
-    python tools/bench_trend.py BENCH_kernel.json BENCH_obs.json \
+    python tools/bench_trend.py BENCH_kernel.json bench-current.json \
         --out BENCH_trend.json
 
 Each benchmark value is divided by its report's machine calibration
 before ratios are taken, so reports recorded on different machines line
 up; ratios anchor to each benchmark's first appearance (oldest report
-first).  CI runs this over every committed baseline and uploads the
-``BENCH_trend.json`` artifact.
+first).  CI runs this over the committed baseline and the run's fresh
+report and uploads the ``BENCH_trend.json`` artifact.
 """
 
 from __future__ import annotations
