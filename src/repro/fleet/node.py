@@ -210,7 +210,7 @@ def simulate_node(
         recovery=chaos_recovery, failed_fabrics=failed_fabrics)
     sim, scheduler, monitor = deployment.sim, deployment.scheduler, deployment.monitor
 
-    #: Per tenant: its index among the shares and its migration blackout.
+    # Per tenant: its index among the shares and its migration blackout.
     placed: Dict[str, Tuple[int, float]] = {}
     sources = []
     for index, share in enumerate(shares):
