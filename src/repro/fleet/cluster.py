@@ -398,7 +398,7 @@ def run_fleet(
             for report in reports if report.get("telemetry"))
         alerts = engine.events
         if tracer is not None:
-            engine.export(tracer)
+            engine.export(tracer, pid="fleet.ctrl")
     return FleetOutcome(rows=rows, reports=reports, router=router,
                         autoscaler=autoscaler, elapsed_ns=elapsed_ns,
                         chaos=chaos_summary, metrics=metrics,

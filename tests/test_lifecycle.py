@@ -5,8 +5,8 @@ trace.  The cells here cover the hook paths it never reaches: region
 tracks with telemetry, whole-fabric faults with recovery on and off
 (lost / replay / fault_shed / seu_scrub / failover), and an alert-driven
 fleet whose failover replays a dead node's requests as a burst.  Each
-cell hashes the Chrome trace (the fleet cell: the raw trace records), the
-telemetry stream, the metrics snapshot and the result rows, so a change to the hook plumbing has to leave every
+cell hashes the Chrome trace, the telemetry stream, the metrics snapshot
+and the result rows, so a change to the hook plumbing has to leave every
 observable byte where it was.
 
 Regenerate only after an intentional output change, with::
@@ -70,10 +70,7 @@ def _fleet_cell():
         chaos_control="alerts", telemetry_window_us=50.0)
     outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=200_000.0,
                         tracer=tracer)
-    # The raw records, not to_json(): the alert log's instants sit on the
-    # tracer's integer default pid beside the fleet's string pids, which
-    # the Chrome export cannot sort.
-    return {"tracer": tracer, "trace": [tracer.spans, tracer.instants],
+    return {"tracer": tracer, "trace": tracer.to_json(),
             "telemetry": outcome.telemetry,
             "metrics": outcome.metrics,
             "rows": {"rows": outcome.rows, "chaos": outcome.chaos,
@@ -125,6 +122,9 @@ def _check_no_recovery(cell):
 def _check_fleet(cell):
     outcome = cell["outcome"]
     assert outcome.chaos["promotions"] == 1
+    # The alert log rides on the control-plane pid, so the export sorts.
+    assert {(i.pid, i.tid) for i in cell["tracer"].instants
+            if i.cat == "alert"} == {("fleet.ctrl", "alerts")}
     assert sum(account["replayed"] for report in outcome.reports
                if report["epoch"] == 1
                for account in report["tenants"].values()) > 0
