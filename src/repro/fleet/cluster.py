@@ -313,8 +313,7 @@ def run_fleet(
                         f"epoch{epoch}", "node", epoch * epoch_ps,
                         int(round(report["elapsed_ns"] * 1000.0)),
                         cat="fleet", pid=f"node{report['node_id']}",
-                        args={"epoch": epoch,
-                              "spare": bool(report.get("spare"))})
+                        args={"epoch": epoch, "spare": report["spare"]})
             if engine is not None:
                 # Stream this epoch's windows through the alert engine in
                 # the canonical merged order — the same samples whatever
@@ -328,8 +327,7 @@ def run_fleet(
 
             if epoch == config.epochs - 1:
                 break
-            signals = {report["node_id"]: report for report in epoch_reports
-                       if not report.get("spare")}
+            signals = _signals(epoch_reports)
             migrated = set()
             if config.chaos is not None:
                 (nodes, spare_pool, persistent_dead, replay_map, migrated,
@@ -370,7 +368,12 @@ def run_fleet(
         if pool is not None:
             pool.shutdown()
 
-    rows, elapsed_ns = _merge_reports(reports, config, extra_columns or {})
+    snapshots = [MetricsSnapshot.from_dict(report["metrics"])
+                 for report in sorted(reports,
+                                      key=lambda r: (r["epoch"], r["node_id"]))]
+    metrics = MetricsSnapshot.merged(snapshots)
+    rows, elapsed_ns = _merge_reports(reports, metrics, config,
+                                      extra_columns or {})
     chaos_summary = None
     if config.chaos is not None:
         chaos_summary = {
@@ -383,11 +386,6 @@ def run_fleet(
             row["dead_nodes"] = len(dead_nodes)
     for row in rows:
         row["elapsed_us"] = elapsed_ns / 1000.0
-    snapshots = [MetricsSnapshot.from_dict(report["metrics"])
-                 for report in sorted(reports,
-                                      key=lambda r: (r["epoch"], r["node_id"]))
-                 if report.get("metrics") is not None]
-    metrics = MetricsSnapshot.merged(snapshots) if snapshots else None
     telemetry = None
     alerts = None
     if engine is not None:
@@ -417,6 +415,25 @@ def epoch_goodput(reports: List[Dict[str, Any]]) -> List[int]:
     ]
 
 
+def _signals(epoch_reports: List[Dict[str, Any]]) -> Dict[int, Dict[str, float]]:
+    """The router/autoscaler signals of each active node, derived in one
+    place: ``submitted``/``shed`` sum the node's tenant accounts, and
+    ``queue_depth_mean``/``busy_fraction`` are its metrics gauges."""
+    signals: Dict[int, Dict[str, float]] = {}
+    for report in epoch_reports:
+        if report["spare"]:
+            continue
+        accounts = report["tenants"].values()
+        gauges = report["metrics"]["gauges"]
+        signals[report["node_id"]] = {
+            "submitted": sum(account["submitted"] for account in accounts),
+            "shed": sum(account["shed"] for account in accounts),
+            "queue_depth_mean": gauges["queue_depth_mean"],
+            "busy_fraction": gauges["busy_fraction"],
+        }
+    return signals
+
+
 def _suspects(config: FleetConfig, epoch_reports: List[Dict[str, Any]],
               nodes: List[NodeSpec], engine) -> List[int]:
     """The nodes the failover step should replace, sorted; none with
@@ -434,8 +451,7 @@ def _suspects(config: FleetConfig, epoch_reports: List[Dict[str, Any]],
         return sorted({node_id for _, node_id in engine.firing("critical")
                        if node_id in active_ids})
     return sorted(report["node_id"] for report in epoch_reports
-                  if not report.get("spare") and report.get("chaos")
-                  and len(report["chaos"]["dead_fabrics"]) >= report["fabrics"])
+                  if len(report["dead_fabrics"]) >= report["fabrics"])
 
 
 def _failover(
@@ -464,10 +480,8 @@ def _failover(
     quantifies against.
     """
     persistent_dead: Dict[int, Tuple[int, ...]] = {
-        report["node_id"]: tuple(report["chaos"]["dead_fabrics"])
-        for report in epoch_reports
-        if not report.get("spare") and report.get("chaos")
-        and report["chaos"]["dead_fabrics"]}
+        report["node_id"]: tuple(report["dead_fabrics"])
+        for report in epoch_reports if report["dead_fabrics"]}
     unchanged = (nodes, spare_pool, persistent_dead, {}, set(), 0, [], False)
     if not suspects:
         return unchanged
@@ -505,11 +519,13 @@ def _failover(
 # --------------------------------------------------------------------------- #
 # The deterministic merge
 # --------------------------------------------------------------------------- #
-def _merge_reports(reports: List[Dict[str, Any]], config: FleetConfig,
+def _merge_reports(reports: List[Dict[str, Any]], metrics: MetricsSnapshot,
+                   config: FleetConfig,
                    extra: Dict[str, Any]) -> Tuple[List[Dict[str, Any]], float]:
     """Fold per-(node, epoch) reports into per-tenant + ``__all__`` rows;
     returns them with the fleet's elapsed time (the slowest node of each
-    epoch, summed).
+    epoch, summed).  The fault totals come from ``metrics``, the reports'
+    snapshots already merged.
 
     Reports are consumed sorted by ``(epoch, node_id)`` — the canonical
     order no matter which executor produced them — so sample concatenation
@@ -551,13 +567,11 @@ def _merge_reports(reports: List[Dict[str, Any]], config: FleetConfig,
     if config.power:
         totals["energy_nj"] = sum(r["energy_pj"] for r in ordered) / 1000.0
     if chaos:
-        chaos_reports = [r["chaos"] for r in ordered if r.get("chaos")]
         for key in ("faults_injected", "fabric_faults", "requests_lost",
                     "seu_scrubs", "link_faults"):
-            totals[key] = sum(c[key] for c in chaos_reports)
+            totals[key] = metrics.counters[key]
         totals["spare_us"] = sum(
-            r["cost_weight"] * epoch_ns / 1000.0
-            for r in ordered if r.get("spare"))
+            r["cost_weight"] * epoch_ns / 1000.0 for r in ordered if r["spare"])
 
     busy_us = totals["service_us_total"] + totals["reconfig_us_total"]
     totals["reconfig_overhead"] = (totals["reconfig_us_total"] / busy_us

@@ -169,13 +169,15 @@ def simulate_node(
 ) -> Dict[str, Any]:
     """Simulate one node for one epoch; returns a picklable report dict.
 
-    The report carries per-tenant accounting, a metrics snapshot (whose
-    ``latency_ns.<tenant>`` histograms hold the raw samples the cluster
-    merges into exact percentiles), the node-level signals the
-    router and autoscaler react to (time-weighted queue depth, busy
-    fraction, shed counts) and — with ``power=True`` — the node's energy.
-    Everything is a plain dict/list/float so a
-    ``ProcessPoolExecutor`` ships it back without custom reducers.
+    The report ships each fact once: the node's identity, its per-tenant
+    accounts (the router's submitted/shed counts sum from these), a
+    metrics snapshot (fault counters; ``queue_depth_mean`` and
+    ``busy_fraction`` gauges; ``latency_ns.<tenant>`` histograms holding
+    the raw samples the cluster merges into exact percentiles), and what
+    only the node knows: fabric time, migrations, energy (zero unless
+    ``power=True``) and ``dead_fabrics``.  Everything is a plain
+    dict/list/float so a ``ProcessPoolExecutor`` ships it back without
+    custom reducers; ``docs/fleet.md`` lists the keys.
 
     Chaos inputs are plain data computed by the *parent* (see
     ``docs/chaos.md``): ``chaos_events`` are this (node, epoch)'s resolved
@@ -242,20 +244,14 @@ def simulate_node(
             name=f"{node.name}.replay.{name}"))
 
     elapsed_ns = deployment.run(processes, epoch_ns)
-    tenants = {name: dict(vars(account))
-               for name, account in sorted(monitor.accounts.items())}
-
     totals = scheduler.fabric_totals()
     busy_ns = (totals["service_us_total"] + totals["reconfig_us_total"]) * 1000.0
-    # Unified metrics (repro.obs): the node's registries — scheduler fault
-    # counters + SLO StatSet, latency samples included — as one snapshot,
-    # shipped in dict form (the report is plain JSON data by contract).
-    # Gauges carry the steering signals so a fleet-level snapshot merge can
-    # reason about peaks without re-reading every report.
-    queue_depth_mean = monitor.queue_depth.time_weighted_mean()
-    busy_fraction = busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0
-    scheduler.metrics.gauge("queue_depth_mean").set(queue_depth_mean)
-    scheduler.metrics.gauge("busy_fraction").set(busy_fraction)
+    # The steering signals live in the snapshot as gauges; the cluster
+    # reads them there (and the fleet-level merge can reason about peaks).
+    scheduler.metrics.gauge("queue_depth_mean").set(
+        monitor.queue_depth.time_weighted_mean())
+    scheduler.metrics.gauge("busy_fraction").set(
+        busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0)
     if queue_capacity is not None:
         # Admission-queue free-slot low-water mark.  A *min*-merge gauge:
         # the fleet-wide value is the worst node's headroom, which a
@@ -263,44 +259,28 @@ def simulate_node(
         peak_depth = max(monitor.queue_depth.values, default=0.0)
         scheduler.metrics.gauge("free_capacity", mode="min").set(
             queue_capacity - peak_depth)
-    metrics = deployment.metrics().as_dict()
-    energy_pj = sum(model.last_window_pj or 0.0 for model in deployment.energy)
-    breakdown: Dict[str, float] = {}
-    for model in deployment.energy:
-        for domain, pj in model.last_window_breakdown.items():
-            breakdown[domain] = breakdown.get(domain, 0.0) + pj
-    telemetry = deployment.telemetry
-    report_extra: Dict[str, Any] = (
-        {"telemetry": telemetry.stream.as_dict()} if telemetry is not None else {})
-    return {
-        **report_extra,
+    report: Dict[str, Any] = {
         "node_id": node.node_id,
         "epoch": epoch,
         "fabrics": node.fabrics,
         "cost_weight": node.cost_weight,
+        "spare": node.spare,
         "elapsed_ns": elapsed_ns,
-        "tenants": tenants,
-        # -- signals the router/autoscaler steer on --------------------- #
-        "queue_depth_mean": queue_depth_mean,
-        "busy_fraction": busy_fraction,
-        "submitted": sum(t["submitted"] for t in tenants.values()),
-        "completed": sum(t["completed"] for t in tenants.values()),
-        "shed": sum(t["shed"] for t in tenants.values()),
-        # -- accounting -------------------------------------------------- #
-        "reconfigurations": totals["reconfigurations"],
-        "reconfig_us_total": totals["reconfig_us_total"],
-        "service_us_total": totals["service_us_total"],
+        "tenants": {name: dict(vars(account))
+                    for name, account in sorted(monitor.accounts.items())},
+        # Counters (fault counters included), gauges and the
+        # ``latency_ns.<tenant>`` samples, in dict form.
+        "metrics": deployment.metrics().as_dict(),
+        **totals,
         "migrations": sum(share.migrated for share in shares),
         "migration_stall_ns": sum((stall for _, stall in placed.values()), 0.0),
-        "metrics": metrics,
-        "energy_pj": energy_pj,
-        "energy_breakdown": breakdown,
-        # -- chaos (empty/zeroed unless this epoch engaged faults) -------- #
-        "spare": node.spare,
-        # The scheduler's fault counters, with ``dead_fabrics`` as the
-        # indices still dead at epoch end (permanent damage the cluster
-        # carries into the next epoch as ``failed_fabrics``).
-        "chaos": dict(scheduler.chaos_totals(), dead_fabrics=sorted(
+        "energy_pj": sum(model.last_window_pj or 0.0
+                         for model in deployment.energy),
+        # Fabrics still dead at epoch end: permanent damage the cluster
+        # carries into the next epoch as ``failed_fabrics``.
+        "dead_fabrics": sorted(
             fabric.index for fabric in scheduler.fabrics if fabric.failed),
-        ) if chaos_engaged else None,
     }
+    if deployment.telemetry is not None:
+        report["telemetry"] = deployment.telemetry.stream.as_dict()
+    return report

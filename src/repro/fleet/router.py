@@ -177,8 +177,8 @@ class Router:
                   nodes: Sequence[NodeSpec]) -> Set[str]:
         """Watermark migration: drain one tenant off each sustained-hot node.
 
-        ``signals`` maps node_id → the node's last epoch report (the fields
-        used here: ``queue_depth_mean``, ``busy_fraction``).  Hot nodes are
+        ``signals`` maps node_id → the node's last-epoch signals (the
+        fields used here: ``queue_depth_mean``, ``busy_fraction``).  Hot nodes are
         handled hottest-first; each moves its largest-load tenant to the
         least-busy node.  Returns the set of migrated tenant names.
         """

@@ -538,7 +538,7 @@ def test_failover_keeping_the_last_node_differs_by_mode(control, handled):
                          chaos_control=control, telemetry_window_us=100.0)
     nodes = [NodeSpec(node_id=0)]
     report = {"node_id": 0, "fabrics": 1, "tenants": {},
-              "chaos": {"dead_fabrics": [0]}}
+              "dead_fabrics": [0]}
     shares = tuple(TenantShare(tenant, 1.0) for tenant in FLEET_TENANTS)
     router = Router("affinity")
     outcome = _failover(config, [report], shares, nodes, [], router, [0])

@@ -6,8 +6,7 @@ paths that wiring reaches and the other goldens do not: per-fabric energy
 on a serve run and on 2-fabric fleet nodes that migrate tenants, and fleet
 chaos that carries a dead fabric across epochs and replays a dead node's
 requests as a burst.  Each cell hashes its rows, its metrics snapshot and
-(for fleets) every node report minus ``latency_samples``, which the merged
-rows pin anyway.
+(for fleets) every node report.
 
 The law: a fleet of one node run for one epoch is the serve run with that
 node's seed — every column both rows carry, and the telemetry stream, are
@@ -30,6 +29,7 @@ import os
 import pytest
 
 from repro.chaos import ChaosConfig, FaultSchedule, FaultSpec
+from repro.chaos.experiments import build_schedule
 from repro.fleet import FleetConfig, node_seed, run_fleet
 from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.experiments import FLEET_TENANTS
@@ -54,15 +54,8 @@ def _serve_energy():
 
 def _fleet(config, **kwargs):
     outcome = run_fleet(config, FLEET_TENANTS, **kwargs)
-    reports = []
-    for report in outcome.reports:
-        report = dict(report, tenants={
-            name: {key: value for key, value in account.items()
-                   if key != "latency_samples"}
-            for name, account in report["tenants"].items()})
-        reports.append(report)
     return {"rows": {"rows": outcome.rows, "chaos": outcome.chaos},
-            "metrics": outcome.metrics.as_dict(), "reports": reports,
+            "metrics": outcome.metrics.as_dict(), "reports": outcome.reports,
             "outcome": outcome}
 
 
@@ -115,8 +108,8 @@ def _check_fleet_power(cell):
 def _check_fleet_chaos(cell):
     by_key = {(r["epoch"], r["node_id"]): r for r in cell["reports"]}
     # The dead fabric rides along on node 0 in the next epochs.
-    assert by_key[(0, 0)]["chaos"]["dead_fabrics"] == [1]
-    assert by_key[(1, 0)]["chaos"]["dead_fabrics"] == [1]
+    assert by_key[(0, 0)]["dead_fabrics"] == [1]
+    assert by_key[(1, 0)]["dead_fabrics"] == [1]
     assert cell["outcome"].chaos["dead_nodes"] == [1]
     assert sum(account["replayed"] for (epoch, _), report in by_key.items()
                if epoch == 1 for account in report["tenants"].values()) > 0
@@ -136,6 +129,42 @@ def test_deployment_cell_matches_golden(name):
     cell = CELLS[name]()
     CHECKS[name](cell)
     assert cell_digests(cell) == golden[name]
+
+
+#: The fault columns a chaos fleet row carries, one per scheduler counter.
+FLEET_FAULT_COLUMNS = ("faults_injected", "fabric_faults", "requests_lost",
+                       "seu_scrubs", "link_faults")
+
+
+def _fleet_chaos_mix(recovery):
+    """The chaos experiment's mix (node kill, SEUs, link faults) on
+    2-fabric nodes, so every fault counter moves."""
+    return _fleet(FleetConfig(
+        nodes=3, spares=1, placement="affinity", policy="affinity",
+        epochs=3, epoch_us=300.0, fabrics_per_node=2,
+        autoscaler=AutoscalerConfig(enabled=False),
+        chaos=ChaosConfig(build_schedule(4.0, 2023), recovery=recovery)),
+        total_rate_rps=600_000.0)
+
+
+MERGE_LAW_CELLS = {
+    "carryover_replay": _fleet_chaos_carryover_replay,
+    "mix_recovery": lambda: _fleet_chaos_mix(True),
+    "mix_no_recovery": lambda: _fleet_chaos_mix(False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_LAW_CELLS))
+def test_fleet_fault_columns_sum_the_node_snapshots(name):
+    """Node fault counters survive the merge: every row's fault column is
+    the sum of that counter over the node reports' snapshots."""
+    cell = MERGE_LAW_CELLS[name]()
+    sums = {key: sum(report["metrics"]["counters"][key]
+                     for report in cell["reports"])
+            for key in FLEET_FAULT_COLUMNS}
+    assert sums["faults_injected"] > 0
+    for row in cell["outcome"].rows:
+        assert {key: row[key] for key in FLEET_FAULT_COLUMNS} == sums
 
 
 # --------------------------------------------------------------------------- #

@@ -290,11 +290,43 @@ def test_simulate_node_report_is_deterministic_and_complete():
     report = simulate_node(**kwargs)
     assert report == simulate_node(**kwargs)
     assert report != simulate_node(**{**kwargs, "seed": 2024})
-    assert report["submitted"] > 0
+    assert sum(account["submitted"]
+               for account in report["tenants"].values()) > 0
     assert set(report["tenants"]) == {s.tenant.name for s in shares}
-    assert 0.0 < report["busy_fraction"] <= 1.0
+    assert 0.0 < report["metrics"]["gauges"]["busy_fraction"] <= 1.0
     assert report["migrations"] == 0 and report["migration_stall_ns"] == 0.0
     json.dumps(report)  # picklable/serializable: plain data only
+
+
+#: Every key a node report carries (``telemetry`` only with the monitor on).
+NODE_REPORT_KEYS = {
+    "node_id", "epoch", "fabrics", "cost_weight", "spare", "elapsed_ns",
+    "tenants", "metrics", "reconfigurations", "reconfig_us_total",
+    "service_us_total", "migrations", "migration_stall_ns", "energy_pj",
+    "dead_fabrics",
+}
+
+
+def test_node_report_ships_each_fact_once():
+    """A report carries exactly :data:`NODE_REPORT_KEYS`; none of them
+    repeats a metric of its snapshot or a field its tenant accounts sum."""
+    kwargs = dict(node=NodeSpec(node_id=0, fabrics=2),
+                  shares=make_shares(FLEET_TENANTS[:2], rate_rps=60_000.0),
+                  policy="fcfs", epoch_ns=100_000.0, epoch=0, seed=2023)
+    report = simulate_node(**kwargs)
+    assert set(report) == NODE_REPORT_KEYS
+    assert report["dead_fabrics"] == []
+    metrics = report["metrics"]
+    derivable = (set(metrics["counters"]) | set(metrics["gauges"])
+                 | {key for account in report["tenants"].values()
+                    for key in account})
+    assert set(report) & derivable == set()
+
+    observed = simulate_node(**kwargs, telemetry_window_us=50.0)
+    assert set(observed) == NODE_REPORT_KEYS | {"telemetry"}
+    damaged = simulate_node(**kwargs, failed_fabrics=(1,))
+    assert set(damaged) == NODE_REPORT_KEYS
+    assert damaged["dead_fabrics"] == [1]
 
 
 def test_migration_stall_charges_programming_plus_state_transfer():
@@ -326,7 +358,8 @@ def test_migrated_tenant_pays_the_blackout():
     assert migrated["migrations"] == 1
     assert migrated["migration_stall_ns"] > 25_000.0
     # Requests that would have arrived during the blackout never get served.
-    assert migrated["submitted"] < settled["submitted"]
+    assert (migrated["tenants"][tenant.name]["submitted"]
+            < settled["tenants"][tenant.name]["submitted"])
 
 
 def test_blackout_swallowing_the_whole_epoch_keeps_the_tenant_row():
