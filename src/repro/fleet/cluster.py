@@ -38,7 +38,7 @@ from repro.fleet.node import NodeSpec, TenantShare, simulate_node
 from repro.fleet.router import Router, make_placement
 from repro.obs.metrics import MetricsSnapshot
 from repro.serve.slo import TenantAccount, tenant_rows
-from repro.serve.traffic import TenantSpec
+from repro.serve.traffic import TenantSpec, open_loop_rates
 
 NODE_EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
@@ -88,10 +88,6 @@ class FleetConfig:
     telemetry_window_us: Optional[float] = None
     #: ``omniscient`` or ``alerts`` (see :data:`CHAOS_CONTROL_MODES`).
     chaos_control: str = "omniscient"
-    #: Alert rule set for the ``alerts`` paths; ``None`` picks
-    #: :data:`repro.obs.alerts.AUTOSCALER_RULES` when the autoscaler reads
-    #: alerts, else :data:`repro.obs.alerts.DEFAULT_RULES`.
-    alert_rules: Optional[Tuple[Any, ...]] = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -209,17 +205,16 @@ def run_fleet(
     if config.telemetry_window_us is not None:
         from repro.obs.alerts import (AUTOSCALER_RULES, DEFAULT_RULES,
                                       AlertEngine)
+        from repro.obs.monitor import TelemetryStream
 
-        rules = config.alert_rules
-        if rules is None:
-            rules = (AUTOSCALER_RULES if config.autoscaler.signal == "alerts"
-                     else DEFAULT_RULES)
-        engine = AlertEngine(rules)
+        # The autoscaler's alert signal needs the ``fleet_idle`` rule.
+        engine = AlertEngine(AUTOSCALER_RULES
+                             if config.autoscaler.signal == "alerts"
+                             else DEFAULT_RULES)
     epoch_ns = config.epoch_us * 1000.0
     #: Epoch length on the trace timeline (integer ps), so parent-side
     #: events line up with node-internal sim-ps timestamps.
     epoch_ps = int(round(config.epoch_us * 1e6))
-    open_weight = sum(t.weight for t in tenants if t.pattern != "closed")
 
     pool = None
     if config.node_executor == "process":
@@ -230,6 +225,8 @@ def run_fleet(
         pool = ProcessPoolExecutor(max_workers=workers)
 
     reports: List[Dict[str, Any]] = []
+    #: Each epoch's telemetry, merged once for the alert engine.
+    epoch_streams: List[Any] = []
     migrated: set = set()
     placed = False
     # -- chaos control-plane state -------------------------------------- #
@@ -242,17 +239,11 @@ def run_fleet(
     dead_nodes: List[int] = []
     try:
         for epoch in range(config.epochs):
-            rate = total_rate_rps * profile[epoch]
+            rates = open_loop_rates(tenants, total_rate_rps * profile[epoch])
             shares = tuple(
-                TenantShare(
-                    tenant=tenant,
-                    rate_rps=(rate * tenant.weight / open_weight
-                              if tenant.pattern != "closed" and open_weight > 0
-                              else 0.0),
-                    migrated=tenant.name in migrated,
-                )
-                for tenant in tenants
-            )
+                TenantShare(tenant=tenant, rate_rps=rate,
+                            migrated=tenant.name in migrated)
+                for tenant, rate in zip(tenants, rates))
             if tracer is not None and migrated:
                 # Migration stalls are paid at the start of this epoch on
                 # the target node — stamp the instants there.
@@ -319,11 +310,11 @@ def run_fleet(
                 # the canonical merged order — the same samples whatever
                 # executor produced them, so the alert log (and any control
                 # decision read off it) is serial ≡ process bit-identical.
-                from repro.obs.monitor import TelemetryStream
-
-                engine.consume(TelemetryStream.merged(
+                stream = TelemetryStream.merged(
                     TelemetryStream.from_dict(report["telemetry"])
-                    for report in epoch_reports if report.get("telemetry")))
+                    for report in epoch_reports)
+                engine.consume(stream)
+                epoch_streams.append(stream)
 
             if epoch == config.epochs - 1:
                 break
@@ -389,11 +380,9 @@ def run_fleet(
     telemetry = None
     alerts = None
     if engine is not None:
-        from repro.obs.monitor import TelemetryStream
-
-        telemetry = TelemetryStream.merged(
-            TelemetryStream.from_dict(report["telemetry"])
-            for report in reports if report.get("telemetry"))
+        # The merge key leads with the epoch, so folding the per-epoch
+        # streams gives the same bytes as merging every report again.
+        telemetry = TelemetryStream.merged(epoch_streams)
         alerts = engine.events
         if tracer is not None:
             engine.export(tracer, pid="fleet.ctrl")

@@ -38,7 +38,7 @@ from repro.serve.catalog import resolve_accelerator
 from repro.serve.deployment import Deployment
 from repro.serve.scheduler import FabricScheduler, ServeConfig
 from repro.serve.traffic import Request, TenantSpec, TrafficSource
-from repro.sim import Delay, Simulator
+from repro.sim import Delay
 
 #: Fixed state-transfer component of a tenant migration (ns): shipping the
 #: tenant's context (queue snapshot, accelerator state) to the target node.

@@ -34,7 +34,7 @@ simulator with a known fault oracle can measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 RULE_KINDS = ("threshold", "burn_rate", "ewma")
@@ -291,9 +291,6 @@ class AlertEngine:
                 args={"node": event.node_id, "severity": event.severity,
                       "family": event.family, "value": event.value,
                       "seq": seq})
-
-    def log_as_dicts(self) -> List[Dict[str, Any]]:
-        return [event.as_dict() for event in self.events]
 
 
 # ---------------------------------------------------------------------- #

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.catalog import resolve_accelerator
 from repro.sim import Delay, Process, Simulator
@@ -330,6 +330,19 @@ class TrafficSource:
         return completed
 
 
+def open_loop_rates(tenants: Sequence[TenantSpec],
+                    total_rate_rps: float) -> List[float]:
+    """Each tenant's share of ``total_rate_rps``, split by ``weight``.
+
+    Only open-loop tenants share the rate; closed-loop tenants pace
+    themselves and get 0.0.
+    """
+    open_weight = sum(t.weight for t in tenants if t.pattern != "closed")
+    return [total_rate_rps * tenant.weight / open_weight
+            if tenant.pattern != "closed" and open_weight > 0 else 0.0
+            for tenant in tenants]
+
+
 def build_sources(
     sim: Simulator,
     tenants: Tuple[TenantSpec, ...],
@@ -338,24 +351,15 @@ def build_sources(
     duration_ns: float,
     seed: int,
 ) -> List[TrafficSource]:
-    """One :class:`TrafficSource` per tenant, rates split by ``weight``.
-
-    Only open-loop tenants share ``total_rate_rps``; closed-loop tenants
-    pace themselves.  Request ids are partitioned per tenant (stride 1M) so
-    ids are unique and independent of interleaving.
+    """One :class:`TrafficSource` per tenant at its :func:`open_loop_rates`
+    share of ``total_rate_rps``.  Request ids are partitioned per tenant
+    (stride 1M) so ids are unique and independent of interleaving.
     """
-    open_weight = sum(t.weight for t in tenants if t.pattern != "closed")
-    sources = []
-    for index, tenant in enumerate(tenants):
-        rate = 0.0
-        if tenant.pattern != "closed" and open_weight > 0:
-            rate = total_rate_rps * tenant.weight / open_weight
-        sources.append(TrafficSource(
-            sim, tenant, submit, rate,
-            duration_ns=duration_ns, seed=seed,
-            start_id=index * 1_000_000,
-        ))
-    return sources
+    rates = open_loop_rates(tenants, total_rate_rps)
+    return [TrafficSource(sim, tenant, submit, rate,
+                          duration_ns=duration_ns, seed=seed,
+                          start_id=index * 1_000_000)
+            for index, (tenant, rate) in enumerate(zip(tenants, rates))]
 
 
 @dataclass(frozen=True)
