@@ -77,8 +77,7 @@ SUITE = [
     ),
     # The gated hooks-on twin of noc_messages_per_sec: identical workload
     # with a live PowerProbe attached, so the energy hooks' hot-path cost
-    # is measured (and gated) directly.  BENCH_power.json (CI artifact)
-    # collects this and energy_samples_per_sec.
+    # is measured (and gated) directly.
     BenchSpec(
         name="noc_messages_per_sec_hooks_on",
         fn=micro.noc_message_throughput,
@@ -94,7 +93,7 @@ SUITE = [
     ),
     # The gated serving number: requests served per wall second through the
     # admission queue, affinity policy, programming engine and eFPGA clock
-    # domain on the duo tenant mix (BENCH_serve.json CI artifact).
+    # domain on the duo tenant mix.
     BenchSpec(
         name="serve_requests_per_sec",
         fn=micro.serve_request_throughput,

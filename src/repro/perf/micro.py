@@ -24,12 +24,11 @@ budget:
   — the gated ``noc_messages_per_sec_hooks_on`` variant, which is what
   proves the energy-accounting hooks cost ~nothing on the hot path.
 * :func:`energy_sample_rate` — epoch closes per wall second of a busy
-  :class:`~repro.power.EnergyModel`: the accounting layer's own overhead,
-  published in the ``BENCH_power.json`` CI artifact.
+  :class:`~repro.power.EnergyModel`: the accounting layer's own overhead.
 * :func:`serve_request_throughput` — served requests per wall second
   through the :mod:`repro.serve` subsystem on the two-tenant
   reconfiguration-pressure mix: the gated ``serve_requests_per_sec``
-  number, published in the ``BENCH_serve.json`` CI artifact.
+  number.
 * :func:`reconfig_request_throughput` — the same serving workload on a
   region-gridded fabric (:mod:`repro.reconfig`): allocator, span hot
   swaps and partial-image programming on the hot path — the gated
