@@ -359,10 +359,9 @@ def run_fleet(
         if pool is not None:
             pool.shutdown()
 
-    snapshots = [MetricsSnapshot.from_dict(report["metrics"])
-                 for report in sorted(reports,
-                                      key=lambda r: (r["epoch"], r["node_id"]))]
-    metrics = MetricsSnapshot.merged(snapshots)
+    metrics = MetricsSnapshot.merged(
+        MetricsSnapshot.from_dict(report["metrics"])
+        for report in sorted(reports, key=lambda r: (r["epoch"], r["node_id"])))
     rows, elapsed_ns = _merge_reports(reports, metrics, config,
                                       extra_columns or {})
     chaos_summary = None
