@@ -174,8 +174,10 @@ class Tracer:
         ids = self._track_ids()
         events: List[Dict[str, Any]] = []
         for pid in sorted({pid for pid, _ in ids}):
+            # Fleet pids are already labels ("node0", "fleet.ctrl").
+            label = pid if isinstance(pid, str) else f"node{pid}"
             events.append({"ph": "M", "name": "process_name", "pid": pid,
-                           "tid": 0, "args": {"name": f"node{pid}"}})
+                           "tid": 0, "args": {"name": label}})
         for (pid, tid), tid_id in sorted(ids.items()):
             events.append({"ph": "M", "name": "thread_name", "pid": pid,
                            "tid": tid_id, "args": {"name": tid}})

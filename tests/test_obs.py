@@ -96,6 +96,22 @@ def test_tracks_are_isolated_per_pid():
     assert tracer.end("fabric0", 10, pid=1).name == "a"
 
 
+def test_process_names_label_string_pids_as_themselves():
+    def names(tracer):
+        return {event["pid"]: event["args"]["name"]
+                for event in tracer.chrome_trace()["traceEvents"]
+                if event["name"] == "process_name"}
+
+    serve = Tracer()
+    serve.instant("tick", "fabric0", 0)
+    serve.instant("tick", "fabric0", 0, pid=3)
+    assert names(serve) == {0: "node0", 3: "node3"}
+    fleet = Tracer()
+    fleet.instant("epoch", "epochs", 0, pid="node0")
+    fleet.instant("failover", "chaos", 0, pid="fleet.ctrl")
+    assert names(fleet) == {"node0": "node0", "fleet.ctrl": "fleet.ctrl"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["begin", "end"]),
                           st.sampled_from(["a", "b"]),
