@@ -22,7 +22,7 @@ and adds the two things the fleet layer needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.sim.stats import StatSet
 
@@ -144,12 +144,10 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """Counters/gauges/histograms/series with a picklable snapshot."""
 
-    def __init__(self, name: str = "metrics",
-                 stats: Optional[StatSet] = None) -> None:
+    def __init__(self, name: str = "metrics") -> None:
         self.name = name
-        #: The backing :class:`StatSet` — components that already speak
-        #: StatSet (the SLO monitor) plug theirs in and gain snapshotting.
-        self.stats = stats if stats is not None else StatSet(name)
+        #: The backing :class:`StatSet`.
+        self.stats = StatSet(name)
         self._gauges: Dict[str, Gauge] = {}
 
     # Delegation: the registry *is* the StatSet plus gauges.

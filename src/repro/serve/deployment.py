@@ -122,12 +122,12 @@ class Deployment:
         return elapsed_ns
 
     def metrics(self) -> MetricsSnapshot:
-        """The scheduler's and the SLO monitor's registries as one snapshot.
+        """A snapshot of the deployment's one registry, which the scheduler
+        and the SLO monitor share.
 
         Every tenant gets its ``latency_ns.<tenant>`` histogram first, so a
         tenant that never completed still shows up, with no samples.
         """
         for name in sorted(self.monitor.accounts):
             self.monitor.latency_histogram(name)
-        return MetricsSnapshot.merged(
-            (self.scheduler.metrics.snapshot(), self.monitor.metrics.snapshot()))
+        return self.monitor.metrics.snapshot()

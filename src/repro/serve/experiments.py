@@ -172,13 +172,13 @@ def run_serve(
     if energy is not None:
         _add_energy_columns(rows[-1], energy)
     if monitor.faults > 0:
-        # Deployment-wide fault accounting; columns only exist once a
-        # fault actually fired, so fault-free goldens never change shape.
-        # The tenant's own fault_shed/replayed columns are kept.
+        # Deployment-wide fault counters; columns only exist once a fault
+        # actually fired, so fault-free goldens never change shape.  The
+        # per-request fault columns (fault_shed, replayed) are the tenant
+        # accounts' own.
         chaos_totals = scheduler.chaos_totals()
         for row in rows:
-            for key, value in chaos_totals.items():
-                row.setdefault(key, value)
+            row.update(chaos_totals)
     telemetry = deployment.telemetry
     return {"rows": rows, "scheduler": scheduler, "monitor": monitor,
             "energy": energy, "elapsed_ns": elapsed_ns, "tracer": tracer,

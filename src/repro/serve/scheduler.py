@@ -49,14 +49,13 @@ from repro.cpu.mmio import MmioMap
 from repro.fpga.bitstream import Bitstream
 from repro.fpga.clocking import ProgrammableClockGenerator
 from repro.noc import NocNetwork, TileRouter, make_topology
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import LifecycleSubscriber, RequestTrace
 from repro.reconfig.placement import RegionAllocator
 from repro.reconfig.plan import RegionPlan
 from repro.serve.catalog import ServedAccelerator, materialize
 from repro.serve.slo import SloMonitor
 from repro.serve.traffic import Request
-from repro.sim import Delay, Simulator, StatSet
+from repro.sim import Delay, Simulator
 from repro.sim.clock import ClockDomain
 from repro.sim.stats import Counter
 
@@ -127,10 +126,8 @@ class AffinityPolicy(SchedulingPolicy):
         now = fabric.sim.now
         if now - head.arrival_ns > self.patience_ns:
             return 0
-        resident = getattr(fabric, "has_resident", None)
         for index, request in enumerate(pending):
-            if (resident(request.accelerator) if resident is not None
-                    else request.accelerator == fabric.current_design):
+            if fabric.has_resident(request.accelerator):
                 return index
         return 0
 
@@ -183,7 +180,6 @@ class FabricContext:
             sim, sys_domain, tile_router, mmio_map, self.clock_generator,
             config=hub_config, name=f"{self.name}.ctrl")
         self.current_design: Optional[str] = None
-        self.stats = StatSet(f"{self.name}.stats")
         self.reconfigurations = 0
         self.reconfig_ns_total = 0.0
         self.service_ns_total = 0.0
@@ -225,7 +221,6 @@ class FabricContext:
         self.fail_time_ns = self.sim.now
         self.fail_time_ps = self.sim.now_ps
         self.fail_reason = reason
-        self.stats.counter("faults").increment()
 
     def heal(self) -> None:
         self.failed = False
@@ -301,8 +296,6 @@ class FabricContext:
         self.reconfigurations += 1
         elapsed = self.sim.now - started
         self.reconfig_ns_total += elapsed
-        self.stats.counter("reconfigurations").increment()
-        self.stats.histogram("reconfig_ns").record(elapsed)
         return elapsed
 
     def serve(self, request: Request):
@@ -327,7 +320,6 @@ class FabricContext:
         yield domain.wait_cycles(cycles)
         request.finish_ns = self.sim.now
         self.service_ns_total += request.finish_ns - request.start_ns
-        self.stats.counter("served").increment()
         if tracer is not None:
             tracer.complete(
                 "service", self.name, service_start_ps,
@@ -348,8 +340,6 @@ class FabricContext:
         self.regions_programmed += len(span)
         elapsed = self.sim.now - started
         self.reconfig_ns_total += elapsed
-        self.stats.counter("reconfigurations").increment()
-        self.stats.histogram("reconfig_ns").record(elapsed)
         return elapsed
 
     def serve_regional(self, request: Request):
@@ -398,7 +388,6 @@ class FabricContext:
             yield Delay(cycles * 1000.0 / self.clock_mhz_for(accelerator))
             request.finish_ns = self.sim.now
             self.service_ns_total += request.finish_ns - request.start_ns
-            self.stats.counter("served").increment()
             if tracer is not None:
                 tracer.complete(
                     "service", track, service_start_ps,
@@ -449,11 +438,12 @@ class ServeConfig:
         make_policy(self.policy, patience_ns=self.patience_ns)  # fail fast
 
 
-#: The scheduler's fault/recovery counters (all zero on a fault-free run),
-#: registered eagerly so every metrics snapshot carries them.
+#: The scheduler's fault counters (all zero on a fault-free run), registered
+#: eagerly so every metrics snapshot carries them.  Per-request outcomes
+#: (replayed, fault-shed) are counted in the tenant accounts instead.
 FAULT_COUNTERS: Tuple[str, ...] = (
-    "faults_injected", "fabric_faults", "requests_lost", "replayed",
-    "fault_shed", "seu_scrubs", "link_faults",
+    "faults_injected", "fabric_faults", "requests_lost", "seu_scrubs",
+    "link_faults",
 )
 
 
@@ -507,10 +497,10 @@ class FabricScheduler:
         self.recovery = True
         #: Detection/scrub latency paid before an SEU retry (ns).
         self.fault_detect_ns = 2_000.0
-        #: Unified metrics (:mod:`repro.obs.metrics`): the scheduler's own
-        #: counters plus the SLO monitor's StatSet behind one registry whose
-        #: snapshot is picklable and merges deterministically in the fleet.
-        self.metrics = MetricsRegistry("serve.metrics")
+        #: The deployment's one metrics registry (:mod:`repro.obs.metrics`),
+        #: owned by the SLO monitor: the fault counters below sit beside its
+        #: latency histograms and queue-depth series in one snapshot.
+        self.metrics = self.monitor.metrics
         #: The :data:`FAULT_COUNTERS` by name.
         self.fault_stats: Dict[str, Counter] = {
             name: self.metrics.counter(name) for name in FAULT_COUNTERS}
@@ -694,7 +684,6 @@ class FabricScheduler:
         if self.recovery:
             # Failover: replay through whichever fabric frees up first.
             # Not a new admission — the request was already counted.
-            self.fault_stats["replayed"].increment()
             self.pending.append(request)
             self.note_replay(request)
             self._notify()
@@ -703,7 +692,6 @@ class FabricScheduler:
 
     def _fault_shed(self, request: Request) -> None:
         request.shed = True
-        self.fault_stats["fault_shed"].increment()
         for hook in self.hooks:
             hook.on_fault_shed(request)
         if request.completion is not None:
@@ -723,7 +711,6 @@ class FabricScheduler:
             scrub_start_ps = self.sim.now_ps
             if self.fault_detect_ns > 0:
                 yield Delay(self.fault_detect_ns)
-            self.fault_stats["replayed"].increment()
             self.pending.insert(0, request)
             for hook in self.hooks:
                 hook.on_scrub(fabric, name, scrub_start_ps)
@@ -832,7 +819,8 @@ class FabricScheduler:
         }
 
     def chaos_totals(self) -> Dict[str, int]:
-        """Fault/recovery accounting (all zero on a fault-free run)."""
+        """The :data:`FAULT_COUNTERS` plus the dead-fabric count (all zero
+        on a fault-free run)."""
         totals = {name: counter.value for name, counter in self.fault_stats.items()}
         totals["dead_fabrics"] = sum(1 for f in self.fabrics if f.failed)
         return totals

@@ -1,13 +1,13 @@
 """Per-tenant service-level accounting for the serving subsystem.
 
 The monitor is pure observation: the scheduler reports admissions,
-sheddings and completions, and everything lands in the standard
-:mod:`repro.sim.stats` primitives — per-tenant latency
-:class:`~repro.sim.stats.Histogram`\\ s (p50/p95/p99 via nearest-rank),
-a queue-depth :class:`~repro.sim.stats.TimeSeries`, and plain counters
-for completions, SLO violations and shed requests.  Goodput is defined the
-strict way: only requests that *completed within their tenant's SLO* count,
-so an overloaded policy cannot buy throughput by blowing the tail.
+sheddings and completions.  Each request outcome is counted once, in its
+tenant's :class:`TenantAccount`; the deployment's metrics registry holds
+the per-tenant latency :class:`~repro.sim.stats.Histogram`\\ s
+(p50/p95/p99 via nearest-rank) and the queue-depth
+:class:`~repro.sim.stats.TimeSeries`.  Goodput is defined the strict way:
+only requests that *completed within their tenant's SLO* count, so an
+overloaded policy cannot buy throughput by blowing the tail.
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ class SloMonitor(LifecycleSubscriber):
     def __init__(self, sim, name: str = "serve") -> None:
         self.sim = sim
         self.name = name
-        #: Unified registry (:mod:`repro.obs.metrics`); ``self.stats`` is
-        #: its backing StatSet, so every existing hook below is unchanged
-        #: while the monitor gains a picklable, mergeable snapshot.
-        self.metrics = MetricsRegistry(f"{name}.slo")
+        #: The deployment's one registry (:mod:`repro.obs.metrics`), shared
+        #: with the scheduler; ``self.stats`` is its backing StatSet.
+        self.metrics = MetricsRegistry(f"{name}.metrics")
         self.stats = self.metrics.stats
         self.accounts: Dict[str, TenantAccount] = {}
         self.queue_depth: TimeSeries = self.stats.series("queue_depth")
@@ -159,7 +158,6 @@ class SloMonitor(LifecycleSubscriber):
         account = self._account(request)
         account.submitted += 1  # shed requests were still offered
         account.shed += 1
-        self.stats.counter("shed_total").increment()
 
     def on_dequeue(self, request: Request, queue_depth: int, fabric) -> None:
         self.queue_depth.record(self.sim.now, queue_depth)
@@ -169,14 +167,12 @@ class SloMonitor(LifecycleSubscriber):
         account.completed += 1
         account.queue_wait_ns_total += request.queue_wait_ns
         account.service_ns_total += request.finish_ns - request.start_ns
-        latency = request.latency_ns
-        self.stats.histogram(f"latency_ns.{request.tenant}").record(latency)
-        self.stats.counter("completed_total").increment()
+        self.stats.histogram(f"latency_ns.{request.tenant}").record(
+            request.latency_ns)
         if request.slo_met:
             account.good += 1
         elif request.slo_ns > 0:
             account.slo_violations += 1
-            self.stats.counter("slo_violations_total").increment()
         fault_at = self._recovery_pending.pop(request.tenant, None)
         if fault_at is not None:
             account.recovery_time_ns += self.sim.now - fault_at
@@ -192,7 +188,6 @@ class SloMonitor(LifecycleSubscriber):
         do not stack — a second fault before recovery extends nothing.
         """
         self.faults += 1
-        self.stats.counter("faults_total").increment()
         for name in self.accounts:
             self._recovery_pending.setdefault(name, time_ns)
 
@@ -204,12 +199,10 @@ class SloMonitor(LifecycleSubscriber):
         account = self._account(request)
         account.shed += 1
         account.fault_shed += 1
-        self.stats.counter("fault_shed_total").increment()
 
     def on_replay(self, request: Request, queue_depth: int) -> None:
         """A fault-lost request re-entered the queue for another attempt."""
         self._account(request).replayed += 1
-        self.stats.counter("replayed_total").increment()
         self.queue_depth.record(self.sim.now, queue_depth)
 
     # ------------------------------------------------------------------ #

@@ -35,6 +35,7 @@ from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.obs.experiments import noise_schedule
 from repro.serve.experiments import get_mix, run_serve, serve_energy_cell
+from repro.serve.scheduler import FAULT_COUNTERS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "deployment_golden.json")
@@ -236,3 +237,86 @@ def test_serve_chaos_rows_keep_per_tenant_fault_columns():
             assert row["fault_shed"] <= row["shed"], (recovery, row["tenant"])
         for key in ("fault_shed", "replayed"):
             assert sum(row[key] for row in tenants) == total[key], key
+
+
+# --------------------------------------------------------------------------- #
+# One tally per request fact
+# --------------------------------------------------------------------------- #
+#: Serve cells for the one-tally pins: fault-free, and the chaos
+#: experiment's mix on two fabrics with recovery on and off.
+ONE_TALLY_SERVE = {
+    "clean": dict(policy="affinity", tenant_mix="duo",
+                  arrival_rate_krps=250.0, duration_us=600.0, seed=5),
+    "chaos_recovery": dict(
+        policy="fcfs", arrival_rate_krps=300.0, duration_us=400.0,
+        num_fabrics=2, chaos=ChaosConfig(build_schedule(4.0, 2023),
+                                         recovery=True)),
+    "chaos_no_recovery": dict(
+        policy="fcfs", arrival_rate_krps=300.0, duration_us=400.0,
+        num_fabrics=2, chaos=ChaosConfig(build_schedule(4.0, 2023),
+                                         recovery=False)),
+}
+
+
+@pytest.fixture(scope="module")
+def chaos_fleet():
+    return _fleet_chaos_mix(True)
+
+
+def _serve_tally(name):
+    outcome = run_serve(**ONE_TALLY_SERVE[name])
+    if name != "clean":
+        assert outcome["monitor"].faults > 0
+    return outcome
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TALLY_SERVE))
+def test_serve_snapshot_counts_only_the_fault_counters(name):
+    """A deployment has one registry, and request outcomes are not in it:
+    its counters are exactly the scheduler's fault counters."""
+    outcome = _serve_tally(name)
+    scheduler, monitor = outcome["scheduler"], outcome["monitor"]
+    assert scheduler.metrics is monitor.metrics
+    assert sorted(outcome["metrics"].counters) == sorted(FAULT_COUNTERS)
+
+
+def test_fleet_node_snapshots_count_only_the_fault_counters(chaos_fleet):
+    for report in chaos_fleet["reports"]:
+        assert sorted(report["metrics"]["counters"]) == sorted(FAULT_COUNTERS)
+    assert sorted(chaos_fleet["outcome"].metrics.counters) == sorted(
+        FAULT_COUNTERS)
+
+
+def _assert_rows_add_up(rows):
+    *tenants, total = rows
+    assert total["tenant"] == "__all__"
+    for key in ("submitted", "completed", "shed", "fault_shed", "replayed"):
+        if key in total:
+            assert sum(row[key] for row in tenants) == total[key], key
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TALLY_SERVE))
+def test_serve_latency_samples_are_the_completions(name):
+    """The law tying the registry to the accounts: each tenant's latency
+    histogram holds one sample per completion, and the tenant rows add up
+    to the ``__all__`` row."""
+    outcome = _serve_tally(name)
+    histograms = outcome["metrics"].histograms
+    accounts = outcome["monitor"].accounts
+    assert {f"latency_ns.{tenant}" for tenant in accounts} == set(histograms)
+    for tenant, account in accounts.items():
+        assert len(histograms[f"latency_ns.{tenant}"]) == account.completed
+    _assert_rows_add_up(outcome["rows"])
+
+
+def test_fleet_latency_samples_are_the_completions(chaos_fleet):
+    outcome = chaos_fleet["outcome"]
+    for report in chaos_fleet["reports"]:
+        histograms = report["metrics"]["histograms"]
+        for tenant, account in report["tenants"].items():
+            assert len(histograms[f"latency_ns.{tenant}"]) == account["completed"]
+    *tenants, _ = outcome.rows
+    for row in tenants:
+        assert (len(outcome.metrics.histograms[f"latency_ns.{row['tenant']}"])
+                == row["completed"])
+    _assert_rows_add_up(outcome.rows)

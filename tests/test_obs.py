@@ -300,7 +300,7 @@ def test_serve_outcome_carries_a_unified_snapshot():
     snapshot = outcome["metrics"]
     aggregate = next(row for row in outcome["rows"]
                      if row["tenant"] == "__all__")
-    assert snapshot.counters["completed_total"] == aggregate["completed"]
+    assert sum(map(len, snapshot.histograms.values())) == aggregate["completed"]
     assert snapshot.counters["faults_injected"] == 0
     assert "queue_depth" in snapshot.series
 
@@ -314,7 +314,7 @@ def test_fleet_metrics_merge_is_serial_process_bit_identical():
                        **kwargs)
     assert serial.rows == pooled.rows
     assert serial.metrics == pooled.metrics
-    assert serial.metrics.counters["completed_total"] > 0
+    assert sum(map(len, serial.metrics.histograms.values())) > 0
 
 
 # --------------------------------------------------------------------------- #

@@ -482,7 +482,7 @@ def test_seu_in_a_programmed_span_scrubs_and_retries():
     sim.process(feeder(), name="test.feeder")
     sim.run(max_events=500_000)
     assert scheduler.fault_stats["seu_scrubs"].value == 1
-    assert scheduler.fault_stats["replayed"].value == 1
+    assert scheduler.monitor.accounts["t1"].replayed == 1
     assert request.finish_ns > 0                  # retried on pristine image
     assert "popcount" not in scheduler.images     # override scrubbed
 
