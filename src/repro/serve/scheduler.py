@@ -440,7 +440,7 @@ class ServeConfig:
 
 #: The scheduler's fault counters (all zero on a fault-free run), registered
 #: eagerly so every metrics snapshot carries them.  Per-request outcomes
-#: (replayed, fault-shed) are counted in the tenant accounts instead.
+#: (replayed, fault-shed) are counted only in the tenant accounts.
 FAULT_COUNTERS: Tuple[str, ...] = (
     "faults_injected", "fabric_faults", "requests_lost", "seu_scrubs",
     "link_faults",

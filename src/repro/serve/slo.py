@@ -125,7 +125,7 @@ class SloMonitor(LifecycleSubscriber):
         self.name = name
         #: The deployment's one registry (:mod:`repro.obs.metrics`), shared
         #: with the scheduler; ``self.stats`` is its backing StatSet.
-        self.metrics = MetricsRegistry(f"{name}.metrics")
+        self.metrics = MetricsRegistry(f"{name}.slo")
         self.stats = self.metrics.stats
         self.accounts: Dict[str, TenantAccount] = {}
         self.queue_depth: TimeSeries = self.stats.series("queue_depth")
@@ -167,8 +167,8 @@ class SloMonitor(LifecycleSubscriber):
         account.completed += 1
         account.queue_wait_ns_total += request.queue_wait_ns
         account.service_ns_total += request.finish_ns - request.start_ns
-        self.stats.histogram(f"latency_ns.{request.tenant}").record(
-            request.latency_ns)
+        latency = request.latency_ns
+        self.stats.histogram(f"latency_ns.{request.tenant}").record(latency)
         if request.slo_met:
             account.good += 1
         elif request.slo_ns > 0:

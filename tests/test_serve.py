@@ -9,6 +9,7 @@ import pytest
 
 from repro.api.registry import get_experiment
 from repro.api.runner import Runner
+from repro.obs import Tracer
 from repro.serve import (
     ACCELERATOR_NAMES,
     POLICY_KINDS,
@@ -34,7 +35,6 @@ from repro.serve.experiments import (
     serve_policy_cell,
     serve_policy_summary,
 )
-from repro.obs import Tracer
 from repro.sim import Simulator
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
