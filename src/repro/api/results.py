@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.reporting import format_table
+from repro.sim.stats import cdf_points, nearest_rank
 
 
 class Row(dict):
@@ -128,22 +129,17 @@ class ResultSet:
         Ragged data is tolerated: rows missing the column, and rows whose
         value is not a real number (strings, ``None``, booleans), are
         skipped.  Returns ``None`` when no usable value remains, so callers
-        can tell "no data" apart from a measured 0.0.  Uses the same
-        nearest-rank convention as :meth:`repro.sim.stats.Histogram.percentile`,
-        so serve reports and in-sim SLO monitors agree on what "p99" means.
+        can tell "no data" apart from a measured 0.0.  Uses
+        :func:`repro.sim.stats.nearest_rank`, the one percentile rule, so
+        serve reports and in-sim SLO monitors agree on what "p99" means.
         """
-        from repro.sim.stats import Histogram
-
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"percentile fraction must be in [0, 1], got {q}")
         values = [
             float(value) for row in self.rows
             for value in (row.get(column),)
             if isinstance(value, (int, float)) and not isinstance(value, bool)
         ]
-        if not values:
-            return None
-        return Histogram(column, samples=values).percentile(q)
+        rank = nearest_rank(values, q)  # raises on q outside [0, 1]
+        return rank if values else None
 
     def cdf(self, column: str) -> List[Tuple[float, float]]:
         """Empirical CDF of ``column``: sorted ``(value, cumulative_fraction)``
@@ -156,8 +152,6 @@ class ResultSet:
         the highest fraction, so the pairs are strictly increasing in value
         and plot directly as a step function.
         """
-        from repro.obs.decompose import cdf_points
-
         return cdf_points([row.get(column) for row in self.rows])
 
     def pivot(self, index: str, columns: str, values: str) -> Tuple[List[str], List[List[Any]]]:

@@ -14,14 +14,13 @@ work:
   invalidations are forwarded into the eFPGA fire-and-forget through the
   Memory Hub's ordered FIFO, so coherence responses are never delayed by the
   slow clock domain;
-* it stores the **virtual page number beside the physical tag** of each line
-  so invalidations can be reverse-mapped into a virtually-tagged soft cache,
-  which also rules out synonym aliases (Sec. II-D).
+* in the paper it also stores the **virtual page number beside the
+  physical tag** of each line so invalidations can be reverse-mapped into
+  a virtually-tagged soft cache (Sec. II-D); nothing in this model
+  reverse-maps an invalidation by virtual page, so it keeps no such map.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 from repro.mem.address import AddressMap
 from repro.mem.config import MemoryConfig
@@ -58,28 +57,3 @@ class ProxyCache(PrivateCacheAgent):
             target=target,
             include_l1=False,
         )
-        #: Virtual page number recorded per resident line (reverse mapping).
-        self._virtual_pages: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Virtual-tag bookkeeping
-    # ------------------------------------------------------------------ #
-    def record_virtual_page(self, line_addr: int, virtual_page: int) -> Optional[int]:
-        """Remember the VPN used to access ``line_addr``.
-
-        Returns a *previous* VPN if the line was already resident under a
-        different virtual page — the synonym case, which the caller must
-        invalidate from the soft cache before proceeding (Sec. II-D).
-        """
-        previous = self._virtual_pages.get(line_addr)
-        self._virtual_pages[line_addr] = virtual_page
-        if previous is not None and previous != virtual_page:
-            return previous
-        return None
-
-    def virtual_page_of(self, line_addr: int) -> Optional[int]:
-        return self._virtual_pages.get(line_addr)
-
-    def _drop_line(self, line: int, notify: str) -> None:
-        super()._drop_line(line, notify)
-        self._virtual_pages.pop(line, None)

@@ -10,8 +10,7 @@ The cross-cutting layer the serving stack reports through:
   :class:`MetricsSnapshot` that merges deterministically across the
   fleet process pool;
 * :mod:`repro.obs.decompose` — per-request stage attribution
-  (queue/program/retune/service/blackout) and the empirical-CDF helper
-  behind ``ResultSet.cdf``;
+  (queue/program/retune/service/blackout);
 * :mod:`repro.obs.monitor` — streaming telemetry: tumbling/sliding
   window reads (goodput, shed rate, p99-over-window, queue slope)
   emitted as a picklable :class:`TelemetryStream` that merges across the
@@ -34,13 +33,14 @@ ordered :class:`LifecycleSubscriber`\\ s (telemetry, SLO accounting,
 
 from repro.obs.alerts import (AUTOSCALER_RULES, DEFAULT_RULES, AlertEngine,
                               AlertEvent, AlertRule, score_alerts)
-from repro.obs.decompose import (ALL_TENANTS, STAGES, cdf_points,
-                                 decompose_rows, request_stages)
+from repro.obs.decompose import (ALL_TENANTS, STAGES, decompose_rows,
+                                 request_stages)
 from repro.obs.metrics import (GAUGE_MERGE_MODES, Gauge, MetricsRegistry,
                                MetricsSnapshot)
 from repro.obs.monitor import TelemetryMonitor, TelemetryStream
 from repro.obs.trace import (Instant, LifecycleSubscriber, RequestTrace, Span,
                              Tracer)
+from repro.sim.stats import cdf_points
 
 __all__ = [
     "ALL_TENANTS",

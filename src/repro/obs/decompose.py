@@ -25,11 +25,10 @@ decomposition is as deterministic as the run that produced it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.trace import Tracer
-from repro.sim.stats import Histogram
+from repro.sim.stats import Histogram, cdf_points, fraction_at
 
 #: Stage order used everywhere (tables, shares, docs).
 STAGES: Tuple[str, ...] = ("queue", "program", "retune", "service", "blackout")
@@ -38,39 +37,6 @@ _STAGE_INDEX = {"queue": 0, "program": 1, "retune": 2, "service": 3}
 
 #: Synthetic row aggregating every tenant (same convention as SloMonitor).
 ALL_TENANTS = "__all__"
-
-
-def cdf_points(values: Sequence[Any]) -> List[Tuple[float, float]]:
-    """Sorted ``(value, cumulative_fraction)`` pairs — an empirical CDF.
-
-    Non-numeric entries (and booleans) are skipped, mirroring
-    ``ResultSet.percentile``'s ragged-column handling; an empty or fully
-    ragged input yields ``[]``.  Duplicate values collapse to one point
-    carrying the highest cumulative fraction, so the result is strictly
-    increasing in value and ends at fraction 1.0.
-    """
-    usable = sorted(
-        float(value) for value in values
-        if isinstance(value, (int, float)) and not isinstance(value, bool))
-    if not usable:
-        return []
-    total = len(usable)
-    points: List[Tuple[float, float]] = []
-    for index, value in enumerate(usable):
-        fraction = (index + 1) / total
-        if points and points[-1][0] == value:
-            points[-1] = (value, fraction)
-        else:
-            points.append((value, fraction))
-    return points
-
-
-def fraction_at(points: Sequence[Tuple[float, float]], value: float) -> float:
-    """Empirical ``P(X <= value)`` from :func:`cdf_points` output."""
-    if not points:
-        return 0.0
-    index = bisect_right([point[0] for point in points], value)
-    return points[index - 1][1] if index else 0.0
 
 
 def request_stages(tracer: Tracer) -> Dict[Tuple[str, int], Dict[str, Any]]:

@@ -13,8 +13,7 @@ and adds the two things the fleet layer needs:
 * :meth:`MetricsSnapshot.merged` — a deterministic fold: counters add,
   histogram samples and series points concatenate in merge order, and
   gauges fold by their declared merge mode (``max`` by default; ``min``
-  for low-water marks like ``free_capacity``, ``sum`` for additive
-  capacities, ``last`` for merge-order-final values).  Folding snapshots
+  for low-water marks like ``free_capacity``).  Folding snapshots
   in the fleet's sorted ``(epoch, node_id)`` report order therefore
   gives the same bytes serial or process-pooled.
 """
@@ -27,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 from repro.sim.stats import StatSet
 
 #: Legal per-gauge merge modes (see :meth:`MetricsSnapshot.merge`).
-GAUGE_MERGE_MODES = ("max", "min", "sum", "last")
+GAUGE_MERGE_MODES = ("max", "min")
 
 
 class Gauge:
@@ -35,8 +34,7 @@ class Gauge:
 
     ``mode`` declares how the value folds when snapshots merge across the
     fleet pool: ``max`` (the historical default — correct for high-water
-    marks), ``min`` (low-water marks such as free capacity), ``sum``
-    (additive quantities) or ``last`` (merge-order-final wins).
+    marks) or ``min`` (low-water marks such as free capacity).
     """
 
     __slots__ = ("name", "value", "mode")
@@ -88,15 +86,10 @@ class MetricsSnapshot:
             if current is None:
                 self.gauges[name] = value
                 continue
-            mode = self.gauge_modes.get(name, "max")
-            if mode == "max":
-                self.gauges[name] = max(current, value)
-            elif mode == "min":
+            if self.gauge_modes.get(name) == "min":
                 self.gauges[name] = min(current, value)
-            elif mode == "sum":
-                self.gauges[name] = current + value
-            else:  # "last": merge-order-final value wins
-                self.gauges[name] = value
+            else:
+                self.gauges[name] = max(current, value)
         for name, samples in other.histograms.items():
             self.histograms.setdefault(name, []).extend(samples)
         for name, points in other.series.items():
@@ -150,15 +143,8 @@ class MetricsRegistry:
         self.stats = StatSet(name)
         self._gauges: Dict[str, Gauge] = {}
 
-    # Delegation: the registry *is* the StatSet plus gauges.
     def counter(self, name: str):
         return self.stats.counter(name)
-
-    def histogram(self, name: str):
-        return self.stats.histogram(name)
-
-    def series(self, name: str):
-        return self.stats.series(name)
 
     def gauge(self, name: str, mode: str = "max") -> Gauge:
         gauge = self._gauges.get(name)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import LifecycleSubscriber
+from repro.sim.stats import nearest_rank
 
 #: Fields of a window sample that :meth:`TelemetryStream.series` /
 #: :meth:`TelemetryStream.sliding` can read (the flat numeric ones).
@@ -46,23 +47,6 @@ SAMPLE_METRICS = (
     "bad", "bad_fraction", "goodput_krps", "shed_rate", "p99_us",
     "queue_depth", "queue_slope_per_us", "busy_fraction",
 )
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    """Nearest rank ``round(fraction * n + 0.5)``, clamped to ``[1, n]``.
-
-    Python's ``round`` breaks ties to even, so this is *not*
-    ``Histogram.percentile``'s ``ceil(fraction * n)``: whenever
-    ``fraction * n`` is an odd integer it reads one rank higher (p50 of
-    398 samples reads index 199 where the histogram reads 198).  Kept as
-    is because windowed ``p99_us`` feeds committed digests and alert
-    pins; ``tests/test_alerts.py`` pins the divergence.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, int(round(fraction * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass
@@ -241,7 +225,7 @@ class TelemetryMonitor(LifecycleSubscriber):
                 tenants[name] = {
                     "submitted": d_sub, "completed": d_comp, "good": d_good,
                     "shed": d_shed,
-                    "p99_us": _percentile(latencies, 0.99) / 1000.0,
+                    "p99_us": nearest_rank(latencies, 0.99) / 1000.0,
                 }
         # Queue depth: level (last point wins, carried across empty
         # windows) and slope in depth-per-us across the window's points.
@@ -277,7 +261,7 @@ class TelemetryMonitor(LifecycleSubscriber):
             "bad_fraction": bad / resolved if resolved else 0.0,
             "goodput_krps": good / self.window_ns * 1e6,
             "shed_rate": shed / submitted if submitted else 0.0,
-            "p99_us": _percentile(window_latencies, 0.99) / 1000.0,
+            "p99_us": nearest_rank(window_latencies, 0.99) / 1000.0,
             "queue_depth": self._queue_last,
             "queue_slope_per_us": slope,
             "busy_fraction": busy_fraction,

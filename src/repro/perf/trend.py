@@ -13,8 +13,8 @@ number of them into a single trend view:
   appearance across the reports in the order given (oldest first), or a
   specific report selected with ``baseline_path``;
 * the result is a JSON document (``duet-repro/bench-trend/v1``) plus a
-  text table — what ``python -m repro trend`` / ``tools/bench_trend.py``
-  print and what CI uploads as the ``BENCH_trend.json`` artifact.
+  text table — what ``python -m repro trend`` prints and what CI
+  uploads as the ``BENCH_trend.json`` artifact.
 
 Reports without a calibration (PyPy — see
 :data:`repro.perf.harness.IS_PYPY`) fall back to raw values; their points

@@ -1,15 +1,67 @@
-"""Lightweight statistics collection.
+"""Lightweight statistics collection and the one set of order statistics.
 
 Components accumulate counters and latency samples into a :class:`StatSet`;
 the analysis layer reads them back to build the latency breakdowns and
-bandwidth numbers reported in the paper's figures.
+bandwidth numbers reported in the paper's figures.  Every percentile in the
+repository — histograms, ``ResultSet`` columns, SLO and decomposition rows,
+telemetry windows — is :func:`nearest_rank`, and every empirical CDF is
+:func:`cdf_points`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
+
+
+def nearest_rank(samples: Sequence[float], fraction: float) -> float:
+    """The ``fraction`` (0..1) percentile of ``samples`` by nearest rank.
+
+    Reads rank ``ceil(n * fraction)`` (1-based) of the sorted samples —
+    the smallest sample at ``fraction`` 0 — and 0.0 for no samples.  A
+    fraction outside ``[0, 1]`` raises :class:`ValueError`, never clamps.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"percentile fraction must be in [0, 1], got {fraction}")
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+
+
+def cdf_points(values: Sequence[Any]) -> List[Tuple[float, float]]:
+    """Sorted ``(value, cumulative_fraction)`` pairs — an empirical CDF.
+
+    Non-numeric entries (and booleans) are skipped, mirroring
+    ``ResultSet.percentile``'s ragged-column handling; an empty or fully
+    ragged input yields ``[]``.  Duplicate values collapse to one point
+    carrying the highest cumulative fraction, so the result is strictly
+    increasing in value and ends at fraction 1.0.
+    """
+    usable = sorted(
+        float(value) for value in values
+        if isinstance(value, (int, float)) and not isinstance(value, bool))
+    if not usable:
+        return []
+    total = len(usable)
+    points: List[Tuple[float, float]] = []
+    for index, value in enumerate(usable):
+        fraction = (index + 1) / total
+        if points and points[-1][0] == value:
+            points[-1] = (value, fraction)
+        else:
+            points.append((value, fraction))
+    return points
+
+
+def fraction_at(points: Sequence[Tuple[float, float]], value: float) -> float:
+    """Empirical ``P(X <= value)`` from :func:`cdf_points` output."""
+    if not points:
+        return 0.0
+    index = bisect_right([point[0] for point in points], value)
+    return points[index - 1][1] if index else 0.0
 
 
 @dataclass
@@ -22,9 +74,6 @@ class Counter:
     def increment(self, amount: int = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
 
 @dataclass
 class Histogram:
@@ -35,9 +84,6 @@ class Histogram:
 
     def record(self, value: float) -> None:
         self.samples.append(value)
-
-    def reset(self) -> None:
-        self.samples.clear()
 
     @property
     def count(self) -> int:
@@ -52,20 +98,12 @@ class Histogram:
         return self.total / self.count if self.samples else 0.0
 
     @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
     def maximum(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
     def percentile(self, fraction: float) -> float:
-        """Return the ``fraction`` percentile (0..1) using nearest-rank."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[rank]
+        """Return the ``fraction`` percentile (0..1); see :func:`nearest_rank`."""
+        return nearest_rank(self.samples, fraction)
 
 
 @dataclass
@@ -91,10 +129,6 @@ class TimeSeries:
             )
         self.times.append(time_ns)
         self.values.append(value)
-
-    def reset(self) -> None:
-        self.times.clear()
-        self.values.clear()
 
     @property
     def count(self) -> int:
@@ -155,7 +189,7 @@ class StatSet:
             if name in self._series:
                 raise ValueError(
                     f"{self.name}: {name!r} is already a time series; "
-                    "histograms and series share the flattened key space"
+                    "one name is either a histogram or a series"
                 )
             self._histograms[name] = Histogram(name)
         return self._histograms[name]
@@ -165,7 +199,7 @@ class StatSet:
             if name in self._histograms:
                 raise ValueError(
                     f"{self.name}: {name!r} is already a histogram; "
-                    "histograms and series share the flattened key space"
+                    "one name is either a histogram or a series"
                 )
             self._series[name] = TimeSeries(name)
         return self._series[name]
@@ -178,49 +212,6 @@ class StatSet:
 
     def serieses(self) -> Dict[str, TimeSeries]:
         return dict(self._series)
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-        for histogram in self._histograms.values():
-            histogram.reset()
-        for series in self._series.values():
-            series.reset()
-
-    def merge(self, other: "StatSet") -> None:
-        """Fold ``other``'s counters and samples into this set.
-
-        Time series from the two sets may cover overlapping time ranges
-        (e.g. per-subsystem traces of the same run); the merged series
-        interleaves them by timestamp, keeping this set's samples first on
-        ties, so the time-ordering invariant survives the merge.
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).increment(counter.value)
-        for name, histogram in other._histograms.items():
-            self.histogram(name).samples.extend(histogram.samples)
-        for name, series in other._series.items():
-            merged = self.series(name)
-            pairs = sorted(
-                list(zip(merged.times, merged.values))
-                + list(zip(series.times, series.values)),
-                key=lambda pair: pair[0],
-            )
-            merged.times = [time_ns for time_ns, _ in pairs]
-            merged.values = [value for _, value in pairs]
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten to a plain dict (counters plus histogram/series summaries)."""
-        flat: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            flat[name] = counter.value
-        for name, histogram in self._histograms.items():
-            flat[f"{name}.mean"] = histogram.mean
-            flat[f"{name}.count"] = histogram.count
-        for name, series in self._series.items():
-            flat[f"{name}.mean"] = series.mean
-            flat[f"{name}.count"] = series.count
-        return flat
 
 
 def geometric_mean(values: Iterable[float]) -> float:

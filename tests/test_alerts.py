@@ -129,41 +129,56 @@ def test_stream_series_and_sliding_reads():
         stream.series("nope")
 
 
-def test_window_percentile_rounds_half_to_even_unlike_the_histogram():
-    """Telemetry ``p99_us`` feeds committed digests and alert pins, so its
-    tie-to-even nearest rank is pinned here, divergence and all: folding
-    it into ``Histogram.percentile`` must re-record telemetry on purpose."""
-    from repro.obs.monitor import _percentile
-    from repro.sim.stats import Histogram
+def test_percentile_readings_agree_with_nearest_rank():
+    """``nearest_rank`` is the one percentile rule: the histogram and
+    ``ResultSet`` readings match it, and it matches the definition — the
+    smallest sample with at least ``fraction`` of the samples at or below
+    it — at every n and tail fraction."""
+    from repro.api.results import ResultSet
+    from repro.sim.stats import Histogram, nearest_rank
 
-    differ = 0
+    disagreements = 0
     for n in range(1, 400):
-        samples = [float(i) for i in range(n)]
+        ordered = [float(i) for i in range(n)]
+        samples = ordered[::-1]
         histogram = Histogram("h", samples=samples)
+        results = ResultSet("t", [{"x": value} for value in samples])
         for fraction in (0.50, 0.95, 0.99, 0.999):
-            if _percentile(samples, fraction) != histogram.percentile(fraction):
-                differ += 1
-    assert differ == 112
-    samples = [float(i) for i in range(398)]
-    assert _percentile(samples, 0.50) == 199.0
-    assert Histogram("h", samples=samples).percentile(0.50) == 198.0
+            expected = next(value for rank, value in enumerate(ordered, 1)
+                            if rank >= fraction * n)
+            readings = {nearest_rank(samples, fraction),
+                        histogram.percentile(fraction),
+                        results.percentile("x", fraction)}
+            if readings != {expected}:
+                disagreements += 1
+    assert disagreements == 0
+
+
+def test_window_of_100_latencies_reports_the_99th_smallest_as_p99():
+    """Window and per-tenant ``p99_us`` use ``nearest_rank`` too: at
+    exactly 100 latencies the 99th smallest, not the 100th."""
+    _, emit, telemetry = _monitored(window_ns=1_000_000.0)
+    for latency_us in range(100, 0, -1):
+        request = _Req(slo_ns=1e9, latency_ns=latency_us * 1000.0)
+        emit("on_submit", request, 1)
+        emit("on_complete", request)
+    telemetry.finalize(1_000_000.0)
+    (window,) = telemetry.stream.samples
+    assert window["completed"] == 100
+    assert window["p99_us"] == 99.0
+    assert window["tenants"]["alpha"]["p99_us"] == 99.0
 
 
 # --------------------------------------------------------------------------- #
-# Gauge merge modes (per-gauge max/min/sum/last)
+# Gauge merge modes (per-gauge max/min)
 # --------------------------------------------------------------------------- #
-def test_gauge_merge_modes_min_sum_last_and_default_max():
-    left = MetricsSnapshot(gauges={"peak": 3.0, "floor": 2.0, "total": 1.0,
-                                   "latest": 1.0},
-                           gauge_modes={"floor": "min", "total": "sum",
-                                        "latest": "last"})
-    right = MetricsSnapshot(gauges={"peak": 1.0, "floor": 5.0, "total": 2.0,
-                                    "latest": 9.0},
-                            gauge_modes={"floor": "min", "total": "sum",
-                                         "latest": "last"})
+def test_gauge_merge_modes_min_and_default_max():
+    left = MetricsSnapshot(gauges={"peak": 3.0, "floor": 2.0},
+                           gauge_modes={"floor": "min"})
+    right = MetricsSnapshot(gauges={"peak": 1.0, "floor": 5.0},
+                            gauge_modes={"floor": "min"})
     merged = MetricsSnapshot.merged((left, right))
-    assert merged.gauges == {"peak": 3.0, "floor": 2.0, "total": 3.0,
-                             "latest": 9.0}
+    assert merged.gauges == {"peak": 3.0, "floor": 2.0}
     # Round trip preserves the modes; the pre-mode dict shape is kept for
     # snapshots that only use the default.
     assert MetricsSnapshot.from_dict(merged.as_dict()) == merged
@@ -172,7 +187,7 @@ def test_gauge_merge_modes_min_sum_last_and_default_max():
 
 def test_gauge_mode_conflict_refuses_to_merge():
     left = MetricsSnapshot(gauges={"g": 1.0}, gauge_modes={"g": "min"})
-    right = MetricsSnapshot(gauges={"g": 2.0}, gauge_modes={"g": "sum"})
+    right = MetricsSnapshot(gauges={"g": 2.0}, gauge_modes={"g": "max"})
     with pytest.raises(ValueError, match="previously merged as"):
         MetricsSnapshot.merged((left, right))
 

@@ -284,10 +284,16 @@ def test_resultset_percentile_handles_ragged_and_empty_columns():
     # No numeric value at all -> None, distinguishable from a measured 0.
     assert results.percentile("label", 0.5) is None
     assert ResultSet("t", []).percentile("x", 0.5) is None
-    with pytest.raises(ValueError, match="fraction"):
-        results.percentile("x", 1.5)
-    with pytest.raises(ValueError, match="fraction"):
-        results.percentile("x", -0.1)
+    # The range check lives in nearest_rank, so histograms refuse too.
+    from repro.sim.stats import Histogram
+
+    for bad in (1.5, -0.1):
+        for read in (lambda q: results.percentile("x", q),
+                     lambda q: ResultSet("t", []).percentile("x", q),
+                     Histogram("x", samples=[10.0, 30.0]).percentile,
+                     Histogram("empty").percentile):
+            with pytest.raises(ValueError, match=f"fraction .* got {bad}"):
+                read(bad)
 
 
 def test_resultset_percentile_on_serve_rows():

@@ -24,13 +24,14 @@ from repro.obs import (
     Tracer,
     cdf_points,
 )
-from repro.obs.decompose import fraction_at, request_stages
+from repro.obs.decompose import request_stages
 from repro.obs.experiments import (
     latency_decomposition_cell,
     latency_decomposition_summary,
     trace_experiment,
 )
 from repro.serve.experiments import run_serve
+from repro.sim.stats import fraction_at
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

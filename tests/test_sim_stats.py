@@ -3,17 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import ClockDomain, Counter, Histogram, Simulator, StatSet, TimeSeries
+from repro.sim import Counter, Histogram, StatSet, TimeSeries
 from repro.sim.stats import geometric_mean
 
 
-def test_counter_increment_and_reset():
+def test_counter_increments():
     counter = Counter("hits")
     counter.increment()
     counter.increment(4)
     assert counter.value == 5
-    counter.reset()
-    assert counter.value == 0
 
 
 def test_histogram_summary_statistics():
@@ -22,7 +20,6 @@ def test_histogram_summary_statistics():
         histogram.record(value)
     assert histogram.count == 4
     assert histogram.mean == pytest.approx(2.5)
-    assert histogram.minimum == 1.0
     assert histogram.maximum == 4.0
     assert histogram.total == pytest.approx(10.0)
 
@@ -42,7 +39,6 @@ def test_empty_histogram_is_safe():
     assert histogram.percentile(0.5) == 0.0
     assert histogram.count == 0
     assert histogram.total == 0.0
-    assert histogram.minimum == 0.0
     assert histogram.maximum == 0.0
 
 
@@ -51,36 +47,7 @@ def test_single_sample_percentiles_are_that_sample():
     histogram.record(42.0)
     for fraction in (0.0, 0.01, 0.5, 0.99, 1.0):
         assert histogram.percentile(fraction) == 42.0
-    assert histogram.minimum == histogram.maximum == histogram.mean == 42.0
-
-
-def test_histogram_reset_then_reuse_reports_fresh_statistics():
-    histogram = Histogram("reuse")
-    histogram.record(100.0)
-    histogram.reset()
-    histogram.record(2.0)
-    assert histogram.count == 1
-    assert histogram.mean == 2.0
-    assert histogram.maximum == 2.0
-
-
-def test_stat_reset_after_clock_retune_starts_clean():
-    """The governor pattern: retune a ClockDomain mid-run, reset the stats,
-    and keep recording — old samples must not bleed into the new regime."""
-    sim = Simulator()
-    domain = ClockDomain(sim, 100.0, "dvfs")
-    stats = StatSet("retune")
-    stats.histogram("period_ns").record(domain.period_ns)
-    assert stats.histogram("period_ns").mean == pytest.approx(10.0)
-    domain.freq_mhz = 400.0  # the retune path (also invalidates edge cache)
-    stats.reset()
-    stats.histogram("period_ns").record(domain.period_ns)
-    histogram = stats.histogram("period_ns")
-    assert histogram.count == 1
-    assert histogram.mean == pytest.approx(2.5)
-    # The retuned domain produces edges on the new period.
-    first = domain.next_edge(0.1)
-    assert domain.next_edge(first + 0.1) - first == pytest.approx(2.5)
+    assert histogram.maximum == histogram.mean == 42.0
 
 
 # --------------------------------------------------------------------------- #
@@ -120,26 +87,8 @@ def test_time_series_rejects_out_of_order_samples():
     series.record(10.0, 3.0)
 
 
-def test_statset_series_lazily_created_reset_and_merged():
-    stats = StatSet("s")
-    stats.series("trace").record(1.0, 5.0)
-    other = StatSet("o")
-    other.series("trace").record(2.0, 7.0)
-    other.series("fresh").record(0.5, 1.0)
-    stats.merge(other)
-    assert stats.series("trace").as_pairs() == [(1.0, 5.0), (2.0, 7.0)]
-    assert stats.series("fresh").count == 1
-    flat = stats.as_dict()
-    assert flat["trace.count"] == 2
-    assert flat["trace.mean"] == pytest.approx(6.0)
-    stats.reset()
-    assert stats.series("trace").count == 0
-    assert "trace" in stats.serieses()
-
-
 def test_statset_rejects_histogram_series_name_collisions():
-    """Histograms and series flatten into the same `{name}.mean/.count`
-    keys, so one name cannot be both kinds."""
+    """One name is either a histogram or a time series, never both."""
     stats = StatSet("collide")
     stats.histogram("power_mw")
     with pytest.raises(ValueError, match="already a histogram"):
@@ -149,53 +98,17 @@ def test_statset_rejects_histogram_series_name_collisions():
         stats.histogram("trace")
 
 
-def test_statset_merge_interleaves_overlapping_series():
-    """Two subsystems' traces of the same run overlap in time; merging must
-    interleave by timestamp (self first on ties), not crash on ordering."""
-    a = StatSet("a")
-    a.series("power").record(10.0, 1.0)
-    a.series("power").record(30.0, 3.0)
-    b = StatSet("b")
-    b.series("power").record(5.0, 0.5)
-    b.series("power").record(10.0, 9.0)
-    b.series("power").record(20.0, 2.0)
-    a.merge(b)
-    merged = a.series("power")
-    assert merged.times == [5.0, 10.0, 10.0, 20.0, 30.0]
-    assert merged.values == [0.5, 1.0, 9.0, 2.0, 3.0]  # self first on the tie
-    # The merged series still accepts in-order appends.
-    merged.record(40.0, 4.0)
-    assert merged.last == 4.0
-
-
 def test_statset_lazily_creates_and_flattens():
     stats = StatSet("cache")
+    assert stats.counters() == {} and stats.histograms() == {}
+    assert stats.serieses() == {}
     stats.counter("hits").increment(3)
     stats.histogram("latency").record(7.0)
-    flat = stats.as_dict()
-    assert flat["hits"] == 3
-    assert flat["latency.mean"] == pytest.approx(7.0)
-    assert flat["latency.count"] == 1
-
-
-def test_statset_merge_accumulates():
-    a = StatSet("a")
-    b = StatSet("b")
-    a.counter("hits").increment(2)
-    b.counter("hits").increment(5)
-    b.histogram("latency").record(1.0)
-    a.merge(b)
-    assert a.counter("hits").value == 7
-    assert a.histogram("latency").count == 1
-
-
-def test_statset_reset_clears_everything():
-    stats = StatSet()
-    stats.counter("x").increment(9)
-    stats.histogram("y").record(1.0)
-    stats.reset()
-    assert stats.counter("x").value == 0
-    assert stats.histogram("y").count == 0
+    stats.series("trace").record(1.0, 5.0)
+    assert stats.counter("hits") is stats.counter("hits")
+    assert stats.counters() == {"hits": 3}
+    assert stats.histograms()["latency"].samples == [7.0]
+    assert stats.serieses()["trace"].as_pairs() == [(1.0, 5.0)]
 
 
 def test_geometric_mean_known_values():
