@@ -68,9 +68,6 @@ def test_retuning_frequency_changes_period():
     clk = ClockDomain(sim, 100.0)
     clk.freq_mhz = 200.0
     assert clk.period_ns == pytest.approx(5.0)
-    # The retuned domain produces edges on the new period.
-    first = clk.next_edge(0.1)
-    assert clk.next_edge(first + 0.1) - first == pytest.approx(5.0)
 
 
 def test_cycle_ns_roundtrip():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, Histogram, StatSet, TimeSeries
+from repro.sim import ClockDomain, Counter, Histogram, Simulator, StatSet, TimeSeries
 from repro.sim.stats import geometric_mean
 
 
@@ -50,6 +50,26 @@ def test_single_sample_percentiles_are_that_sample():
     assert histogram.maximum == histogram.mean == 42.0
 
 
+def test_stat_reset_after_clock_retune_starts_clean():
+    """The governor pattern: retune a ClockDomain mid-run and record the new
+    regime into a fresh StatSet — old samples must not bleed into it."""
+    sim = Simulator()
+    domain = ClockDomain(sim, 100.0, "dvfs")
+    before = StatSet("before")
+    before.histogram("period_ns").record(domain.period_ns)
+    assert before.histogram("period_ns").mean == pytest.approx(10.0)
+    domain.freq_mhz = 400.0  # the retune path (also invalidates edge cache)
+    after = StatSet("after")
+    after.histogram("period_ns").record(domain.period_ns)
+    histogram = after.histogram("period_ns")
+    assert histogram.count == 1
+    assert histogram.mean == pytest.approx(2.5)
+    assert before.histogram("period_ns").samples == [10.0]
+    # The retuned domain produces edges on the new period.
+    first = domain.next_edge(0.1)
+    assert domain.next_edge(first + 0.1) - first == pytest.approx(2.5)
+
+
 # --------------------------------------------------------------------------- #
 # TimeSeries (the power traces)
 # --------------------------------------------------------------------------- #
@@ -85,6 +105,21 @@ def test_time_series_rejects_out_of_order_samples():
         series.record(5.0, 2.0)
     # Equal timestamps are fine (two epochs may close at one instant).
     series.record(10.0, 3.0)
+
+
+def test_statset_series_lazily_created_reset_and_merged():
+    """A series is created empty on first use, keeps its identity after, and
+    each StatSet holds its own series under a shared name."""
+    stats = StatSet("s")
+    stats.series("trace").record(1.0, 5.0)
+    other = StatSet("o")
+    other.series("trace").record(2.0, 7.0)
+    fresh = other.series("fresh")
+    assert fresh.count == 0 and fresh is other.series("fresh")
+    assert set(other.serieses()) == {"trace", "fresh"}
+    assert stats.series("trace").as_pairs() == [(1.0, 5.0)]
+    assert other.series("trace").as_pairs() == [(2.0, 7.0)]
+    assert "fresh" not in stats.serieses()
 
 
 def test_statset_rejects_histogram_series_name_collisions():
