@@ -179,9 +179,12 @@ class ControlHub:
             )
             start_ps = self.sim.now_ps if self.tracer is not None else 0
             yield self.sys_domain.wait_cycles(transfer_cycles)
-            # Re-verify after the transfer window: an SEU that lands while
-            # the configuration memory is being written (see repro.chaos)
-            # must not activate a corrupt design.
+            # Re-verify after the transfer window: an image mutated in
+            # place while the configuration memory was being written must
+            # not activate a corrupt design.  A chaos SEU never lands here:
+            # FabricScheduler.corrupt_image swaps in a new stored image, so
+            # the upset stays latent until the next program of that design.
+            # An unchanged image answers from Bitstream.verify's memo.
             if not bitstream.verify():
                 self.exceptions.raise_error(ErrorCode.BITSTREAM_CORRUPT)
                 raise DuetError(

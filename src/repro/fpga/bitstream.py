@@ -48,6 +48,10 @@ class Bitstream:
     region_crcs: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        # (data object, (crc, region_bits, region_crcs)) of the last
+        # successful check; see :meth:`verify`.  Not a field, so equality,
+        # ``repr`` and the constructor never see it.
+        self._verified: Optional[tuple] = None
         if (self.region_bits is None) != (self.region_crcs is None):
             raise BitstreamError(
                 "region_bits and region_crcs must be provided together")
@@ -125,7 +129,25 @@ class Bitstream:
         Regioned images verify every region slice against its pristine
         CRC-32 (the per-region configuration chains each check their own
         transfer); monolithic images check the whole-payload checksum.
+
+        A passing check is remembered against the identity of the ``data``
+        object (``bytes`` are immutable, so the same object holds the same
+        bytes) together with ``crc``, ``region_bits`` and ``region_crcs``.
+        While none of these changes, a repeated call answers from that memo
+        instead of re-running the CRC over an unchanged image.  Assigning a
+        new payload to ``data``, a :meth:`corrupted` copy or a
+        :meth:`for_regions` partial is checked from scratch, and a failed
+        check is never remembered.
         """
+        key = (self.crc, self.region_bits, self.region_crcs)
+        memo = self._verified
+        if memo is not None and memo[0] is self.data and memo[1] == key:
+            return True
+        intact = self._payload_matches()
+        self._verified = (self.data, key) if intact else None
+        return intact
+
+    def _payload_matches(self) -> bool:
         if self.region_crcs is not None:
             offset = 0
             for bits, crc in zip(self.region_bits, self.region_crcs):
@@ -189,10 +211,11 @@ class Bitstream:
         config_bits = fabric.config_bits
         size_bytes = max(1, config_bits // 8)
         seed = f"{design.name}:{fabric.columns}x{fabric.rows}".encode()
-        chunks = []
+        chunks, length = [], 0
         digest = hashlib.sha256(seed).digest()
-        while sum(len(chunk) for chunk in chunks) < size_bytes:
+        while length < size_bytes:
             chunks.append(digest)
+            length += len(digest)
             digest = hashlib.sha256(digest).digest()
         data = b"".join(chunks)[:size_bytes]
         region_bits = region_crcs = None

@@ -230,12 +230,6 @@ class AsyncFifo:
             self._wake_putter()
             return item
 
-    def peek_visible(self) -> Optional[Any]:
-        """Return (without removing) the head item if visible now, else None."""
-        if self._items and self._items[0][0] <= self.sim.now:
-            return self._items[0][1]
-        return None
-
     # ------------------------------------------------------------------ #
     # Internal wakeups
     # ------------------------------------------------------------------ #

@@ -27,15 +27,21 @@ from chaos_utils import (
 from repro.chaos import (
     ChaosConfig,
     FAULT_KINDS,
+    FaultEvent,
+    FaultInjector,
     FaultSchedule,
     FaultSpec,
 )
+from repro.core.exceptions import ErrorCode
 from repro.fleet import NodeSpec, TenantShare
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.fleet.router import HashPlacement
 from repro.noc import NocRouteError
 from repro.noc.topology import make_topology
 from repro.serve.experiments import run_serve
+from repro.serve.scheduler import FabricScheduler, ServeConfig
+from repro.serve.traffic import Request
+from repro.sim import Simulator
 
 
 # --------------------------------------------------------------------------- #
@@ -242,6 +248,54 @@ def test_seu_without_recovery_poisons_the_accelerator():
     scheduler = outcome["scheduler"]
     assert scheduler.poisoned
     assert row["fault_shed"] > 0
+
+
+def test_seu_during_a_transfer_stays_latent_until_the_next_program():
+    """An SEU lands in the *stored* image: ``corrupt_image`` swaps in a new
+    object, so the image already in flight is untouched.  The transfer that
+    was running completes on the pristine image, and the next program of
+    that accelerator trips ``BITSTREAM_CORRUPT`` and takes the scrub path."""
+    sim = Simulator()
+    scheduler = FabricScheduler(sim, ServeConfig(
+        policy="fcfs", accelerators=("popcount", "sort64")))
+    fabric = scheduler.fabrics[0]
+    hub = fabric.control_hub
+    injected, errors = [], []
+    corrupt_image = scheduler.corrupt_image
+
+    def observed_corrupt_image(name, offset, flip_mask):
+        injected.append((name, hub.programming_busy, fabric.current_design))
+        corrupt_image(name, offset, flip_mask)
+
+    scheduler.corrupt_image = observed_corrupt_image
+    hub.exceptions.on_error(lambda code: errors.append((code, sim.now)))
+    # 1 ns in: the worker is inside popcount's configuration transfer.
+    FaultInjector(sim, scheduler, [FaultEvent(
+        kind="seu", time_ns=1.0, fabric=0, spec_index=0, detect_ns=500.0,
+        seu_offset=3)], seu_targets=("popcount",))
+    first, other, again = (
+        Request(request_id=index, tenant="t", accelerator=name, size=8)
+        for index, name in enumerate(("popcount", "sort64", "popcount")))
+
+    def feeder():
+        for request in (first, other, again):
+            scheduler.submit(request)
+        scheduler.close()
+        yield from ()
+
+    sim.process(feeder(), name="test.feeder")
+    sim.run(max_events=500_000)
+    assert injected == [("popcount", True, None)]
+    # The in-flight program completed: the first request was served.
+    assert first.finish_ns > 0 and not first.shed
+    # The next popcount program tripped the check, after sort64 was served.
+    assert [code for code, _ in errors] == [ErrorCode.BITSTREAM_CORRUPT]
+    assert other.finish_ns <= errors[0][1]
+    assert scheduler.fault_stats["seu_scrubs"].value == 1
+    assert scheduler.monitor.accounts["t"].replayed == 1
+    assert again.finish_ns > 0 and not again.shed
+    assert "popcount" not in scheduler.images
+    assert hub.programmed_bitstream is scheduler.accelerators["popcount"].bitstream
 
 
 def test_link_cut_fails_unreachable_fabrics_and_repair_restores_them():

@@ -1,5 +1,7 @@
 """Unit tests for the eFPGA substrate: fabric, synthesis, bitstream, clocking."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,6 +122,8 @@ def test_bitstream_is_deterministic_per_design():
     a = Bitstream.generate(design, fabric)
     b = Bitstream.generate(design, fabric)
     assert a.data == b.data
+    # Equality and repr ignore whether an image has been verified.
+    assert a.verify() and a == b and repr(a) == repr(b)
     other = Bitstream.generate(AcceleratorDesign(name="other", luts=100, ffs=100), fabric)
     assert other.data != a.data
 
@@ -128,6 +132,7 @@ def test_bitstream_corruption_detected():
     design = AcceleratorDesign(name="acc", luts=100, ffs=100)
     fabric = FabricInstance(FabricSpec(), columns=6, rows=6)
     bitstream = Bitstream.generate(design, fabric)
+    assert bitstream.verify()
     corrupted = bitstream.corrupted(offset=17)
     assert not corrupted.verify()
     assert bitstream.verify()
@@ -181,7 +186,7 @@ def test_bitstream_corrupted_rejects_empty_and_cancelling_masks():
     # On a 1-byte payload a 2-byte mask folds both bytes onto index 0;
     # 0x0101 XORs it twice with 0x01 and cancels out.
     tiny = Bitstream(design_name="tiny", data=b"\x42",
-                     crc=__import__("zlib").crc32(b"\x42"), config_bits=8)
+                     crc=zlib.crc32(b"\x42"), config_bits=8)
     with pytest.raises(BitstreamError, match="cancels out"):
         tiny.corrupted(flip_mask=0x0101)
     assert not tiny.corrupted(flip_mask=0x01).verify()
@@ -220,6 +225,61 @@ def test_corruption_mid_transfer_trips_the_post_transfer_check():
     assert "corrupted during the configuration transfer" in errors[0]
     assert hub.programmed_bitstream is None
     assert not hub.programming_busy
+
+
+class _CountingZlib:
+    """Stands in for ``zlib`` inside ``repro.fpga.bitstream``; counts CRCs."""
+
+    def __init__(self):
+        self.crc_calls = 0
+
+    def crc32(self, data, *args):
+        self.crc_calls += 1
+        return zlib.crc32(data, *args)
+
+
+@pytest.fixture
+def crc_counter(monkeypatch):
+    import repro.fpga.bitstream as bitstream_module
+
+    counter = _CountingZlib()
+    monkeypatch.setattr(bitstream_module, "zlib", counter)
+    return counter
+
+
+def _image(regions=None):
+    design = AcceleratorDesign(name="acc", luts=100, ffs=100)
+    fabric = FabricInstance(FabricSpec(), columns=8, rows=6)
+    return Bitstream.generate(design, fabric, regions=regions)
+
+
+@pytest.mark.parametrize("regions, crc_passes", [(None, 1), (4, 4)])
+def test_verify_checks_an_unchanged_image_once(crc_counter, regions, crc_passes):
+    """One CRC pass for a monolithic image, one per region for a regioned one."""
+    bitstream = _image(regions=regions)
+    crc_counter.crc_calls = 0
+    assert all(bitstream.verify() for _ in range(5))
+    assert crc_counter.crc_calls == crc_passes
+
+
+def test_verify_rechecks_after_any_reassignment_and_never_remembers_a_failure(
+        crc_counter):
+    bitstream = _image()
+    assert bitstream.verify()
+    crc_counter.crc_calls = 0
+    # An equal payload in a new object is still a new payload: checked again.
+    bitstream.data = bytes(bytearray(bitstream.data))
+    assert bitstream.verify() and bitstream.verify()
+    assert crc_counter.crc_calls == 1
+    bitstream.data = bitstream.corrupted(offset=3).data
+    assert not bitstream.verify()
+    assert not bitstream.verify()
+    assert crc_counter.crc_calls == 3
+    # The memo is keyed on the checksum as well as the payload.
+    pristine = _image()
+    assert pristine.verify()
+    pristine.crc ^= 1
+    assert not pristine.verify()
 
 
 # --------------------------------------------------------------------------- #

@@ -138,6 +138,7 @@ def test_corruption_is_caught_per_region_and_stays_latent_elsewhere():
     partial's whole-payload CRC was recomputed over the corrupt bytes; an
     SEU confined to untransferred regions must stay latent."""
     image, _ = _regioned_image()
+    assert image.verify()
     region1_offset = image.region_bits[0] // 8
     corrupt = image.corrupted(offset=region1_offset, flip_mask=0xFF)
     assert corrupt.region_bits == image.region_bits
