@@ -224,6 +224,138 @@ def test_trace_bytes_are_pythonhashseed_independent():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+# --------------------------------------------------------------------------- #
+# Byte-identity oracle: to_json() is json.dumps of the reference event dicts
+# --------------------------------------------------------------------------- #
+def reference_chrome_trace(tracer: Tracer) -> dict:
+    """The Chrome trace-event dict ``to_json`` must serialize to: metadata
+    first (process names by sorted pid, thread names by sorted track),
+    then every span and instant sorted by ``(ts, pid, tid_id, seq)``."""
+    labels = sorted({(s.pid, s.tid) for s in tracer.spans}
+                    | {(i.pid, i.tid) for i in tracer.instants})
+    ids, next_id = {}, {}
+    for pid, tid in labels:
+        next_id[pid] = next_id.get(pid, 0) + 1
+        ids[(pid, tid)] = next_id[pid]
+    events = []
+    for pid in sorted({pid for pid, _ in ids}):
+        label = pid if isinstance(pid, str) else f"node{pid}"
+        events.append({"ph": "M", "name": "process_name", "pid": pid,
+                       "tid": 0, "args": {"name": label}})
+    for (pid, tid), tid_id in sorted(ids.items()):
+        events.append({"ph": "M", "name": "thread_name", "pid": pid,
+                       "tid": tid_id, "args": {"name": tid}})
+    body = []
+    for span in tracer.spans:
+        tid_id = ids[(span.pid, span.tid)]
+        event = {"ph": "X", "name": span.name, "cat": span.cat or "span",
+                 "pid": span.pid, "tid": tid_id,
+                 "ts": span.start_ps, "dur": span.dur_ps}
+        if span.args:
+            event["args"] = span.args
+        body.append((span.start_ps, span.pid, tid_id, span.seq, event))
+    for inst in tracer.instants:
+        tid_id = ids[(inst.pid, inst.tid)]
+        event = {"ph": "i", "s": "t", "name": inst.name,
+                 "cat": inst.cat or "instant",
+                 "pid": inst.pid, "tid": tid_id, "ts": inst.ts_ps}
+        if inst.args:
+            event["args"] = inst.args
+        body.append((inst.ts_ps, inst.pid, tid_id, inst.seq, event))
+    body.sort(key=lambda item: item[:4])
+    events.extend(event for *_, event in body)
+    return {"displayTimeUnit": "ns", "otherData": {"clock": "sim-ps"},
+            "traceEvents": events}
+
+
+def reference_json(tracer: Tracer) -> str:
+    return json.dumps(reference_chrome_trace(tracer), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+#: Names, tracks and string values: non-ASCII, quotes, backslashes,
+#: control characters and the empty string.
+_TEXT = st.one_of(st.sampled_from(["", "queue", "fabric0/sort64", 'q"uote',
+                                   "back\\slash", "tab\tnl\n", "é", "日本",
+                                   " ", "emoji\U0001F600"]),
+                  st.text(max_size=6))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                    st.floats(), _TEXT)
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=6)
+#: Fast-path dicts (str keys, exact str/int values) and every fallback
+#: shape: floats, bools, None, lists, nested dicts and non-str keys (one
+#: key type per dict — json.dumps cannot sort mixed key types).
+_STR_KEYED_ARGS = st.one_of(
+    st.none(),
+    st.just({}),
+    st.dictionaries(_TEXT, st.one_of(_TEXT, st.integers(-10**6, 10**6)),
+                    max_size=4),
+    st.dictionaries(_TEXT, _VALUE, max_size=4),
+)
+_ARGS = st.one_of(
+    _STR_KEYED_ARGS,
+    st.dictionaries(st.integers(-20, 20), _VALUE, min_size=1, max_size=3),
+    st.dictionaries(st.floats(allow_nan=False), _SCALAR, min_size=1,
+                    max_size=3),
+    st.dictionaries(st.booleans(), _SCALAR, min_size=1, max_size=2),
+)
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["complete", "instant", "begin_end"]),
+              _TEXT,                                  # name
+              st.sampled_from(["", "serve", "reconfig", "chaos", 'c"\\é']),
+              st.integers(0, 3),                      # track index
+              st.integers(0, 2),                      # pid index
+              st.integers(0, 4),                      # ts: ties are common
+              st.integers(0, 2),                      # duration, 0 included
+              _ARGS, _STR_KEYED_ARGS),
+    max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS,
+       pids=st.sampled_from([(0, 1, 7), ("node0", "fleet.ctrl", 'n"\\ö')]),
+       tracks=st.lists(_TEXT, min_size=4, max_size=4))
+def test_to_json_is_byte_identical_to_json_dumps_of_the_reference(
+        ops, pids, tracks):
+    tracer = Tracer(default_pid=pids[0])
+    for op, name, cat, track, pid, ts, dur, args, more in ops:
+        tid, pid = tracks[track], pids[pid]
+        if op == "complete":
+            tracer.complete(name, tid, ts, dur, cat=cat, pid=pid, args=args)
+        elif op == "instant":
+            tracer.instant(name, tid, ts, cat=cat, pid=pid, args=args)
+        else:
+            # begin/end merges the end's args over the begin's (str keys
+            # on both sides: a merged dict must stay sortable).
+            if args and not all(isinstance(key, str) for key in args):
+                args = None
+            tracer.begin(name, tid, ts, cat=cat, pid=pid, args=args)
+            tracer.end(tid, ts + dur, pid=pid, args=more)
+    assert tracer.to_json() == reference_json(tracer)
+
+
+def test_to_json_of_an_empty_tracer_matches_the_reference():
+    tracer = Tracer()
+    assert tracer.to_json() == reference_json(tracer)
+    assert json.loads(tracer.to_json())["traceEvents"] == []
+
+
+def test_to_json_matches_the_reference_on_every_trace_driver():
+    tracers = [tiny_traced_run(),
+               trace_experiment("chaos", overrides={"duration_us": 300.0,
+                                                    "fault_rate": 4.0}),
+               trace_experiment("fleet_scaling",
+                                overrides={"nodes": 2, "epochs": 2,
+                                           "epoch_us": 200.0}),
+               trace_experiment("reconfig", overrides={"duration_us": 200.0})]
+    for tracer in tracers:
+        assert tracer.to_json() == reference_json(tracer)
+
+
 def test_trace_experiment_rejects_unknown_names():
     with pytest.raises(KeyError, match="no trace driver"):
         trace_experiment("fig9")
