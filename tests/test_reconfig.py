@@ -169,7 +169,8 @@ _NAMES = tuple(f"d{i}" for i in range(6))
     regions=st.integers(min_value=2, max_value=6),
     capacity=st.integers(min_value=1, max_value=32),
     ops=st.lists(
-        st.tuples(st.sampled_from(("place", "evict", "pin", "unpin", "touch")),
+        st.tuples(st.sampled_from(("place", "evict", "pin", "unpin", "touch",
+                                   "reset")),
                   st.integers(min_value=0, max_value=5),
                   st.integers(min_value=1, max_value=96)),
         max_size=40),
@@ -177,7 +178,8 @@ _NAMES = tuple(f"d{i}" for i in range(6))
 @settings(max_examples=60, deadline=None)
 def test_allocator_invariants_under_arbitrary_sequences(regions, capacity, ops):
     """No overlap, contiguous spans, free-list conservation and
-    placed-capacity >= requested tiles, under any place/evict/pin mix."""
+    placed-capacity >= requested tiles, under any place/evict/pin/reset
+    mix; ``lookup`` always agrees with a scan of the occupancy."""
     allocator = RegionAllocator([capacity] * regions)
     for op, design, tiles in ops:
         name = _NAMES[design]
@@ -192,6 +194,8 @@ def test_allocator_invariants_under_arbitrary_sequences(regions, capacity, ops):
                 allocator.pin(name)
             elif op == "unpin":
                 allocator.unpin(name)
+            elif op == "reset":
+                allocator.reset()
             else:
                 allocator.touch(name)
         except PlacementError:
@@ -202,6 +206,10 @@ def test_allocator_invariants_under_arbitrary_sequences(regions, capacity, ops):
         for resident in allocator.residents():
             span = allocator.lookup(resident)
             assert span == tuple(range(span[0], span[0] + len(span)))
+        for candidate in _NAMES:
+            assert allocator.lookup(candidate) == (
+                tuple(index for index, occupant in enumerate(occupants)
+                      if occupant == candidate) or None)
         assert 0.0 <= allocator.fragmentation() <= 1.0
 
 
