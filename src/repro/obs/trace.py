@@ -18,17 +18,18 @@ Two recording styles exist:
   track, which is what makes nesting a structural guarantee rather than
   a convention (see ``tests/test_obs.py``).
 
-Export is :meth:`Tracer.chrome_trace` / :meth:`Tracer.to_json`: the
-Chrome trace-event format (``ph: "X"`` complete events, ``ph: "i"``
-instants, ``ph: "M"`` process/thread-name metadata), loadable in
-Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Timestamps
-are emitted as the raw integer simulated picoseconds — viewers label the
-axis "us", so read 1 displayed microsecond as 1 simulated picosecond
-(the trace carries ``otherData.clock: "sim-ps"`` as a reminder).  The
-JSON is fully deterministic: integer timestamps, a global sequence
-number breaking sort ties, track ids assigned by sorted label (never
-``hash()``/``id()``), and ``sort_keys=True`` serialization — two runs at
-the same seed produce byte-identical files.
+Export is :meth:`Tracer.to_json`: the Chrome trace-event format
+(``ph: "X"`` complete events, ``ph: "i"`` instants, ``ph: "M"``
+process/thread-name metadata), loadable in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing``.  Timestamps are
+emitted as the raw integer simulated picoseconds — viewers label the axis
+"us", so read 1 displayed microsecond as 1 simulated picosecond (the
+trace carries ``otherData.clock: "sim-ps"`` as a reminder).  The JSON is
+fully deterministic: integer timestamps, a global sequence number
+breaking sort ties, track ids assigned by sorted label (never
+``hash()``/``id()``), and the bytes ``json.dumps(sort_keys=True)`` would
+write, assembled directly as text — two runs at the same seed produce
+byte-identical files.
 
 Track convention across the repo's hooks (see ``docs/observability.md``):
 ``pid`` is the fleet node (0 for single-node serve runs), ``tid`` is the
@@ -169,47 +170,114 @@ class Tracer:
             ids[(pid, tid)] = next_id[pid]
         return ids
 
-    def chrome_trace(self) -> Dict[str, Any]:
-        """The trace as a Chrome trace-event dict (Perfetto-loadable)."""
+    def to_json(self) -> str:
+        """Deterministic serialization: byte-identical for identical runs.
+
+        The Chrome trace-event document exactly as ``json.dumps(...,
+        sort_keys=True, separators=(",", ":"))`` would write it, assembled
+        as text: metadata events first (process names by sorted pid,
+        thread names by sorted track), then every span and instant in
+        ``(ts, pid, tid_id, seq)`` order.  Each event's fixed fields are
+        encoded once per ``(pid, tid, name, cat)``; only its timestamps
+        and ``args`` are encoded per event.  ``tests/test_obs.py`` checks
+        the bytes against ``json.dumps`` of the event dicts.
+        """
         ids = self._track_ids()
-        events: List[Dict[str, Any]] = []
+        events: List[str] = []
         for pid in sorted({pid for pid, _ in ids}):
             # Fleet pids are already labels ("node0", "fleet.ctrl").
             label = pid if isinstance(pid, str) else f"node{pid}"
-            events.append({"ph": "M", "name": "process_name", "pid": pid,
-                           "tid": 0, "args": {"name": label}})
+            events.append(f',{{"args":{{"name":{_encode(label)}}},'
+                          f'"name":"process_name","ph":"M",'
+                          f'"pid":{_encode(pid)},"tid":0}}')
+        tracks: Dict[Tuple[int, str], Tuple[int, str]] = {}
         for (pid, tid), tid_id in sorted(ids.items()):
-            events.append({"ph": "M", "name": "thread_name", "pid": pid,
-                           "tid": tid_id, "args": {"name": tid}})
-        body: List[Tuple[int, int, int, int, Dict[str, Any]]] = []
-        for span in self._spans:
-            tid_id = ids[(span.pid, span.tid)]
-            event = {"ph": "X", "name": span.name, "cat": span.cat or "span",
-                     "pid": span.pid, "tid": tid_id,
-                     "ts": span.start_ps, "dur": span.dur_ps}
-            if span.args:
-                event["args"] = span.args
-            body.append((span.start_ps, span.pid, tid_id, span.seq, event))
-        for inst in self._instants:
-            tid_id = ids[(inst.pid, inst.tid)]
-            event = {"ph": "i", "s": "t", "name": inst.name,
-                     "cat": inst.cat or "instant",
-                     "pid": inst.pid, "tid": tid_id, "ts": inst.ts_ps}
-            if inst.args:
-                event["args"] = inst.args
-            body.append((inst.ts_ps, inst.pid, tid_id, inst.seq, event))
-        body.sort(key=lambda item: item[:4])
-        events.extend(event for *_, event in body)
-        return {
-            "displayTimeUnit": "ns",
-            "otherData": {"clock": "sim-ps"},
-            "traceEvents": events,
-        }
+            pid_json = _encode(pid)
+            events.append(f',{{"args":{{"name":{_encode(tid)}}},'
+                          f'"name":"thread_name","ph":"M",'
+                          f'"pid":{pid_json},"tid":{tid_id}}}')
+            tracks[(pid, tid)] = (tid_id, pid_json)
+        # seq is unique, so sorting these tuples never compares the text.
+        # Exact-int timestamps print as themselves, as json.dumps would.
+        body: List[Tuple[int, int, int, int, str]] = []
+        layouts: Dict[Tuple[Any, ...], Optional[Tuple[Tuple[str, str], ...]]] = {}
+        heads: Dict[Tuple[int, str, str, str], Tuple[int, str, str]] = {}
+        for pid, tid, name, cat, start_ps, dur_ps, args, seq in self._spans:
+            head = heads.get((pid, tid, name, cat))
+            if head is None:
+                tid_id, pid_json = tracks[(pid, tid)]
+                head = heads[(pid, tid, name, cat)] = (
+                    tid_id, f'"cat":{_encode(cat or "span")},"dur":',
+                    f',"name":{_encode(name)},"ph":"X","pid":{pid_json},'
+                    f'"tid":{tid_id},"ts":')
+            tid_id, before, after = head
+            body.append((start_ps, pid, tid_id, seq,
+                         f',{{{_args_field(args, layouts) if args else ""}{before}'
+                         f'{dur_ps if dur_ps.__class__ is int else _encode(dur_ps)}'
+                         f'{after}'
+                         f'{start_ps if start_ps.__class__ is int else _encode(start_ps)}}}'))
+        marks: Dict[Tuple[int, str, str, str], Tuple[int, str]] = {}
+        for pid, tid, name, cat, ts_ps, args, seq in self._instants:
+            head = marks.get((pid, tid, name, cat))
+            if head is None:
+                tid_id, pid_json = tracks[(pid, tid)]
+                head = marks[(pid, tid, name, cat)] = (
+                    tid_id, f'"cat":{_encode(cat or "instant")},'
+                    f'"name":{_encode(name)},"ph":"i","pid":{pid_json},'
+                    f'"s":"t","tid":{tid_id},"ts":')
+            tid_id, before = head
+            body.append((ts_ps, pid, tid_id, seq,
+                         f',{{{_args_field(args, layouts) if args else ""}{before}'
+                         f'{ts_ps if ts_ps.__class__ is int else _encode(ts_ps)}}}'))
+        body.sort()
+        events.extend([item[4] for item in body])
+        if events:
+            events[0] = events[0][1:]  # no comma before the first event
+        # One join: the document is never copied a second time.
+        return "".join(['{"displayTimeUnit":"ns","otherData":{"clock":"sim-ps"},'
+                        '"traceEvents":[', *events, ']}\n'])
 
-    def to_json(self) -> str:
-        """Deterministic serialization: byte-identical for identical runs."""
-        return json.dumps(self.chrome_trace(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+
+#: The generic encoder behind every fragment the fast paths do not cover;
+#: the same settings ``json.dumps(sort_keys=True, separators=(",", ":"))``
+#: uses, so its output is what that call would write.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _ENCODER.encode
+_string = json.encoder.encode_basestring_ascii
+
+
+def _args_layout(keys: Tuple[Any, ...]) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """``(('"args":{"a":', "a"), (',"b":', "b"), ...)`` in sorted key
+    order, or ``None`` when a key is not exactly ``str``."""
+    if any(key.__class__ is not str for key in keys):
+        return None
+    return tuple(((',' if index else '"args":{') + _string(key) + ":", key)
+                 for index, key in enumerate(sorted(keys)))
+
+
+def _args_field(args: Dict[Any, Any], layouts: Dict[Tuple[Any, ...], Any]) -> str:
+    """``"args":{...},`` with keys sorted; ``str`` keys holding exactly
+    ``str`` or ``int`` values (not ``bool``) skip the generic encoder.
+    ``layouts`` memoises :func:`_args_layout` per key tuple: a trace
+    reuses a handful of key sets."""
+    keys = tuple(args)
+    layout = layouts.get(keys, ())
+    if layout == ():
+        layout = layouts[keys] = _args_layout(keys)
+    if layout is not None:
+        parts = []
+        for prefix, key in layout:
+            value = args[key]
+            if value.__class__ is str:
+                parts.append(prefix + _string(value))
+            elif value.__class__ is int:
+                parts.append(prefix + int.__repr__(value))
+            else:
+                break
+        else:
+            parts.append("},")
+            return "".join(parts)
+    return f'"args":{_encode(args)},'
 
 
 class LifecycleSubscriber:

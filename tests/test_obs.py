@@ -100,7 +100,7 @@ def test_tracks_are_isolated_per_pid():
 def test_process_names_label_string_pids_as_themselves():
     def names(tracer):
         return {event["pid"]: event["args"]["name"]
-                for event in tracer.chrome_trace()["traceEvents"]
+                for event in json.loads(tracer.to_json())["traceEvents"]
                 if event["name"] == "process_name"}
 
     serve = Tracer()
@@ -154,7 +154,7 @@ def test_begin_end_sequences_keep_nesting_and_ordering_invariants(ops):
                 assert (a1 <= b0 or b1 <= a0
                         or (a0 <= b0 and b1 <= a1)
                         or (b0 <= a0 and a1 <= b1)), "partial overlap"
-    body = [event for event in tracer.chrome_trace()["traceEvents"]
+    body = [event for event in json.loads(tracer.to_json())["traceEvents"]
             if event["ph"] != "M"]
     keys = [(event["ts"], event["pid"], event["tid"]) for event in body]
     assert keys == sorted(keys)
@@ -165,7 +165,7 @@ def test_track_ids_assigned_by_sorted_label_not_insertion_order():
     tracer.instant("x", "zeta", 0)
     tracer.instant("y", "alpha", 1)
     names = {event["tid"]: event["args"]["name"]
-             for event in tracer.chrome_trace()["traceEvents"]
+             for event in json.loads(tracer.to_json())["traceEvents"]
              if event["ph"] == "M" and event["name"] == "thread_name"}
     assert names == {1: "alpha", 2: "zeta"}
 
@@ -187,7 +187,7 @@ def test_trace_json_is_byte_identical_across_runs():
 
 
 def test_trace_json_is_perfetto_shaped():
-    trace = tiny_traced_run().chrome_trace()
+    trace = json.loads(tiny_traced_run().to_json())
     assert trace["otherData"] == {"clock": "sim-ps"}
     events = trace["traceEvents"]
     phases = {event["ph"] for event in events}
