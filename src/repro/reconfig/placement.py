@@ -83,6 +83,8 @@ class RegionAllocator:
         self.capacities = capacities
         self.capacity = capacities[0]
         self._occupants: List[Optional[str]] = [None] * len(capacities)
+        #: name -> the span it occupies; kept in step with ``_occupants``.
+        self._spans: Dict[str, Tuple[int, ...]] = {}
         self._pins: Dict[str, int] = {}
         self._last_used: Dict[str, int] = {}
         self._clock = 0
@@ -110,9 +112,7 @@ class RegionAllocator:
 
     def lookup(self, name: str) -> Optional[Tuple[int, ...]]:
         """The contiguous span ``name`` occupies, or ``None``."""
-        span = tuple(index for index, occupant in enumerate(self._occupants)
-                     if occupant == name)
-        return span or None
+        return self._spans.get(name)
 
     def is_pinned(self, name: str) -> bool:
         return self._pins.get(name, 0) > 0
@@ -174,8 +174,10 @@ class RegionAllocator:
             raise PlacementError(f"{name!r} is already resident")
         count = self.span_needed(tiles)
         start, evicted = self._choose_span(name, count, probe=False)
-        for index in range(start, start + count):
+        span = tuple(range(start, start + count))
+        for index in span:
             self._occupants[index] = name
+        self._spans[name] = span
         self._clock += 1
         self._last_used[name] = self._clock
         self.placements += 1
@@ -207,10 +209,10 @@ class RegionAllocator:
                     f"no room for {name or 'design'}: {count} regions needed "
                     f"and every resident is pinned")
             evicted.append(victim)
-            for index, occupant in enumerate(occupants):
-                if occupant == victim:
-                    occupants[index] = None
+            for index in self._spans[victim]:
+                occupants[index] = None
             if not probe:
+                del self._spans[victim]
                 self._last_used.pop(victim, None)
                 self.evictions += 1
 
@@ -231,9 +233,8 @@ class RegionAllocator:
             raise PlacementError(f"{name!r} is not resident")
         if self.is_pinned(name):
             raise PlacementError(f"{name!r} is pinned; cannot evict")
-        for index, occupant in enumerate(self._occupants):
-            if occupant == name:
-                self._occupants[index] = None
+        for index in self._spans.pop(name):
+            self._occupants[index] = None
         self._last_used.pop(name, None)
         self.evictions += 1
 
@@ -261,6 +262,7 @@ class RegionAllocator:
     def reset(self) -> None:
         """Clear all occupancy/pins (fabric heal or power cycle)."""
         self._occupants = [None] * self.regions
+        self._spans.clear()
         self._pins.clear()
         self._last_used.clear()
 

@@ -757,8 +757,17 @@ class FabricScheduler:
                 yield self._work_event
                 continue
             if regional:
-                startable = [index for index, request in enumerate(self.pending)
-                             if fabric.can_start(request)]
+                # can_start depends only on the design and the allocator,
+                # and neither changes during the scan: ask once per design.
+                verdicts: Dict[str, bool] = {}
+                startable = []
+                for index, request in enumerate(self.pending):
+                    name = request.accelerator
+                    verdict = verdicts.get(name)
+                    if verdict is None:
+                        verdict = verdicts[name] = fabric.can_start(request)
+                    if verdict:
+                        startable.append(index)
                 if not startable:
                     # Every blocked request targets a pinned span, so an
                     # in-flight service exists and its completion will notify.
