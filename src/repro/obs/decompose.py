@@ -28,12 +28,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.obs.trace import Tracer
-from repro.sim.stats import Histogram, cdf_points, fraction_at
+from repro.sim.stats import cdf_points, fraction_at, nearest_rank
 
 #: Stage order used everywhere (tables, shares, docs).
 STAGES: Tuple[str, ...] = ("queue", "program", "retune", "service", "blackout")
 
 _STAGE_INDEX = {"queue": 0, "program": 1, "retune": 2, "service": 3}
+
+_STAGE_FIELDS = tuple((stage, f"{stage}_ps") for stage in STAGES)
 
 #: Synthetic row aggregating every tenant (same convention as SloMonitor).
 ALL_TENANTS = "__all__"
@@ -94,30 +96,28 @@ def decompose_rows(tracer: Tracer) -> List[Dict[str, Any]]:
     One row per tenant plus an :data:`ALL_TENANTS` aggregate.  Each row
     carries ``requests``, per-stage totals in microseconds and shares of
     total latency (shares sum to 1.0 by construction), the full latency
-    tail (p50/p95/p99/p99.9/max, nearest-rank — the same convention as
-    ``Histogram.percentile``), ``jitter_us`` (max − p50) and
+    tail (p50/p95/p99/p99.9/max, :func:`~repro.sim.stats.nearest_rank`
+    — the rule ``Histogram.percentile`` uses), ``jitter_us`` (max − p50) and
     ``share_under_2x_p50`` (the fraction of requests within 2× the
     median, read off the empirical CDF — the "jitter kill shot" number).
     """
     stages = request_stages(tracer)
+    ordered = [stages[key] for key in sorted(stages)]
     by_tenant: Dict[str, List[Dict[str, Any]]] = {}
-    for key in sorted(stages):
-        by_tenant.setdefault(key[0], []).append(stages[key])
+    for entry in ordered:
+        by_tenant.setdefault(entry["tenant"], []).append(entry)
     rows: List[Dict[str, Any]] = []
-    buckets = [(ALL_TENANTS, [entry for key in sorted(stages)
-                              for entry in (stages[key],)])]
-    buckets += sorted(by_tenant.items())
-    for tenant, entries in buckets:
+    for tenant, entries in [(ALL_TENANTS, ordered)] + sorted(by_tenant.items()):
         if not entries:
             continue
-        totals = {stage: sum(entry[f"{stage}_ps"] for entry in entries)
-                  for stage in STAGES}
+        totals = {stage: sum(entry[field] for entry in entries)
+                  for stage, field in _STAGE_FIELDS}
         latency_total = sum(entry["latency_ps"] for entry in entries)
-        histogram = Histogram(f"{tenant}.latency")
-        for entry in entries:
-            histogram.record(entry["latency_ps"])
-        points = cdf_points(histogram.samples)
-        p50 = histogram.percentile(0.50)
+        # Sorted once: nearest_rank and cdf_points re-sort an already
+        # sorted list in linear time.
+        latencies = sorted(entry["latency_ps"] for entry in entries)
+        points = cdf_points(latencies)
+        p50 = nearest_rank(latencies, 0.50)
         row: Dict[str, Any] = {"tenant": tenant, "requests": len(entries)}
         for stage in STAGES:
             row[f"{stage}_us"] = totals[stage] / 1e6
@@ -125,11 +125,11 @@ def decompose_rows(tracer: Tracer) -> List[Dict[str, Any]]:
                                      if latency_total else 0.0)
         row["latency_us_total"] = latency_total / 1e6
         row["p50_latency_us"] = p50 / 1e6
-        row["p95_latency_us"] = histogram.percentile(0.95) / 1e6
-        row["p99_latency_us"] = histogram.percentile(0.99) / 1e6
-        row["p999_latency_us"] = histogram.percentile(0.999) / 1e6
-        row["max_latency_us"] = histogram.maximum / 1e6
-        row["jitter_us"] = (histogram.maximum - p50) / 1e6
+        row["p95_latency_us"] = nearest_rank(latencies, 0.95) / 1e6
+        row["p99_latency_us"] = nearest_rank(latencies, 0.99) / 1e6
+        row["p999_latency_us"] = nearest_rank(latencies, 0.999) / 1e6
+        row["max_latency_us"] = latencies[-1] / 1e6
+        row["jitter_us"] = (latencies[-1] - p50) / 1e6
         row["share_under_2x_p50"] = fraction_at(points, 2.0 * p50)
         rows.append(row)
     return rows
