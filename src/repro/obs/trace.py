@@ -44,6 +44,14 @@ import json
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 
+#: The generic encoder behind every fragment the fast paths do not cover;
+#: the same settings ``json.dumps(sort_keys=True, separators=(",", ":"))``
+#: uses, so its output is what that call would write.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _ENCODER.encode
+_string = json.encoder.encode_basestring_ascii
+
+
 class Span(NamedTuple):
     """One closed interval on a track (all times in integer sim-ps)."""
 
@@ -211,11 +219,11 @@ class Tracer:
                     f',"name":{_encode(name)},"ph":"X","pid":{pid_json},'
                     f'"tid":{tid_id},"ts":')
             tid_id, before, after = head
-            body.append((start_ps, pid, tid_id, seq,
-                         f',{{{_args_field(args, layouts) if args else ""}{before}'
-                         f'{dur_ps if dur_ps.__class__ is int else _encode(dur_ps)}'
-                         f'{after}'
-                         f'{start_ps if start_ps.__class__ is int else _encode(start_ps)}}}'))
+            text = (f',{{{_args_field(args, layouts) if args else ""}{before}'
+                    f'{dur_ps if dur_ps.__class__ is int else _encode(dur_ps)}'
+                    f'{after}'
+                    f'{start_ps if start_ps.__class__ is int else _encode(start_ps)}}}')
+            body.append((start_ps, pid, tid_id, seq, text))
         marks: Dict[Tuple[int, str, str, str], Tuple[int, str]] = {}
         for pid, tid, name, cat, ts_ps, args, seq in self._instants:
             head = marks.get((pid, tid, name, cat))
@@ -226,9 +234,9 @@ class Tracer:
                     f'"name":{_encode(name)},"ph":"i","pid":{pid_json},'
                     f'"s":"t","tid":{tid_id},"ts":')
             tid_id, before = head
-            body.append((ts_ps, pid, tid_id, seq,
-                         f',{{{_args_field(args, layouts) if args else ""}{before}'
-                         f'{ts_ps if ts_ps.__class__ is int else _encode(ts_ps)}}}'))
+            text = (f',{{{_args_field(args, layouts) if args else ""}{before}'
+                    f'{ts_ps if ts_ps.__class__ is int else _encode(ts_ps)}}}')
+            body.append((ts_ps, pid, tid_id, seq, text))
         body.sort()
         events.extend([item[4] for item in body])
         if events:
@@ -236,14 +244,6 @@ class Tracer:
         # One join: the document is never copied a second time.
         return "".join(['{"displayTimeUnit":"ns","otherData":{"clock":"sim-ps"},'
                         '"traceEvents":[', *events, ']}\n'])
-
-
-#: The generic encoder behind every fragment the fast paths do not cover;
-#: the same settings ``json.dumps(sort_keys=True, separators=(",", ":"))``
-#: uses, so its output is what that call would write.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_encode = _ENCODER.encode
-_string = json.encoder.encode_basestring_ascii
 
 
 def _args_layout(keys: Tuple[Any, ...]) -> Optional[Tuple[Tuple[str, str], ...]]:
@@ -255,7 +255,8 @@ def _args_layout(keys: Tuple[Any, ...]) -> Optional[Tuple[Tuple[str, str], ...]]
                  for index, key in enumerate(sorted(keys)))
 
 
-def _args_field(args: Dict[Any, Any], layouts: Dict[Tuple[Any, ...], Any]) -> str:
+def _args_field(args: Dict[Any, Any],
+                layouts: Dict[Tuple[Any, ...], Any]) -> str:
     """``"args":{...},`` with keys sorted; ``str`` keys holding exactly
     ``str`` or ``int`` values (not ``bool``) skip the generic encoder.
     ``layouts`` memoises :func:`_args_layout` per key tuple: a trace

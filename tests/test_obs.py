@@ -309,7 +309,8 @@ _OPS = st.lists(
               st.sampled_from(["", "serve", "reconfig", "chaos", 'c"\\é']),
               st.integers(0, 3),                      # track index
               st.integers(0, 2),                      # pid index
-              st.integers(0, 4),                      # ts: ties are common
+              # ts: ties are common; floats take the generic encoder
+              st.one_of(st.integers(0, 4), st.sampled_from([1.5, 2.0])),
               st.integers(0, 2),                      # duration, 0 included
               _ARGS, _STR_KEYED_ARGS),
     max_size=30)
