@@ -8,7 +8,7 @@ Subcommands:
   deviation report;
 * ``sweep``  — run with overridden parameter axes and optionally pivot the
   result into a wide table (``--pivot index columns values``);
-* ``perf``   — run the kernel/NoC/end-to-end performance suite, write
+* ``perf``   — run the kernel/channel/NoC/energy microbenchmarks, write
   ``BENCH_kernel.json`` and optionally gate against a recorded baseline
   (``--baseline BENCH_kernel.json``); see ``docs/performance.md``;
 * ``trace``  — re-run an experiment's canonical point with the
@@ -37,6 +37,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import perf
 from repro.analysis.reporting import format_table
 from repro.api.registry import get_experiment, list_experiments
 from repro.api.results import ResultSet
@@ -141,12 +142,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    # Imported lazily: the perf suite pulls in the experiment runner, and
-    # plain `repro list`/`run` invocations shouldn't pay for it.
-    import os.path
-
-    from repro import perf
-
     out_path = args.out or perf.BENCH_FILENAME
     baseline = None
     if args.baseline:
@@ -344,15 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--gate", action="append",
                         default=None, metavar="BENCH",
                         help="benchmark name that fails the run on regression "
-                             "(repeatable; default: kernel_events_per_sec, "
-                             "noc_messages_per_sec, "
-                             "noc_messages_per_sec_hooks_on, "
-                             "serve_requests_per_sec, "
-                             "serve_requests_per_sec_tracing_on, "
-                             "reconfig_requests_per_sec, "
-                             "fleet_requests_per_sec, "
-                             "fleet_requests_per_sec_monitor_on and "
-                             "chaos_requests_per_sec)")
+                             "(repeatable; default: "
+                             f"{', '.join(perf.DEFAULT_GATES)})")
     p_perf.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     p_perf.set_defaults(func=cmd_perf)

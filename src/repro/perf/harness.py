@@ -51,23 +51,12 @@ def interpreter_info() -> Dict[str, str]:
 DEFAULT_TOLERANCE = 0.2
 
 #: Benchmarks that fail a gated comparison when they regress: the kernel
-#: headline number, the batched-NoC 8x8 mesh microbenchmark, the same NoC
-#: workload with the energy-accounting hooks live — gating that one is
-#: what keeps the power layer's hot-path cost near zero — the serving
-#: subsystem's end-to-end request rate, the same serving workload with a
-#: live repro.obs tracer (the lifecycle hooks' hot-path cost, same idea
-#: as the NoC hooks-on gate), the duo workload on a 4-region grid
-#: (allocator + partial programming on the hot path), the fleet layer's
-#: cluster-wide request rate, the same fleet workload with live telemetry
-#: windows and alert evaluation attached (the monitor-on cost — same idea
-#: as the tracing-on gate), and the fleet path under injected faults with
-#: recovery on (failover, spare promotion and replay included).
+#: headline number, the batched-NoC 8x8 mesh microbenchmark, and the same
+#: NoC workload with the energy-accounting hooks live — gating that one is
+#: what keeps the power layer's hot-path cost near zero.  The serving,
+#: fleet and chaos paths are gated end to end by ``bench/compare.py``.
 DEFAULT_GATES = ("kernel_events_per_sec", "noc_messages_per_sec",
-                 "noc_messages_per_sec_hooks_on", "serve_requests_per_sec",
-                 "serve_requests_per_sec_tracing_on",
-                 "reconfig_requests_per_sec", "fleet_requests_per_sec",
-                 "fleet_requests_per_sec_monitor_on",
-                 "chaos_requests_per_sec")
+                 "noc_messages_per_sec_hooks_on")
 
 
 @dataclass
@@ -205,7 +194,7 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
     only meaningful against a baseline from the same interpreter.  A
     benchmark *regresses* when its goodness falls below ``1 - tolerance``;
     only benchmarks named in ``gates`` make :func:`has_gated_regression`
-    fail (wall-time benches are informational — too noisy to gate CI on).
+    fail.
     """
     current_cal = current.get("calibration_sends_per_sec")
     baseline_cal = baseline.get("calibration_sends_per_sec")
@@ -218,9 +207,10 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
         if base is None or not base.get("value"):
             continue
         if bench.get("params") != base.get("params"):
-            # Different problem sizes (e.g. a --quick wall-time bench vs a
-            # full-mode baseline) — a ratio would be meaningless and could
-            # mask a real regression behind a smaller workload.
+            # Different problem sizes (e.g. a --quick run with
+            # ``quick_params`` vs a full-mode baseline) — a ratio would be
+            # meaningless and could mask a real regression behind a
+            # smaller workload.
             continue
         value, base_value = bench["value"], base["value"]
         if bench.get("direction", "higher") == "higher":
@@ -255,14 +245,3 @@ def format_comparisons(comparisons: Sequence[Comparison]) -> str:
             f"{format(c.current, ',.6g'):>14} {c.ratio:>6.2f}x  {status}"
         )
     return "\n".join(lines)
-
-
-def time_wall(fn: Callable[[], Any]) -> float:
-    """Wall-clock one call of ``fn`` (helper for end-to-end benches)."""
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def main_info() -> Dict[str, str]:  # pragma: no cover - trivial
-    return {"python": sys.version, "platform": platform.platform()}

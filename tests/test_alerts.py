@@ -597,18 +597,6 @@ def test_ground_truth_covers_every_epoch_node_and_sorts():
 # --------------------------------------------------------------------------- #
 # Perf + CLI wiring
 # --------------------------------------------------------------------------- #
-def test_monitor_bench_is_in_suite_and_gated():
-    from repro.perf import SUITE
-    from repro.perf.harness import DEFAULT_GATES
-    from repro.perf.micro import fleet_request_throughput
-
-    names = [spec.name for spec in SUITE]
-    assert "fleet_requests_per_sec_monitor_on" in names
-    assert "fleet_requests_per_sec_monitor_on" in DEFAULT_GATES
-    assert fleet_request_throughput(nodes=2, epochs=2, epoch_us=200.0,
-                                    monitoring=True) > 0
-
-
 def test_alerts_cli_emits_the_log_and_scores(capsys):
     from repro.api.cli import main
 

@@ -564,17 +564,3 @@ def test_latency_decomposition_registered_serial_matches_process():
         "latency_decomposition", **overrides)
     assert serial.rows == parallel.rows
     assert serial.summary == parallel.summary
-
-
-# --------------------------------------------------------------------------- #
-# Perf wiring
-# --------------------------------------------------------------------------- #
-def test_tracing_bench_is_in_suite_and_gated():
-    from repro.perf import SUITE
-    from repro.perf.harness import DEFAULT_GATES
-    from repro.perf.micro import serve_request_throughput
-
-    names = [spec.name for spec in SUITE]
-    assert "serve_requests_per_sec_tracing_on" in names
-    assert "serve_requests_per_sec_tracing_on" in DEFAULT_GATES
-    assert serve_request_throughput(duration_us=300.0, tracing=True) > 0

@@ -159,8 +159,12 @@ def test_pypy_probe_skips_calibration(monkeypatch):
 def test_cli_perf_warns_on_cross_interpreter_comparison(tmp_path, monkeypatch, capsys):
     from repro.api import cli
     from repro import perf
+    from repro.perf import harness
 
     monkeypatch.setattr(perf, "SUITE", _toy_suite())
+    # Pin the calibration: this test is about the warning, and two measured
+    # calibrations can differ by more than the gate's 20% on a busy host.
+    monkeypatch.setattr(harness, "machine_calibration", lambda: 1e7)
     baseline_path = tmp_path / "baseline.json"
     assert cli.main(["perf", "--quick", "--out", str(baseline_path)]) == 0
     baseline = json.loads(baseline_path.read_text())
@@ -187,16 +191,12 @@ def test_kernel_microbenchmarks_return_positive_rates():
     assert micro.kernel_throughput(iterations=200) > 0
     assert micro.kernel_zero_delay_throughput(iterations=200) > 0
     assert micro.channel_handoff(items=100) > 0
-    assert micro.noc_hop_throughput(messages=20) > 0
+    assert micro.noc_message_throughput(messages=20, width=4, height=4) > 0
 
 
 def test_power_microbenchmarks_return_positive_rates():
     assert micro.noc_message_throughput(messages=20, power_hooks=True) > 0
     assert micro.energy_sample_rate(samples=200) > 0
-
-
-def test_serve_microbenchmark_returns_positive_rate():
-    assert micro.serve_request_throughput(duration_us=300.0) > 0
 
 
 def test_default_suite_is_well_formed():
@@ -206,13 +206,15 @@ def test_default_suite_is_well_formed():
     # hooks-on NoC bench is CI-gated; see docs/power.md).
     assert "noc_messages_per_sec_hooks_on" in names
     assert "energy_samples_per_sec" in names
-    # The serving subsystem's end-to-end rate ships and is CI-gated
-    # (see docs/serving.md).
-    assert "serve_requests_per_sec" in names
-    assert "serve_requests_per_sec" in DEFAULT_GATES
     assert len(names) == len(set(names))
     for spec in SUITE:
         assert spec.direction in ("higher", "lower")
+
+
+def test_every_default_gate_is_a_suite_bench():
+    names = {spec.name for spec in SUITE}
+    assert DEFAULT_GATES
+    assert set(DEFAULT_GATES) <= names
 
 
 # --------------------------------------------------------------------------- #

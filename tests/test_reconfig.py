@@ -658,14 +658,3 @@ def test_reconfig_runner_serial_matches_process_executor():
     assert serial.rows == parallel.rows
     assert serial.summary == parallel.summary
     assert parallel.stats.executor == "process"
-
-
-def test_reconfig_bench_is_in_suite_and_gated():
-    from repro.perf import SUITE
-    from repro.perf.harness import DEFAULT_GATES
-    from repro.perf.micro import reconfig_request_throughput
-
-    names = [spec.name for spec in SUITE]
-    assert "reconfig_requests_per_sec" in names
-    assert "reconfig_requests_per_sec" in DEFAULT_GATES
-    assert reconfig_request_throughput(duration_us=300.0) > 0
