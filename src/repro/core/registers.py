@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class RegisterKind(enum.Enum):
@@ -72,9 +72,6 @@ class RegisterLayout:
         names = [spec.name for spec in self.specs if spec.name]
         if len(names) != len(set(names)):
             raise ValueError("duplicate register names in layout")
-
-    def by_index(self) -> Dict[int, RegisterSpec]:
-        return {spec.index: spec for spec in self.specs}
 
     def by_name(self, name: str) -> RegisterSpec:
         for spec in self.specs:

@@ -35,8 +35,6 @@ class SoftCacheConfig:
     write_buffer_depth: int = 4
     #: Forward pending buffered writes to subsequent reads of the same word.
     read_after_write_forwarding: bool = True
-    #: Virtually-indexed, virtually-tagged organization (Sec. II-D).
-    virtual_tags: bool = False
 
     @property
     def bram_kbits(self) -> int:
@@ -163,10 +161,6 @@ class SoftCache(FpgaMemoryPort):
             if self._write_space is not None and not self._write_space.triggered:
                 self._write_space.succeed()
             yield from self.base_port.store(addr, value)
-
-    @property
-    def pending_writes(self) -> int:
-        return len(self._write_buffer)
 
     # ------------------------------------------------------------------ #
     # Internals

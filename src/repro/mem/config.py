@@ -52,6 +52,3 @@ class MemoryConfig:
     @property
     def words_per_line(self) -> int:
         return self.line_bytes // self.word_bytes
-
-    def lines_in(self, size_bytes: int) -> int:
-        return size_bytes // self.line_bytes

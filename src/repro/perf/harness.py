@@ -2,9 +2,9 @@
 baseline comparison.
 
 Every benchmark is a :class:`BenchSpec` — a name, a callable returning a
-scalar, a unit, and a direction (``higher`` for throughputs, ``lower`` for
-wall times).  :func:`run_suite` executes a list of specs with repeats and
-returns a report dict in the ``duet-repro/bench-kernel/v1`` schema, which
+throughput-style scalar (bigger is better) and a unit.  :func:`run_suite`
+executes a list of specs with repeats and returns a report dict in the
+``duet-repro/bench-kernel/v1`` schema, which
 :func:`write_report` serializes to ``BENCH_kernel.json``.
 :func:`compare_reports` diffs a fresh report against a committed baseline
 and flags regressions beyond a tolerance — that comparison is what the CI
@@ -66,27 +66,21 @@ class BenchSpec:
     name: str
     fn: Callable[..., float]
     unit: str
-    #: ``higher`` = throughput-style (bigger is better), ``lower`` = latency.
-    direction: str = "higher"
     #: Keyword arguments forwarded to ``fn`` (recorded in the report).
     params: Dict[str, Any] = field(default_factory=dict)
-    #: Parameter overrides applied in ``--quick`` mode.
-    quick_params: Dict[str, Any] = field(default_factory=dict)
     repeats: int = 3
     quick_repeats: int = 2
 
     def run(self, quick: bool = False) -> Dict[str, Any]:
         params = dict(self.params)
-        if quick:
-            params.update(self.quick_params)
         repeats = self.quick_repeats if quick else self.repeats
         samples = [float(self.fn(**params)) for _ in range(repeats)]
-        best = max(samples) if self.direction == "higher" else min(samples)
         return {
             "name": self.name,
             "unit": self.unit,
-            "direction": self.direction,
-            "value": best,
+            # Every bench is a throughput; the field keeps the v1 layout.
+            "direction": "higher",
+            "value": max(samples),
             "samples": samples,
             "repeats": repeats,
             "params": params,
@@ -175,7 +169,7 @@ class Comparison:
     name: str
     baseline: float
     current: float
-    ratio: float          # current / baseline (in the "goodness" sense)
+    ratio: float          # current / baseline, calibration-normalized
     regressed: bool
     gated: bool
 
@@ -185,14 +179,14 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
                     gates: Sequence[str] = DEFAULT_GATES) -> List[Comparison]:
     """Compare two reports benchmark-by-benchmark.
 
-    ``ratio`` is normalized so that > 1 is always an improvement.  When
+    ``ratio`` is current over baseline, so > 1 is an improvement.  When
     both reports carry a machine calibration, each value is divided by its
     report's calibration first, so a baseline recorded on a fast dev box
     gates correctly on a slower CI runner (only the *relative* kernel
     overhead matters).  PyPy reports carry no calibration (see
     :data:`IS_PYPY`), so comparisons involving one degrade to raw ratios —
     only meaningful against a baseline from the same interpreter.  A
-    benchmark *regresses* when its goodness falls below ``1 - tolerance``;
+    benchmark *regresses* when its ratio falls below ``1 - tolerance``;
     only benchmarks named in ``gates`` make :func:`has_gated_regression`
     fail.
     """
@@ -207,16 +201,12 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
         if base is None or not base.get("value"):
             continue
         if bench.get("params") != base.get("params"):
-            # Different problem sizes (e.g. a --quick run with
-            # ``quick_params`` vs a full-mode baseline) — a ratio would be
-            # meaningless and could mask a real regression behind a
-            # smaller workload.
+            # Different problem sizes (e.g. a baseline recorded before a
+            # bench was re-parameterized) — a ratio would be meaningless
+            # and could mask a real regression behind a smaller workload.
             continue
         value, base_value = bench["value"], base["value"]
-        if bench.get("direction", "higher") == "higher":
-            ratio = value * scale / base_value
-        else:
-            ratio = base_value * scale / value if value else 0.0
+        ratio = value * scale / base_value
         comparisons.append(Comparison(
             name=bench["name"],
             baseline=base_value,

@@ -101,13 +101,8 @@ def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
             anchor = points[0]
         anchor_value = anchor["normalized"]
         for point in points:
-            if anchor_value:
-                ratio = point["normalized"] / anchor_value
-                if entry["direction"] == "lower" and ratio:
-                    ratio = 1.0 / ratio
-            else:
-                ratio = 0.0
-            point["ratio"] = ratio
+            point["ratio"] = (point["normalized"] / anchor_value
+                              if anchor_value else 0.0)
         entry["anchor"] = anchor["report"]
 
     return {
@@ -128,8 +123,8 @@ def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
 def format_trend(trend: Dict[str, Any]) -> str:
     """The trend as a fixed-width table: one row per benchmark x report.
 
-    ``ratio`` is normalized so > 1 is always an improvement over the
-    benchmark's anchor report (direction-aware, like the perf gate).
+    ``ratio`` is normalized so > 1 is an improvement over the benchmark's
+    anchor report, like the perf gate.
     """
     header = (f"{'benchmark':<38} {'report':<22} {'value':>14} "
               f"{'ratio':>7}  note")

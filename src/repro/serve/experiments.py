@@ -68,7 +68,8 @@ def get_mix(name: str) -> Tuple[TenantSpec, ...]:
 
 
 # --------------------------------------------------------------------------- #
-# The serve driver shared by both experiments (and the perf benchmark)
+# The serve driver shared by both experiments here, the reconfig and obs
+# experiments and bench/'s serving workloads
 # --------------------------------------------------------------------------- #
 def run_serve(
     policy: str,

@@ -58,10 +58,6 @@ class ClockDomain:
         self._edge_cache = (0.0, 0.0, 0.0)
 
     @property
-    def freq_ghz(self) -> float:
-        return self._freq_mhz / 1000.0
-
-    @property
     def phase_ns(self) -> float:
         return self._phase_ns
 

@@ -35,13 +35,18 @@ Fast-path design (see ``docs/architecture.md`` for the invariants):
   are never waited on).  Queued entries follow a one-argument calling
   convention (``callback(argument)``) — non-unary external callbacks are
   adapted once at schedule time.
+* **One run loop.**  :meth:`Simulator.run` drains the immediate deque in an
+  inner loop, then advances the heap to its next instant.  Every caller —
+  unbounded or bounded by ``stop_when``/``max_events`` — runs that same
+  loop, which checks ``stop_when`` and then ``max_events`` after every
+  callback.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.event import Event
 
@@ -368,89 +373,64 @@ class Simulator:
         the zero-delay ones drained from the immediate deque — and stops the
         run early when it returns True (used to stop once all measured
         programs have finished even if background hardware keeps ticking).
+        ``stop_when`` is checked before ``max_events``, so a run whose stop
+        condition holds on its last allowed callback returns, not raises.
         Returns the simulation time when execution stopped.
         """
         heap = self._heap
         immediate = self._immediate
         heappop = heapq.heappop
         imm_popleft = immediate.popleft
-        unchecked = stop_when is None and max_events is None
         executed = 0
         try:
-            if unchecked:
-                # Tight variant: no per-event stop_when/max_events checks.
-                while True:
-                    while immediate:
-                        callback, arg = imm_popleft()
-                        callback(arg)
-                        executed += 1
-                    if not heap:
-                        break
-                    head = heap[0]
-                    time_ns = head[1]
-                    if until is not None and time_ns > until:
-                        self._now_ns = until
-                        self._now_ps = ns_to_ps(until)
-                        return until
-                    heappop(heap)
-                    time_ps = head[0]
-                    self._now_ps = time_ps
-                    self._now_ns = time_ns
-                    # Drain every remaining heap entry at exactly this
-                    # instant onto the immediate deque: they pop in global
-                    # sequence order, so the deque stays FIFO-consistent
-                    # with the order the schedule calls were made.
-                    while heap:
-                        nxt = heap[0]
-                        if nxt[0] != time_ps or nxt[1] != time_ns:
-                            break
-                        heappop(heap)
-                        immediate.append((nxt[3], nxt[4]))
-                    head[3](head[4])
+            while True:
+                while immediate:
+                    callback, arg = imm_popleft()
+                    callback(arg)
                     executed += 1
-                if until is not None and until > self._now_ns:
+                    if stop_when is not None and stop_when():
+                        return self._now_ns
+                    if max_events is not None and executed >= max_events:
+                        raise self._exceeded(max_events)
+                if not heap:
+                    break
+                head = heap[0]
+                time_ns = head[1]
+                if until is not None and time_ns > until:
                     self._now_ns = until
                     self._now_ps = ns_to_ps(until)
-                return self._now_ns
-            while True:
-                if immediate:
-                    callback, arg = imm_popleft()
-                elif heap:
-                    head = heap[0]
-                    time_ns = head[1]
-                    if until is not None and time_ns > until:
-                        self._now_ns = until
-                        self._now_ps = ns_to_ps(until)
-                        return until
+                    return until
+                heappop(heap)
+                time_ps = head[0]
+                self._now_ps = time_ps
+                self._now_ns = time_ns
+                # Drain every remaining heap entry at exactly this instant
+                # onto the immediate deque: they pop in global sequence
+                # order, so the deque stays FIFO-consistent with the order
+                # the schedule calls were made.
+                while heap:
+                    nxt = heap[0]
+                    if nxt[0] != time_ps or nxt[1] != time_ns:
+                        break
                     heappop(heap)
-                    time_ps = head[0]
-                    self._now_ps = time_ps
-                    self._now_ns = time_ns
-                    # Same drain-on-advance as the tight variant above.
-                    while heap:
-                        nxt = heap[0]
-                        if nxt[0] != time_ps or nxt[1] != time_ns:
-                            break
-                        heappop(heap)
-                        immediate.append((nxt[3], nxt[4]))
-                    callback = head[3]
-                    arg = head[4]
-                else:
-                    break
-                callback(arg)
+                    immediate.append((nxt[3], nxt[4]))
+                head[3](head[4])
                 executed += 1
                 if stop_when is not None and stop_when():
                     return self._now_ns
                 if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events} at t={self._now_ns}ns"
-                    )
+                    raise self._exceeded(max_events)
         finally:
             self.events_executed += executed
         if until is not None and until > self._now_ns:
             self._now_ns = until
             self._now_ps = ns_to_ps(until)
         return self._now_ns
+
+    def _exceeded(self, max_events: int) -> SimulationError:
+        return SimulationError(
+            f"simulation exceeded max_events={max_events} at t={self._now_ns}ns"
+        )
 
     def run_process(
         self,
@@ -481,11 +461,3 @@ class Simulator:
         """Number of callbacks still waiting (heap plus immediate deque)."""
         return len(self._heap) + len(self._immediate)
 
-
-def wait_all(sim: Simulator, processes: Iterable[Process]) -> ProcessGenerator:
-    """A helper process body that waits for every process in ``processes``."""
-    results = []
-    for process in processes:
-        value = yield process.done
-        results.append(value)
-    return results

@@ -18,7 +18,6 @@ from repro.accel.tangent import (
     STOP_COMMAND,
     TangentAccelerator,
     from_fixed,
-    piecewise_linear_tangent,
     register_layout,
     to_fixed,
 )
@@ -108,8 +107,3 @@ def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, calls)
     return run_accelerated(kind, params, calls)
-
-
-def reference_result(calls: int = DEFAULT_CALLS, seed: int = 2023) -> float:
-    """Software reference used by tests: the accelerator's own approximation."""
-    return round(sum(piecewise_linear_tangent(a) for a in _angles(calls, seed)), 3)

@@ -27,8 +27,8 @@ def _toy_suite(value=100.0):
     return [
         BenchSpec(name="toy_rate", fn=lambda scale=1.0: value * scale,
                   unit="1/s", params={"scale": 1.0}, repeats=3, quick_repeats=1),
-        BenchSpec(name="toy_wall", fn=lambda: 2.0, unit="s",
-                  direction="lower", repeats=2, quick_repeats=1),
+        BenchSpec(name="toy_const", fn=lambda: 2.0, unit="1/s",
+                  repeats=2, quick_repeats=1),
     ]
 
 
@@ -37,7 +37,9 @@ def test_run_suite_schema_and_modes():
     assert report["schema"] == SCHEMA
     assert report["mode"] == "full"
     names = [bench["name"] for bench in report["benchmarks"]]
-    assert names == ["toy_rate", "toy_wall"]
+    assert names == ["toy_rate", "toy_const"]
+    # Every bench is a throughput; rows keep the v1 "direction" field.
+    assert all(bench["direction"] == "higher" for bench in report["benchmarks"])
     rate = report["benchmarks"][0]
     assert rate["value"] == 100.0
     assert rate["repeats"] == 3 and len(rate["samples"]) == 3
@@ -46,14 +48,6 @@ def test_run_suite_schema_and_modes():
     quick = run_suite(_toy_suite(), quick=True)
     assert quick["mode"] == "quick"
     assert quick["benchmarks"][0]["repeats"] == 1
-
-
-def test_quick_params_override_only_in_quick_mode():
-    spec = BenchSpec(name="b", fn=lambda n=1: float(n), unit="x",
-                     params={"n": 10}, quick_params={"n": 2},
-                     repeats=1, quick_repeats=1)
-    assert spec.run(quick=False)["value"] == 10.0
-    assert spec.run(quick=True)["value"] == 2.0
 
 
 def test_report_roundtrip_and_schema_check(tmp_path):
@@ -72,9 +66,9 @@ def test_report_roundtrip_and_schema_check(tmp_path):
 
 def test_compare_reports_directions_and_gating():
     baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    # Throughput halves (bad), wall time unchanged.
+    # toy_rate halves (bad), toy_const unchanged.
     current = run_suite(_toy_suite(value=50.0), quick=True)
-    # Pin the calibrations equal: this test is about direction/gating logic,
+    # Pin the calibrations equal: this test is about ratio/gating logic,
     # not cross-machine normalization.
     current["calibration_sends_per_sec"] = baseline["calibration_sends_per_sec"]
     comparisons = compare_reports(current, baseline, tolerance=0.2,
@@ -82,25 +76,14 @@ def test_compare_reports_directions_and_gating():
     by_name = {c.name: c for c in comparisons}
     assert by_name["toy_rate"].ratio == pytest.approx(0.5)
     assert by_name["toy_rate"].regressed and by_name["toy_rate"].gated
-    assert by_name["toy_wall"].ratio == pytest.approx(1.0)
-    assert not by_name["toy_wall"].regressed
+    assert by_name["toy_const"].ratio == pytest.approx(1.0)
+    assert not by_name["toy_const"].regressed
     assert has_gated_regression(comparisons)
     assert "REGRESSED" in format_comparisons(comparisons)
 
     # Same numbers -> no regression.
     same = compare_reports(baseline, baseline, gates=("toy_rate",))
     assert not has_gated_regression(same)
-
-
-def test_lower_is_better_direction_flips_ratio():
-    fast = run_suite([BenchSpec(name="w", fn=lambda: 1.0, unit="s",
-                                direction="lower", repeats=1)], quick=False)
-    slow = run_suite([BenchSpec(name="w", fn=lambda: 4.0, unit="s",
-                                direction="lower", repeats=1)], quick=False)
-    slow["calibration_sends_per_sec"] = fast["calibration_sends_per_sec"]
-    comparison = compare_reports(slow, fast, tolerance=0.2, gates=("w",))[0]
-    assert comparison.ratio == pytest.approx(0.25)
-    assert comparison.regressed
 
 
 def test_calibration_normalizes_cross_machine_comparisons():
@@ -111,7 +94,7 @@ def test_calibration_normalizes_cross_machine_comparisons():
 
     current = run_suite(_toy_suite(value=50.0), quick=True)  # half the speed...
     current["calibration_sends_per_sec"] = 1_000_000.0       # ...on a half-speed box
-    # toy_wall is a constant 2.0s in both, so on the slower box it reads as
+    # toy_const is a constant 2.0 in both, so on the slower box it reads as
     # a 2x improvement after normalization; the rate bench reads as parity.
     comparisons = compare_reports(current, baseline, tolerance=0.2,
                                   gates=("toy_rate",))
@@ -207,8 +190,6 @@ def test_default_suite_is_well_formed():
     assert "noc_messages_per_sec_hooks_on" in names
     assert "energy_samples_per_sec" in names
     assert len(names) == len(set(names))
-    for spec in SUITE:
-        assert spec.direction in ("higher", "lower")
 
 
 def test_every_default_gate_is_a_suite_bench():

@@ -126,6 +126,36 @@ def test_max_events_guard():
         sim.run(max_events=100)
 
 
+def test_max_events_guard_catches_zero_delay_livelock():
+    """A process that only yields None never advances time; the guard must
+    still count its callbacks off the immediate deque.  (The spin is bounded
+    so a broken guard fails this test instead of hanging the suite.)"""
+    sim = Simulator()
+
+    def spin():
+        for _ in range(10_000):
+            yield None
+
+    sim.process(spin())
+    with pytest.raises(SimulationError):
+        sim.run(max_events=100)
+    assert sim.events_executed == 100
+    assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("delays", [(0.0,) * 5, (1.0, 2.0, 3.0, 4.0, 5.0)],
+                         ids=["immediate", "timed"])
+def test_stop_when_wins_over_max_events_on_the_same_callback(delays):
+    sim = Simulator()
+    seen = []
+    for tag, delay in enumerate(delays):
+        sim.schedule(delay, seen.append, tag)
+    stopped_at = sim.run(max_events=3, stop_when=lambda: len(seen) == 3)
+    assert seen == [0, 1, 2]
+    assert stopped_at == delays[2]
+    assert sim.pending_events == 2
+
+
 def test_event_cannot_trigger_twice():
     sim = Simulator()
     event = sim.event()

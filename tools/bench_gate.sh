@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Gate the end-to-end serving paths against the parent commit.
+# Gate the end-to-end serving and paper-figure paths against the parent
+# commit.
 #
 #     tools/bench_gate.sh
 #
-# Runs bench/run.py's serve_steady, serve_regions_observed and fleet_chaos
-# workloads (--seconds 10) on HEAD^ and on this checkout, two rounds per
-# side, and exits with `bench/compare.py parent/ change/`'s status: 1 when
-# an end-to-end metric (setup_s, wall_s, sim_req_per_s, peak_rss_mb) is
-# worse than the parent's by more than its bound, or when a digest or a
-# simulated output differs.
+# Runs bench/run.py's serve_steady, serve_regions_observed, fleet_chaos and
+# paper_figs workloads (--seconds 10) on HEAD^ and on this checkout, two
+# rounds per side, and exits with `bench/compare.py parent/ change/`'s
+# status: 1 when an end-to-end metric (setup_s, wall_s, sim_req_per_s,
+# peak_rss_mb) is worse than the parent's by more than its bound, or when
+# a digest or a simulated output differs.
 #
 # HEAD^ is checked out into a temporary git worktree and this checkout's
 # bench/ is copied over its own, so both sides run the same bench code
@@ -40,7 +41,7 @@ run() {  # side root round workload
         --out "$work/$1/round$3-$4.json"
 }
 
-for workload in serve_steady serve_regions_observed fleet_chaos; do
+for workload in serve_steady serve_regions_observed fleet_chaos paper_figs; do
     run parent "$tree" 1 "$workload"
     run change "$repo" 1 "$workload"
     run change "$repo" 2 "$workload"
