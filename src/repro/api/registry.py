@@ -201,8 +201,8 @@ def fig9_cell(mechanism: str, fpga_mhz: float, seed: int = DEFAULT_SEED) -> Rows
     name="fig10",
     title="Fig. 10 — Processor-eFPGA Bandwidth",
     description="Single-processor bandwidth of the six mechanisms vs eFPGA clock. "
-                "quad_words defaults to 128 (vs the paper's 512) to keep the "
-                "pure-Python simulation fast; override it for the full study.",
+                "quad_words is 128 (vs the paper's 512): the adapter's exception "
+                "timeout aborts longer transfers at slow eFPGA clocks.",
     grid={"mechanism": BANDWIDTH_MECHANISMS,
           "fpga_mhz": (20.0, 50.0, 100.0, 200.0, 500.0)},
     fixed={"quad_words": 128, "seed": DEFAULT_SEED},

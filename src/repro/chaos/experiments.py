@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.chaos.inject import ChaosConfig
-from repro.chaos.schedule import FaultSchedule, FaultSpec
+from repro.chaos.schedule import FaultSchedule, FaultSpec, noise_specs
 from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
 from repro.fleet.experiments import FLEET_TENANTS
@@ -56,10 +56,7 @@ def build_schedule(fault_rate: float, seed: int = DEFAULT_SEED,
                   at_node=kill_node),
     ]
     if fault_rate > 0:
-        specs.append(FaultSpec(kind="seu", rate_per_epoch=fault_rate,
-                               detect_ns=2_000.0))
-        specs.append(FaultSpec(kind="link", rate_per_epoch=fault_rate * 0.5,
-                               repair_ns=60_000.0))
+        specs.extend(noise_specs(fault_rate).values())
     return FaultSchedule(seed=seed, specs=tuple(specs))
 
 
@@ -94,7 +91,7 @@ def chaos_cell(
                        "recovery": recovery},
     )
     goodput = epoch_goodput(outcome.reports)
-    pre = goodput[KILL_EPOCH - 1] if KILL_EPOCH >= 1 else goodput[0]
+    pre = goodput[KILL_EPOCH - 1]
     post_epoch = min(KILL_EPOCH + RECOVERY_EPOCHS, len(goodput) - 1)
     for row in outcome.rows:
         row["pre_fault_goodput"] = pre

@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: The supported fault kinds.
 FAULT_KINDS: Tuple[str, ...] = ("seu", "fabric", "link")
@@ -88,6 +88,19 @@ class FaultSpec:
                 "pinned at_epoch — otherwise it never fires")
         if self.detect_ns < 0 or self.repair_ns < 0:
             raise ValueError("detect_ns/repair_ns cannot be negative")
+
+
+def noise_specs(fault_rate: float) -> Dict[str, FaultSpec]:
+    """The background-noise fault sources, keyed by kind: SEUs at
+    ``fault_rate`` per (node, epoch), scrubbed 2 us after they strike,
+    and transient link faults at half that rate that self-repair after
+    60 us."""
+    return {
+        "seu": FaultSpec(kind="seu", rate_per_epoch=fault_rate,
+                         detect_ns=2_000.0),
+        "link": FaultSpec(kind="link", rate_per_epoch=fault_rate * 0.5,
+                          repair_ns=60_000.0),
+    }
 
 
 @dataclass(frozen=True)

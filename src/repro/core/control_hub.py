@@ -122,7 +122,6 @@ class ControlHub:
         self._next_handle = 1
         self.programming_busy = False
         self._hub_activation_hook: Optional[Callable[[int], None]] = None
-        self._reset_hook: Optional[Callable[[], None]] = None
         # Serialized MMIO service queue (strict I/O ordering, Fig. 6c).
         self._mmio_queue = Channel(sim, name=f"{self.name}.mmio-queue")
         sim.process(self._mmio_server(), name=f"{self.name}.mmio-server")
@@ -133,10 +132,6 @@ class ControlHub:
     def set_hub_activation_hook(self, hook: Callable[[int], None]) -> None:
         """Called with the written bitmask when software toggles hub activity."""
         self._hub_activation_hook = hook
-
-    def set_reset_hook(self, hook: Callable[[], None]) -> None:
-        """Called when software writes the accelerator-reset register."""
-        self._reset_hook = hook
 
     # ------------------------------------------------------------------ #
     # Address helpers (used by software drivers)
@@ -264,8 +259,7 @@ class ControlHub:
 
     def _control_write(self, offset: int, value: int):
         if offset == REG_RESET:
-            if self._reset_hook is not None:
-                self._reset_hook()
+            pass  # the behavioural accelerators keep no state to reset
         elif offset == REG_CLK_MHZ:
             self.clock_generator.set_frequency(float(value))
         elif offset == REG_TIMEOUT:

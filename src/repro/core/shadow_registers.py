@@ -77,7 +77,6 @@ class SoftRegisterInterface:
         self.exceptions = exceptions
         self.name = name
         self.downgrade_shadow = downgrade_shadow
-        self.active = True
         self._registers: Dict[int, _RegisterState] = {}
         self.layout: Optional[RegisterLayout] = None
         self.stats = StatSet(f"{name}.stats")
@@ -119,9 +118,6 @@ class SoftRegisterInterface:
             self.sim.process(self._fpga_default_server(), name=f"{self.name}.fpga-server")
             self._processes_started = True
 
-    def set_active(self, active: bool) -> None:
-        self.active = active
-
     def _state(self, index: int) -> Optional[_RegisterState]:
         return self._registers.get(index)
 
@@ -135,7 +131,7 @@ class SoftRegisterInterface:
     def cpu_write(self, index: int, value: int):
         """Handle a processor MMIO write; returns when it can be acknowledged."""
         state = self._state(index)
-        if state is None or not self.active:
+        if state is None:
             self.stats.counter("bogus_writes").increment()
             yield self.sys_domain.wait_cycles(1)
             return None
@@ -165,7 +161,7 @@ class SoftRegisterInterface:
     def cpu_read(self, index: int):
         """Handle a processor MMIO read; returns the value to send back."""
         state = self._state(index)
-        if state is None or not self.active:
+        if state is None:
             self.stats.counter("bogus_reads").increment()
             yield self.sys_domain.wait_cycles(1)
             return BOGUS_VALUE

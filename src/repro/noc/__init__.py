@@ -26,7 +26,7 @@ from repro.noc.topology import (
     Torus2D,
     make_topology,
 )
-from repro.noc.network import NocNetwork, NocEndpoint
+from repro.noc.network import NocNetwork
 from repro.noc.port import NocPort, TileRouter
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "NocRouteError",
     "make_topology",
     "NocNetwork",
-    "NocEndpoint",
     "NocPort",
     "TileRouter",
 ]

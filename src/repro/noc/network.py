@@ -36,13 +36,6 @@ from repro.sim import ClockDomain, Event, Simulator, StatSet
 MessageHandler = Callable[[NocMessage], None]
 
 
-class NocEndpoint:
-    """Mixin-ish helper describing what the network expects from an endpoint."""
-
-    def handle_noc_message(self, message: NocMessage) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
 class NocNetwork:
     """A NoC over any :class:`~repro.noc.topology.Topology`, in the system
     (fast) clock domain.

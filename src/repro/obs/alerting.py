@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chaos.experiments import (DEFAULT_SEED, KILL_EPOCH,
                                      build_schedule)
 from repro.chaos.inject import ChaosConfig
-from repro.chaos.schedule import FaultSchedule, FaultSpec
+from repro.chaos.schedule import FaultSchedule, noise_specs
 from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
 from repro.fleet.experiments import FLEET_TENANTS
@@ -69,14 +69,8 @@ def alerting_schedule(fault: str, fault_rate: float,
         return None
     if fault == "kill":
         return build_schedule(0.0, seed)
-    if fault == "seu":
-        return FaultSchedule(seed=seed, specs=(
-            FaultSpec(kind="seu", rate_per_epoch=fault_rate,
-                      detect_ns=2_000.0),))
-    if fault == "link":
-        return FaultSchedule(seed=seed, specs=(
-            FaultSpec(kind="link", rate_per_epoch=fault_rate * 0.5,
-                      repair_ns=60_000.0),))
+    if fault in ("seu", "link"):
+        return FaultSchedule(seed=seed, specs=(noise_specs(fault_rate)[fault],))
     known = ", ".join(FAULT_MODES)
     raise ValueError(f"unknown fault mode {fault!r}; known: {known}")
 
@@ -126,7 +120,7 @@ def alerting_cell(
     score = score_alerts(alerts, truth, horizon_ps)
 
     goodput = epoch_goodput(outcome.reports)
-    pre = goodput[KILL_EPOCH - 1] if KILL_EPOCH >= 1 else goodput[0]
+    pre = goodput[KILL_EPOCH - 1]
     post_epoch = min(KILL_EPOCH + ALERT_RECOVERY_EPOCHS, len(goodput) - 1)
     row: Dict[str, Any] = {
         "fault": fault,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.inject import ChaosConfig
-from repro.chaos.schedule import FaultSchedule, FaultSpec
+from repro.chaos.schedule import FaultSchedule, noise_specs
 from repro.obs.decompose import ALL_TENANTS, STAGES, decompose_rows
 from repro.obs.trace import Tracer
 from repro.serve.experiments import DEFAULT_SEED, run_serve
@@ -45,11 +45,7 @@ def noise_schedule(fault_rate: float, seed: int = DEFAULT_SEED) -> FaultSchedule
     single-deployment serve run has nowhere to fail over to)."""
     if fault_rate <= 0:
         raise ValueError(f"fault_rate must be positive, got {fault_rate}")
-    return FaultSchedule(seed=seed, specs=(
-        FaultSpec(kind="seu", rate_per_epoch=fault_rate, detect_ns=2_000.0),
-        FaultSpec(kind="link", rate_per_epoch=fault_rate * 0.5,
-                  repair_ns=60_000.0),
-    ))
+    return FaultSchedule(seed=seed, specs=tuple(noise_specs(fault_rate).values()))
 
 
 def latency_decomposition_cell(

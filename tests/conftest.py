@@ -1,10 +1,12 @@
-"""Shared fixtures: a miniature coherent system used by memory-system tests."""
+"""Shared fixtures: a miniature coherent system used by memory-system tests,
+and one serial Fig. 12 run over the applications small enough for tier-1."""
 
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 import pytest
 
+from repro.api import Runner
 from repro.mem import AddressMap, DirectoryShard, MainMemory, MemoryConfig, PrivateCacheAgent
 from repro.noc import NocNetwork, TileRouter
 from repro.sim import ClockDomain, Simulator
@@ -59,3 +61,15 @@ def build_mini_system(width=2, height=2, num_agents=2, freq_mhz=1000.0, config=N
 @pytest.fixture
 def mini_system():
     return build_mini_system()
+
+
+#: The Fig. 12 applications small enough for tier-1; the registry default
+#: adds the 8- and 16-processor configurations.
+QUICK_FIG12_LABELS = ("tangent", "popcount", "sort/32", "dijkstra",
+                      "barnes-hut", "pdes/4", "bfs/4")
+
+
+@pytest.fixture(scope="session")
+def quick_fig12():
+    """The serial ``fig12`` ResultSet over :data:`QUICK_FIG12_LABELS`."""
+    return Runner().run("fig12", benchmark=QUICK_FIG12_LABELS)

@@ -91,6 +91,12 @@ def test_table1_rows_match_paper_constants():
     by_name = {row["component"]: row for row in rows}
     assert by_name["Ariane"]["scaled_area_mm2"] == pytest.approx(1.56)
     assert by_name["P-Mesh Socket"]["scaled_freq_mhz"] == pytest.approx(711.0)
+    # The Duet Adapter's hard logic is small next to one core plus its
+    # socket: the Sec. V-B "negligible hardware overhead" claim.
+    core_and_socket = (by_name["Ariane"]["scaled_area_mm2"]
+                       + by_name["P-Mesh Socket"]["scaled_area_mm2"])
+    adapter = by_name["Duet Adapter overhead vs 1 core (P1M1)"]
+    assert adapter["area_mm2"] < core_and_socket
 
 
 def test_table2_covers_all_seven_benchmarks_with_sane_values():
@@ -105,3 +111,8 @@ def test_table2_covers_all_seven_benchmarks_with_sane_values():
         assert 0.0 < row["measured_clb_util"] <= 1.0
         assert 0.0 <= row["measured_bram_util"] <= 1.0
         assert row["measured_norm_area"] > 0.0
+    area = {row["benchmark"]: row["measured_norm_area"] for row in rows}
+    # The sorting networks grow with their size, and Barnes-Hut is the
+    # largest design.
+    assert area["sort32"] < area["sort64"] < area["sort128"]
+    assert area["barnes-hut"] == max(area.values())

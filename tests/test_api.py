@@ -107,12 +107,12 @@ def test_serial_run_matches_direct_measurement():
     assert results[0].paper_roundtrip_ns == 42
 
 
-def test_parallel_runner_matches_serial_fig12():
+def test_parallel_runner_matches_serial_fig12(quick_fig12):
     labels = ("tangent", "popcount", "dijkstra")
-    serial = Runner().run("fig12", benchmark=labels)
+    serial_rows = [row for row in quick_fig12.rows if row["benchmark"] in labels]
     parallel = Runner(executor="process", workers=4).run("fig12", benchmark=labels)
-    assert parallel.rows == serial.rows
-    assert parallel.summary == serial.summary
+    assert parallel.rows == serial_rows
+    assert parallel.summary == get_experiment("fig12").summarize(serial_rows)
     assert parallel.stats.executor == "process"
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import DuetError, ErrorCode, FeatureSwitches, RegisterKind, RegisterSpec
-from repro.core.control_hub import REG_CLK_MHZ, REG_ERROR, REG_STATUS, REG_TIMEOUT
+from repro.core.control_hub import (REG_CLK_MHZ, REG_ERROR, REG_RESET, REG_STATUS,
+                                    REG_TIMEOUT)
 from repro.core.shadow_registers import BOGUS_VALUE, TOKEN_AVAILABLE, TOKEN_EMPTY
 from repro.fpga import AcceleratorDesign, SoftAccelerator
 from repro.platform import DollyConfig, SystemKind, build_system
@@ -438,6 +439,8 @@ def test_control_registers_report_status_clock_and_timeout():
     adapter = system.adapter
 
     def program(ctx):
+        # A reset write is accepted and changes nothing.
+        yield from ctx.mmio_write(adapter.control_addr(REG_RESET), 1)
         status = yield from ctx.mmio_read(adapter.control_addr(REG_STATUS))
         clk = yield from ctx.mmio_read(adapter.control_addr(REG_CLK_MHZ))
         yield from ctx.mmio_write(adapter.control_addr(REG_TIMEOUT), 1234)
@@ -448,6 +451,8 @@ def test_control_registers_report_status_clock_and_timeout():
     assert status == 1
     assert clk == 250
     assert timeout == 1234
+    assert "unknown_control_writes" not in adapter.control_hub.stats.counters()
+    assert not adapter.exceptions.has_error
 
 
 def test_tlb_protects_virtualized_accelerator():

@@ -290,12 +290,30 @@ def test_run_process_reraises_failure():
 # --------------------------------------------------------------------------- #
 def test_fig9_results_match_golden_file():
     """Guards the integer-picosecond switch (and any future kernel change):
-    the full fig9 grid must reproduce the seed kernel's output exactly."""
+    the full fig9 grid must reproduce the seed kernel's output exactly.
+
+    The paper's Fig. 9 laws are checked first, so they keep holding when a
+    deliberate model change re-records the golden file."""
     from repro.api.runner import Runner
 
     with open(os.path.join(DATA_DIR, "fig9_golden.json")) as handle:
         golden = json.load(handle)
     rows = Runner().run("fig9").to_dicts()
+    ns = {(row["mechanism"], row["fpga_mhz"]): row["measured_roundtrip_ns"]
+          for row in rows}
+    frequencies = sorted({row["fpga_mhz"] for row in rows})
+    lowest, highest = frequencies[0], frequencies[-1]
+    # Shadow registers beat normal soft registers at every eFPGA clock.
+    for freq in frequencies:
+        assert ns[("shadow_reg", freq)] < ns[("normal_reg", freq)], freq
+    # The Proxy Cache keeps CPU-pull latency flat across eFPGA clocks, while
+    # the slow cache's latency grows as the eFPGA slows down.
+    proxy_spread = ns[("cpu_pull_proxy", lowest)] - ns[("cpu_pull_proxy", highest)]
+    slow_spread = ns[("cpu_pull_slow", lowest)] - ns[("cpu_pull_slow", highest)]
+    assert abs(proxy_spread) < 0.5 * slow_spread
+    # At the slowest clock, each Duet pull beats its FPSoC counterpart.
+    assert ns[("cpu_pull_proxy", lowest)] < ns[("cpu_pull_slow", lowest)]
+    assert ns[("efpga_pull_proxy", lowest)] < ns[("efpga_pull_slow", lowest)]
     normalized = json.loads(json.dumps(rows, sort_keys=True))
     assert normalized == golden
 

@@ -7,10 +7,13 @@ checks functional correctness plus the headline performance relationship.
 
 import pytest
 
+from repro.api import Runner
+from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
 from repro.platform import SystemKind
 from repro.workloads import bfs, dijkstra, pdes, popcount, sort, tangent
 from repro.workloads.common import WorkloadParams
 from repro.workloads.synthetic import measure_bandwidth, measure_latency
+from tests.conftest import QUICK_FIG12_LABELS
 
 
 # --------------------------------------------------------------------------- #
@@ -93,9 +96,91 @@ def test_bandwidth_proxy_beats_slow_cache_for_efpga_pull():
     assert proxy.bytes_moved == 32 * 8
 
 
+def test_fig10_bandwidth_laws():
+    """Fig. 10's shape at a reduced size: two eFPGA clocks, 64 quad-words."""
+    frequencies = (100.0, 500.0)
+    rows = Runner().run("fig10", fpga_mhz=frequencies, quad_words=64).to_dicts()
+    mbs = {(row["mechanism"], row["fpga_mhz"]): row["measured_mbytes_per_s"]
+           for row in rows}
+    # The Proxy Cache delivers the highest bandwidth of all mechanisms.
+    assert max(mbs.values()) == max(mbs[("efpga_pull_proxy", freq)]
+                                    for freq in frequencies)
+    # eFPGA pull outruns CPU pull, which the 8-byte store port limits.
+    assert mbs[("efpga_pull_proxy", 500.0)] > mbs[("cpu_pull_proxy", 500.0)]
+    for freq in frequencies:
+        assert mbs[("shadow_reg", freq)] > mbs[("normal_reg", freq)], freq
+        assert mbs[("efpga_pull_proxy", freq)] > mbs[("efpga_pull_slow", freq)], freq
+
+
+def test_fig11_register_scalability_laws():
+    """Fig. 11's shape at a reduced size: 1-4 processors, 16 accesses each."""
+    counts = (1, 2, 4)
+    rows = Runner().run("fig11", num_processors=counts,
+                        accesses_per_processor=16).to_dicts()
+    mbs = {(row["mechanism"], row["operation"], row["num_processors"]):
+           row["per_processor_mbytes_per_s"] for row in rows}
+    # Shadow registers sustain more per-processor bandwidth than normal
+    # registers at every processor count...
+    for operation in ("read", "write"):
+        for count in counts:
+            assert (mbs[("shadow_reg", operation, count)]
+                    > mbs[("normal_reg", operation, count)]), (operation, count)
+    # ...and lose no more of it than normal registers as contention grows.
+    shadow_drop = mbs[("shadow_reg", "write", 1)] / mbs[("shadow_reg", "write", 2)]
+    normal_drop = mbs[("normal_reg", "write", 1)] / mbs[("normal_reg", "write", 2)]
+    assert shadow_drop <= normal_drop * 1.5
+
+
+# A blocking read of the accelerator's result FIFO gives up after the
+# adapter's exception timeout (20,000 system cycles, 20 us), which a long
+# transfer against a slow eFPGA clock exceeds.  These tests pin that defect
+# until the model calibration fixes it; the fix moves fig10's outputs.
+@pytest.mark.xfail(raises=DuetError, strict=True,
+                   reason="the exception timeout deactivates the memory hubs "
+                          "mid-transfer; the default 512 quad-words fails at "
+                          "50 MHz too")
+def test_cpu_pull_proxy_completes_256_quad_words_at_20_mhz():
+    result = measure_bandwidth("cpu_pull_proxy", 20.0, quad_words=256)
+    assert result.bytes_moved == 256 * 8
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the cell latches an adapter TIMEOUT and still "
+                          "reports a bandwidth")
+@pytest.mark.parametrize("mechanism, fpga_mhz", [
+    ("cpu_pull_slow", 20.0), ("cpu_pull_slow", 50.0), ("efpga_pull_slow", 20.0),
+])
+def test_fig10_default_cells_latch_no_adapter_timeout(monkeypatch, mechanism,
+                                                      fpga_mhz):
+    latched = []
+    raise_error = ExceptionHandler.raise_error
+
+    def spy(handler, code):
+        latched.append(code)
+        raise_error(handler, code)
+
+    monkeypatch.setattr(ExceptionHandler, "raise_error", spy)
+    measure_bandwidth(mechanism, fpga_mhz, quad_words=128)
+    assert ErrorCode.TIMEOUT not in latched
+
+
 def test_result_accounting_speedup_and_adp_helpers():
     cpu = tangent.run(SystemKind.CPU_ONLY, WorkloadParams(1, 0), calls=8)
     duet = tangent.run(SystemKind.DUET, WorkloadParams(1, 0), calls=8)
     assert duet.chip_area_mm2 > cpu.chip_area_mm2
     assert duet.adp() == pytest.approx(duet.chip_area_mm2 * duet.runtime_ns)
     assert duet.normalized_adp(cpu) > 0.0
+
+
+# --------------------------------------------------------------------------- #
+# Fig. 12: application speedups
+# --------------------------------------------------------------------------- #
+def test_fig12_duet_beats_fpsoc_on_every_quick_application(quick_fig12):
+    rows = quick_fig12.rows
+    assert [row["benchmark"] for row in rows] == list(QUICK_FIG12_LABELS)
+    for row in rows:
+        assert row["all_correct"], row["benchmark"]
+        assert row["duet_speedup"] > row["fpsoc_speedup"], row["benchmark"]
+    summary = quick_fig12.summary
+    assert summary["duet_geomean_speedup"] > summary["fpsoc_geomean_speedup"]
+    assert summary["duet_geomean_speedup"] > 1.0
