@@ -8,9 +8,8 @@ Subcommands:
   deviation report;
 * ``sweep``  — run with overridden parameter axes and optionally pivot the
   result into a wide table (``--pivot index columns values``);
-* ``perf``   — run the kernel/channel/NoC/energy microbenchmarks, write
-  ``BENCH_kernel.json`` and optionally gate against a recorded baseline
-  (``--baseline BENCH_kernel.json``); see ``docs/performance.md``;
+* ``perf``   — run the kernel/channel/NoC/energy microbenchmarks and write
+  ``BENCH_kernel.json``; see ``docs/performance.md``;
 * ``trace``  — re-run an experiment's canonical point with the
   :mod:`repro.obs` tracer attached and write a deterministic Chrome
   trace-event JSON (load it at https://ui.perfetto.dev); see
@@ -143,14 +142,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     out_path = args.out or perf.BENCH_FILENAME
-    baseline = None
-    if args.baseline:
-        if os.path.abspath(out_path) == os.path.abspath(args.baseline):
-            print("error: refusing to overwrite the baseline being compared "
-                  "against; pass --out FILE to write the new report elsewhere",
-                  file=sys.stderr)
-            return 2
-        baseline = perf.load_report(args.baseline)
     progress = None if args.json else (lambda line: print(line, file=sys.stderr))
     report = perf.run_suite(perf.SUITE, quick=args.quick, progress=progress)
     perf.write_report(report, out_path)
@@ -164,33 +155,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             title=f"Performance suite ({report['mode']} mode)",
         ))
         print(f"wrote {out_path}", file=sys.stderr)
-    if baseline is not None:
-        current_interp = report.get("interpreter", {}).get("implementation")
-        baseline_interp = baseline.get("interpreter", {}).get("implementation")
-        if current_interp and baseline_interp and current_interp != baseline_interp:
-            print(f"warning: comparing a {current_interp} run against a "
-                  f"{baseline_interp} baseline; ratios are uncalibrated across "
-                  "interpreters", file=sys.stderr)
-        gates = tuple(args.gate or perf.DEFAULT_GATES)
-        comparisons = perf.compare_reports(
-            report, baseline, tolerance=args.max_regression, gates=gates)
-        # Comparison chatter goes to stderr in --json mode so stdout stays
-        # a single parseable JSON document.
-        stream = sys.stderr if args.json else sys.stdout
-        print(file=stream)
-        print(perf.format_comparisons(comparisons), file=stream)
-        compared = {comparison.name for comparison in comparisons}
-        missing = [gate for gate in gates if gate not in compared]
-        if missing:
-            print("error: gated benchmark(s) missing from the comparison "
-                  f"({', '.join(missing)}): not in the baseline, zero-valued, "
-                  "or measured with different params — the gate cannot pass "
-                  "vacuously", file=sys.stderr)
-            return 1
-        if perf.has_gated_regression(comparisons):
-            print("error: gated benchmark regressed beyond "
-                  f"{args.max_regression:.0%} of baseline", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -330,17 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reduced sizes/repeats (CI smoke mode)")
     p_perf.add_argument("--out", metavar="FILE", default=None,
                         help="report path (default: BENCH_kernel.json)")
-    p_perf.add_argument("--baseline", metavar="FILE", default=None,
-                        help="compare against a recorded baseline report and "
-                             "fail on gated regressions")
-    p_perf.add_argument("--max-regression", type=float, default=0.2,
-                        help="tolerated fractional slowdown vs baseline "
-                             "(default 0.2 = 20%%)")
-    p_perf.add_argument("--gate", action="append",
-                        default=None, metavar="BENCH",
-                        help="benchmark name that fails the run on regression "
-                             "(repeatable; default: "
-                             f"{', '.join(perf.DEFAULT_GATES)})")
     p_perf.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     p_perf.set_defaults(func=cmd_perf)

@@ -187,8 +187,8 @@ class DuetAdapter:
         """Run the full installation flow and attach ``accelerator``.
 
         This is the zero-simulated-time variant used by experiments; the
-        MMIO-driven programming path is exercised through
-        :meth:`ControlHub.program` and the ``REG_PROGRAM`` control register.
+        timed programming path is :meth:`ControlHub.program`, which the
+        serving layer drives.
         Returns the synthesis result (Fmax, area, utilization) so callers can
         build Table II and the ADP figures.
         """

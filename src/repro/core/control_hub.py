@@ -17,7 +17,7 @@ parks to the side so it cannot deadlock the hub.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
 from repro.core.feature_switches import FeatureSwitches
@@ -35,7 +35,7 @@ REG_RESET = 0x08         # write: reset the soft accelerator
 REG_CLK_MHZ = 0x10       # read/write: eFPGA clock frequency in MHz
 REG_TIMEOUT = 0x18       # read/write: exception timeout in system cycles
 REG_ERROR = 0x20         # read: latched error code; write: clear
-REG_PROGRAM = 0x28       # write: program the bitstream with the given handle
+REG_PROGRAM = 0x28       # write: no image can be staged here; latches PROTOCOL
 REG_HUB_ACTIVE = 0x30    # write: bit i (de)activates memory hub i
 
 #: Offset at which the soft register window starts inside the MMIO region.
@@ -118,8 +118,6 @@ class ControlHub:
         self.tracer = None
         # Programming state.
         self.programmed_bitstream: Optional[Bitstream] = None
-        self._bitstream_handles: Dict[int, Bitstream] = {}
-        self._next_handle = 1
         self.programming_busy = False
         self._hub_activation_hook: Optional[Callable[[int], None]] = None
         # Serialized MMIO service queue (strict I/O ordering, Fig. 6c).
@@ -151,18 +149,11 @@ class ControlHub:
     def configure_registers(self, layout: RegisterLayout) -> None:
         self.registers.configure(layout)
 
-    def stage_bitstream(self, bitstream: Bitstream) -> int:
-        """Make a bitstream available to the programming engine; returns a handle."""
-        handle = self._next_handle
-        self._next_handle += 1
-        self._bitstream_handles[handle] = bitstream
-        return handle
-
     def program(self, bitstream: Bitstream):
         """Programming engine: integrity check, then configuration transfer.
 
-        A generator — the caller (the adapter's software driver or an MMIO
-        write to ``REG_PROGRAM``) pays the programming time.
+        A generator — the caller (the serving layer's reconfiguration
+        path) pays the programming time.
         """
         self.programming_busy = True
         try:
@@ -267,11 +258,9 @@ class ControlHub:
         elif offset == REG_ERROR:
             self.exceptions.clear()
         elif offset == REG_PROGRAM:
-            bitstream = self._bitstream_handles.get(value)
-            if bitstream is None:
-                self.exceptions.raise_error(ErrorCode.PROTOCOL)
-            else:
-                yield from self.program(bitstream)
+            # Software cannot hand the engine an image over MMIO; images
+            # are programmed through program() / program_instantly().
+            self.exceptions.raise_error(ErrorCode.PROTOCOL)
         elif offset == REG_HUB_ACTIVE:
             if self._hub_activation_hook is not None:
                 self._hub_activation_hook(value)

@@ -76,9 +76,5 @@ class ProgrammableClockGenerator:
     def frequency_mhz(self) -> float:
         return self.fpga_domain.freq_mhz
 
-    @property
-    def ratio_to_system(self) -> float:
-        return self.fpga_domain.freq_mhz / self.system_domain.freq_mhz
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProgrammableClockGenerator {self.frequency_mhz:.1f}MHz>"

@@ -64,27 +64,9 @@ class Scratchpad:
         self._words[index] = value
         return None
 
-    def read_burst(self, start: int, count: int):
-        """Timed sequential read of ``count`` words at one word per cycle."""
-        values = []
-        for offset in range(count):
-            value = yield from self.read(start + offset)
-            values.append(value)
-        return values
-
-    def write_burst(self, start: int, values):
-        """Timed sequential write at one word per cycle."""
-        for offset, value in enumerate(values):
-            yield from self.write(start + offset, value)
-        return None
-
     # ------------------------------------------------------------------ #
     # Untimed access (for checking results after simulation)
     # ------------------------------------------------------------------ #
     def peek(self, index: int) -> int:
         self._check(index)
         return self._words.get(index, 0)
-
-    def poke(self, index: int, value: int) -> None:
-        self._check(index)
-        self._words[index] = value

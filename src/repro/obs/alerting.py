@@ -41,7 +41,8 @@ from repro.chaos.experiments import (DEFAULT_SEED, KILL_EPOCH,
 from repro.chaos.inject import ChaosConfig
 from repro.chaos.schedule import FaultSchedule, noise_specs
 from repro.fleet.autoscaler import AutoscalerConfig
-from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
+from repro.fleet.cluster import (FleetConfig, FleetOutcome, epoch_goodput,
+                                 run_fleet)
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.obs.alerts import score_alerts
 
@@ -75,10 +76,10 @@ def alerting_schedule(fault: str, fault_rate: float,
     raise ValueError(f"unknown fault mode {fault!r}; known: {known}")
 
 
-def alerting_cell(
+def _observed_run(
     fault: str,
     control: str,
-    fault_rate: float = 2.0,
+    fault_rate: float,
     nodes: int = 3,
     spares: int = 1,
     epochs: int = 5,
@@ -87,8 +88,9 @@ def alerting_cell(
     window_us: float = ALERT_WINDOW_US,
     node_executor: str = "serial",
     seed: int = DEFAULT_SEED,
-) -> List[Dict[str, Any]]:
-    """One telemetry-observed chaos run; returns a single scored row."""
+) -> Tuple[FleetConfig, FleetOutcome, List[Dict[str, Any]], Dict[str, Any], int]:
+    """One telemetry-observed chaos fleet run, scored against its injected
+    schedule: ``(config, outcome, truth, score, epoch_ps)``."""
     schedule = alerting_schedule(fault, fault_rate, seed)
     config = FleetConfig(
         nodes=nodes,
@@ -115,10 +117,21 @@ def alerting_cell(
     truth = (schedule.ground_truth(epochs, range(nodes),
                                    config.fabrics_per_node, epoch_ns)
              if schedule is not None else [])
-    alerts = outcome.alerts or []
     horizon_ps = int(round(DETECT_HORIZON_EPOCHS * epoch_ps))
-    score = score_alerts(alerts, truth, horizon_ps)
+    score = score_alerts(outcome.alerts or [], truth, horizon_ps)
+    return config, outcome, truth, score, epoch_ps
 
+
+def alerting_cell(fault: str, control: str, fault_rate: float = 2.0,
+                  **fleet: Any) -> List[Dict[str, Any]]:
+    """One telemetry-observed chaos run; returns a single scored row.
+
+    ``fleet`` overrides the run's ``nodes``, ``spares``, ``epochs``,
+    ``epoch_us``, ``rate_krps``, ``window_us``, ``node_executor`` and
+    ``seed`` (defaults in :func:`_observed_run`)."""
+    config, outcome, _, score, epoch_ps = _observed_run(
+        fault, control, fault_rate, **fleet)
+    alerts = outcome.alerts or []
     goodput = epoch_goodput(outcome.reports)
     pre = goodput[KILL_EPOCH - 1]
     post_epoch = min(KILL_EPOCH + ALERT_RECOVERY_EPOCHS, len(goodput) - 1)
@@ -126,8 +139,8 @@ def alerting_cell(
         "fault": fault,
         "control": control,
         "fault_rate": fault_rate if fault in ("seu", "link") else 0.0,
-        "nodes": nodes,
-        "epochs": epochs,
+        "nodes": config.nodes,
+        "epochs": config.epochs,
         "windows": len(outcome.telemetry.samples) if outcome.telemetry else 0,
         "alerts_fired": sum(1 for a in alerts if a.event == "fired"),
         "alerts_resolved": sum(1 for a in alerts if a.event == "resolved"),
@@ -201,29 +214,13 @@ def alerts_report(fault: str = "kill", control: str = "alerts",
                   seed: int = DEFAULT_SEED) -> Dict[str, Any]:
     """One canonical alerting run, packaged for the CLI: the typed alert
     log, the detection scores and the ground truth it was scored against."""
-    schedule = alerting_schedule(fault, fault_rate, seed)
-    config = FleetConfig(
-        nodes=3, placement="affinity", policy="affinity", epochs=5,
-        epoch_us=600.0, autoscaler=AutoscalerConfig(enabled=False),
-        node_executor="serial", power=True,
-        chaos=ChaosConfig(schedule, recovery=True) if schedule else None,
-        spares=1, telemetry_window_us=ALERT_WINDOW_US,
-        chaos_control=control)
-    outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=300_000.0,
-                        seed=seed)
-    epoch_ns = 600.0 * 1000.0
-    truth = (schedule.ground_truth(5, range(3), config.fabrics_per_node,
-                                   epoch_ns)
-             if schedule is not None else [])
-    alerts = outcome.alerts or []
-    score = score_alerts(alerts, truth,
-                         int(round(epoch_ns * 1000.0
-                                   * DETECT_HORIZON_EPOCHS)))
+    _, outcome, truth, score, _ = _observed_run(fault, control, fault_rate,
+                                                seed=seed)
     return {
         "fault": fault,
         "control": control,
         "windows": len(outcome.telemetry.samples) if outcome.telemetry else 0,
-        "alerts": [a.as_dict() for a in alerts],
+        "alerts": [a.as_dict() for a in outcome.alerts or []],
         "truth": truth,
         "score": score,
     }

@@ -1,15 +1,13 @@
-"""The performance harness: timed benchmark runs, a stable JSON schema and
-baseline comparison.
+"""The performance harness: timed benchmark runs and a stable JSON schema.
 
 Every benchmark is a :class:`BenchSpec` — a name, a callable returning a
 throughput-style scalar (bigger is better) and a unit.  :func:`run_suite`
 executes a list of specs with repeats and returns a report dict in the
 ``duet-repro/bench-kernel/v1`` schema, which
-:func:`write_report` serializes to ``BENCH_kernel.json``.
-:func:`compare_reports` diffs a fresh report against a committed baseline
-and flags regressions beyond a tolerance — that comparison is what the CI
-perf smoke job gates on.  See ``docs/performance.md`` for the schema and
-workflow.
+:func:`write_report` serializes to ``BENCH_kernel.json``.  Regressions
+are judged by ``tools/perf_compare.py``, which pools the samples of
+reports run on the parent and the change on one host.  See
+``docs/performance.md`` for the schema and workflow.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 #: Bump only when the report layout changes incompatibly.
 SCHEMA = "duet-repro/bench-kernel/v1"
@@ -30,31 +28,29 @@ SCHEMA = "duet-repro/bench-kernel/v1"
 #: CPython-specific proxy: under a tracing JIT the send loop gets compiled
 #: to a few machine instructions and stops tracking how fast the *suite*
 #: runs, so on PyPy the calibration is skipped and reports carry
-#: ``calibration_sends_per_sec: null`` (comparisons then fall back to raw,
-#: uncalibrated ratios — only meaningful against a same-interpreter
-#: baseline).
+#: ``calibration_sends_per_sec: null`` (the trend then falls back to raw,
+#: uncalibrated values — only meaningful against a same-interpreter
+#: report).
 IS_PYPY = "__pypy__" in sys.builtin_module_names
 
 
 def interpreter_info() -> Dict[str, str]:
     """Implementation + version of the running interpreter.
 
-    Recorded in every ``BENCH_*.json`` so a baseline from one interpreter
-    is never silently compared against a run from another.
+    Recorded in every ``BENCH_*.json`` so reports from different
+    interpreters can be told apart.
     """
     return {
         "implementation": platform.python_implementation().lower(),
         "version": platform.python_version(),
     }
 
-#: Default regression tolerance (fraction of the baseline value).
-DEFAULT_TOLERANCE = 0.2
-
-#: Benchmarks that fail a gated comparison when they regress: the kernel
-#: headline number, the batched-NoC 8x8 mesh microbenchmark, and the same
-#: NoC workload with the energy-accounting hooks live — gating that one is
-#: what keeps the power layer's hot-path cost near zero.  The serving,
-#: fleet and chaos paths are gated end to end by ``bench/compare.py``.
+#: Benchmarks that fail ``tools/perf_compare.py`` when they regress: the
+#: kernel headline number, the batched-NoC 8x8 mesh microbenchmark, and the
+#: same NoC workload with the energy-accounting hooks live — gating that
+#: one is what keeps the power layer's hot-path cost near zero.  The
+#: serving, fleet and chaos paths are gated end to end by
+#: ``bench/compare.py``.
 DEFAULT_GATES = ("kernel_events_per_sec", "noc_messages_per_sec",
                  "noc_messages_per_sec_hooks_on")
 
@@ -92,9 +88,9 @@ def machine_calibration(sends: int = 200_000, repeats: int = 3) -> Optional[floa
 
     The kernel's hot path is dominated by pure-Python bytecode and
     generator sends, so this number tracks how fast the host can run the
-    suite at all.  Reports carry it, and :func:`compare_reports` divides
-    each benchmark by it before comparing — which is what makes a baseline
-    recorded on one machine meaningful on another (e.g. a CI runner).
+    suite at all.  Reports carry it, and :mod:`repro.perf.trend` divides
+    each benchmark by it — which is what lines up reports recorded on
+    different machines (e.g. a dev box and a CI runner).
 
     Returns ``None`` on PyPy (see :data:`IS_PYPY`): the JIT compiles the
     calibration loop away, so the number would wildly overstate how much
@@ -160,78 +156,3 @@ def load_report(path: str) -> Dict[str, Any]:
             f"(expected {SCHEMA!r})"
         )
     return report
-
-
-@dataclass
-class Comparison:
-    """Outcome of comparing one benchmark against the baseline."""
-
-    name: str
-    baseline: float
-    current: float
-    ratio: float          # current / baseline, calibration-normalized
-    regressed: bool
-    gated: bool
-
-
-def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
-                    tolerance: float = DEFAULT_TOLERANCE,
-                    gates: Sequence[str] = DEFAULT_GATES) -> List[Comparison]:
-    """Compare two reports benchmark-by-benchmark.
-
-    ``ratio`` is current over baseline, so > 1 is an improvement.  When
-    both reports carry a machine calibration, each value is divided by its
-    report's calibration first, so a baseline recorded on a fast dev box
-    gates correctly on a slower CI runner (only the *relative* kernel
-    overhead matters).  PyPy reports carry no calibration (see
-    :data:`IS_PYPY`), so comparisons involving one degrade to raw ratios —
-    only meaningful against a baseline from the same interpreter.  A
-    benchmark *regresses* when its ratio falls below ``1 - tolerance``;
-    only benchmarks named in ``gates`` make :func:`has_gated_regression`
-    fail.
-    """
-    current_cal = current.get("calibration_sends_per_sec")
-    baseline_cal = baseline.get("calibration_sends_per_sec")
-    scale = (baseline_cal / current_cal
-             if current_cal and baseline_cal else 1.0)
-    by_name = {bench["name"]: bench for bench in baseline.get("benchmarks", ())}
-    comparisons: List[Comparison] = []
-    for bench in current.get("benchmarks", ()):
-        base = by_name.get(bench["name"])
-        if base is None or not base.get("value"):
-            continue
-        if bench.get("params") != base.get("params"):
-            # Different problem sizes (e.g. a baseline recorded before a
-            # bench was re-parameterized) — a ratio would be meaningless
-            # and could mask a real regression behind a smaller workload.
-            continue
-        value, base_value = bench["value"], base["value"]
-        ratio = value * scale / base_value
-        comparisons.append(Comparison(
-            name=bench["name"],
-            baseline=base_value,
-            current=value,
-            ratio=ratio,
-            regressed=ratio < (1.0 - tolerance),
-            gated=bench["name"] in gates,
-        ))
-    return comparisons
-
-
-def has_gated_regression(comparisons: Sequence[Comparison]) -> bool:
-    return any(c.regressed and c.gated for c in comparisons)
-
-
-def format_comparisons(comparisons: Sequence[Comparison]) -> str:
-    lines = [f"{'benchmark':<34} {'baseline':>14} {'current':>14} {'ratio':>7}  status"]
-    for c in comparisons:
-        status = "OK"
-        if c.regressed:
-            status = "REGRESSED" if c.gated else "regressed (not gated)"
-        elif c.ratio > 1.05:
-            status = "improved"
-        lines.append(
-            f"{c.name:<34} {format(c.baseline, ',.6g'):>14} "
-            f"{format(c.current, ',.6g'):>14} {c.ratio:>6.2f}x  {status}"
-        )
-    return "\n".join(lines)

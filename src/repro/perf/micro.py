@@ -26,7 +26,7 @@ end-to-end serving and paper-figure time is measured by ``bench/run.py``.
   :class:`~repro.power.EnergyModel`: the accounting layer's own overhead.
 
 All of them return a rate (per wall second), so *higher is better* and
-regressions show up as ratios < 1 against the recorded baseline.
+regressions show up as ratios < 1 against the parent commit's runs.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ machine calibration of the box that produced it.  This module folds any
 number of them into a single trend view:
 
 * every benchmark value is divided by its report's
-  ``calibration_sends_per_sec`` first (the same normalization
-  :func:`repro.perf.harness.compare_reports` gates on), so reports
-  recorded on different machines line up;
+  ``calibration_sends_per_sec`` first, so reports recorded on different
+  machines line up;
 * each benchmark's ratio is computed against its *anchor* — its first
   appearance across the reports in the order given (oldest first), or a
   specific report selected with ``baseline_path``;
@@ -124,7 +123,7 @@ def format_trend(trend: Dict[str, Any]) -> str:
     """The trend as a fixed-width table: one row per benchmark x report.
 
     ``ratio`` is normalized so > 1 is an improvement over the benchmark's
-    anchor report, like the perf gate.
+    anchor report.
     """
     header = (f"{'benchmark':<38} {'report':<22} {'value':>14} "
               f"{'ratio':>7}  note")

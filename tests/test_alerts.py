@@ -1,8 +1,7 @@
 """Tests for the online health-monitoring layer: windowed telemetry
 streams (``repro.obs.monitor``), the declarative alert engine
 (``repro.obs.alerts``), gauge merge modes, alert-driven fleet control, the
-``alerting`` experiment's acceptance pins, and the perf/CLI wiring
-(monitor-on fleet bench, ``repro alerts``, ``repro trend``)."""
+``alerting`` experiment's acceptance pins, and the ``repro alerts`` CLI."""
 
 import json
 import os
@@ -595,7 +594,7 @@ def test_ground_truth_covers_every_epoch_node_and_sorts():
 
 
 # --------------------------------------------------------------------------- #
-# Perf + CLI wiring
+# CLI wiring
 # --------------------------------------------------------------------------- #
 def test_alerts_cli_emits_the_log_and_scores(capsys):
     from repro.api.cli import main
@@ -604,48 +603,3 @@ def test_alerts_cli_emits_the_log_and_scores(capsys):
     out = capsys.readouterr().out
     assert "slo_fast_burn" in out
     assert "recall: 1.000" in out
-
-
-def test_trend_tool_normalizes_by_calibration(tmp_path):
-    from repro.api.cli import main
-    from repro.perf.harness import SCHEMA
-    from repro.perf.trend import format_trend, load_reports, trend_report
-
-    def report(path, value, calibration, name="fleet_requests_per_sec"):
-        payload = {
-            "schema": SCHEMA, "created_at": "2026-08-08T00:00:00+00:00",
-            "mode": "full", "interpreter": {"implementation": "cpython"},
-            "calibration_sends_per_sec": calibration,
-            "benchmarks": [{"name": name, "unit": "requests/s",
-                            "direction": "higher", "value": value,
-                            "params": {}}],
-        }
-        target = tmp_path / path
-        target.write_text(json.dumps(payload))
-        return str(target)
-
-    # 2x the raw value on a 2x-faster machine = flat in calibrated terms.
-    old = report("old.json", 100.0, 1e6)
-    new = report("new.json", 200.0, 2e6)
-    trend = trend_report(load_reports([old, new]))
-    points = trend["benchmarks"]["fleet_requests_per_sec"]["points"]
-    assert points[0]["ratio"] == pytest.approx(1.0)
-    assert points[1]["ratio"] == pytest.approx(1.0)
-    assert trend["benchmarks"]["fleet_requests_per_sec"]["anchor"] == "old.json"
-    assert "anchor" in format_trend(trend)
-
-    out_file = tmp_path / "BENCH_trend.json"
-    assert main(["trend", old, new, "--out", str(out_file)]) == 0
-    written = json.loads(out_file.read_text())
-    assert written["schema"] == "duet-repro/bench-trend/v1"
-    with pytest.raises(ValueError, match="not among the inputs"):
-        trend_report(load_reports([old]), baseline_path="missing.json")
-
-
-def test_trend_rejects_unknown_report_schemas(tmp_path):
-    from repro.perf.trend import load_reports
-
-    bogus = tmp_path / "BENCH_bogus.json"
-    bogus.write_text(json.dumps({"schema": "other/v9", "benchmarks": []}))
-    with pytest.raises(ValueError, match="unknown benchmark schema"):
-        load_reports([str(bogus)])

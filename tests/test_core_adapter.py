@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import DuetError, ErrorCode, FeatureSwitches, RegisterKind, RegisterSpec
-from repro.core.control_hub import (REG_CLK_MHZ, REG_ERROR, REG_RESET, REG_STATUS,
-                                    REG_TIMEOUT)
+from repro.core.control_hub import (REG_CLK_MHZ, REG_ERROR, REG_PROGRAM, REG_RESET,
+                                    REG_STATUS, REG_TIMEOUT)
 from repro.core.shadow_registers import BOGUS_VALUE, TOKEN_AVAILABLE, TOKEN_EMPTY
 from repro.fpga import AcceleratorDesign, SoftAccelerator
 from repro.platform import DollyConfig, SystemKind, build_system
@@ -453,6 +453,27 @@ def test_control_registers_report_status_clock_and_timeout():
     assert timeout == 1234
     assert "unknown_control_writes" not in adapter.control_hub.stats.counters()
     assert not adapter.exceptions.has_error
+
+
+def test_program_register_write_latches_a_protocol_error():
+    """No image can be staged for MMIO programming, so a REG_PROGRAM write
+    latches PROTOCOL and leaves the installed design active."""
+    system = build(SystemKind.DUET)
+    system.install_accelerator(EchoAccelerator(), registers=echo_registers(), fpga_mhz=250.0)
+    adapter = system.adapter
+    installed = adapter.control_hub.programmed_bitstream
+
+    def program(ctx):
+        yield from ctx.mmio_write(adapter.control_addr(REG_PROGRAM), 1)
+        error = yield from ctx.mmio_read(adapter.control_addr(REG_ERROR))
+        status = yield from ctx.mmio_read(adapter.control_addr(REG_STATUS))
+        return error, status
+
+    (error, status), _ = system.run_single(program)
+    assert error == int(ErrorCode.PROTOCOL)
+    assert status == 1
+    assert adapter.control_hub.programmed_bitstream is installed
+    assert adapter.control_hub.stats.counters().get("programmings", 0) == 1
 
 
 def test_tlb_protects_virtualized_accelerator():

@@ -292,7 +292,7 @@ def test_clock_generator_divider_and_pll_modes():
     assert clkgen.set_divider(4) == pytest.approx(250.0)
     assert clkgen.frequency_mhz == pytest.approx(250.0)
     assert clkgen.set_frequency(333.0) == pytest.approx(333.0)
-    assert clkgen.ratio_to_system == pytest.approx(0.333)
+    assert clkgen.frequency_mhz == pytest.approx(333.0)
 
 
 def test_clock_generator_respects_fmax():
@@ -326,8 +326,12 @@ def test_scratchpad_read_write_and_timing():
 
     def body():
         start = sim.now
-        yield from scratchpad.write_burst(0, [1, 2, 3, 4])
-        values = yield from scratchpad.read_burst(0, 4)
+        for index, value in enumerate([1, 2, 3, 4]):
+            yield from scratchpad.write(index, value)
+        values = []
+        for index in range(4):
+            value = yield from scratchpad.read(index)
+            values.append(value)
         return values, sim.now - start
 
     values, elapsed = sim.run_process(body())
@@ -342,7 +346,15 @@ def test_scratchpad_bounds_checked():
     scratchpad = Scratchpad(domain, size_bytes=64, word_bytes=8)
     with pytest.raises(IndexError):
         scratchpad.peek(8)
-    scratchpad.poke(7, 99)
+
+    def body():
+        yield from scratchpad.write(7, 99)
+        with pytest.raises(IndexError):
+            yield from scratchpad.write(8, 1)
+        with pytest.raises(IndexError):
+            yield from scratchpad.read(-1)
+
+    sim.run_process(body())
     assert scratchpad.peek(7) == 99
 
 

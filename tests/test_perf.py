@@ -1,6 +1,9 @@
-"""Tests for the performance harness (repro.perf) and its CLI surface."""
+"""Tests for the performance harness (repro.perf), its CLI surface, the
+trend folder and the micro-bench gate (tools/perf_compare.py)."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -10,14 +13,16 @@ from repro.perf import (
     SCHEMA,
     SUITE,
     BenchSpec,
-    compare_reports,
-    format_comparisons,
-    has_gated_regression,
     load_report,
     run_suite,
     write_report,
 )
 from repro.perf import micro
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+
+import perf_compare  # noqa: E402
 
 
 # --------------------------------------------------------------------------- #
@@ -64,45 +69,6 @@ def test_report_roundtrip_and_schema_check(tmp_path):
         load_report(str(bad_path))
 
 
-def test_compare_reports_directions_and_gating():
-    baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    # toy_rate halves (bad), toy_const unchanged.
-    current = run_suite(_toy_suite(value=50.0), quick=True)
-    # Pin the calibrations equal: this test is about ratio/gating logic,
-    # not cross-machine normalization.
-    current["calibration_sends_per_sec"] = baseline["calibration_sends_per_sec"]
-    comparisons = compare_reports(current, baseline, tolerance=0.2,
-                                  gates=("toy_rate",))
-    by_name = {c.name: c for c in comparisons}
-    assert by_name["toy_rate"].ratio == pytest.approx(0.5)
-    assert by_name["toy_rate"].regressed and by_name["toy_rate"].gated
-    assert by_name["toy_const"].ratio == pytest.approx(1.0)
-    assert not by_name["toy_const"].regressed
-    assert has_gated_regression(comparisons)
-    assert "REGRESSED" in format_comparisons(comparisons)
-
-    # Same numbers -> no regression.
-    same = compare_reports(baseline, baseline, gates=("toy_rate",))
-    assert not has_gated_regression(same)
-
-
-def test_calibration_normalizes_cross_machine_comparisons():
-    """A slower machine (lower calibration) producing proportionally lower
-    absolute numbers must not read as a regression."""
-    baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    baseline["calibration_sends_per_sec"] = 2_000_000.0
-
-    current = run_suite(_toy_suite(value=50.0), quick=True)  # half the speed...
-    current["calibration_sends_per_sec"] = 1_000_000.0       # ...on a half-speed box
-    # toy_const is a constant 2.0 in both, so on the slower box it reads as
-    # a 2x improvement after normalization; the rate bench reads as parity.
-    comparisons = compare_reports(current, baseline, tolerance=0.2,
-                                  gates=("toy_rate",))
-    by_name = {c.name: c for c in comparisons}
-    assert by_name["toy_rate"].ratio == pytest.approx(1.0)
-    assert not has_gated_regression(comparisons)
-
-
 def test_reports_carry_machine_calibration():
     report = run_suite(_toy_suite(), quick=True)
     assert report["calibration_sends_per_sec"] > 0
@@ -121,8 +87,9 @@ def test_reports_record_the_interpreter():
 
 def test_pypy_probe_skips_calibration(monkeypatch):
     """Under PyPy the CPython-specific calibration is skipped: reports carry
-    null and comparisons degrade to raw (scale-1) ratios."""
+    null and the trend marks their points uncalibrated (raw values)."""
     from repro.perf import harness
+    from repro.perf.trend import trend_report
 
     monkeypatch.setattr(harness, "IS_PYPY", True)
     assert harness.machine_calibration() is None
@@ -132,39 +99,9 @@ def test_pypy_probe_skips_calibration(monkeypatch):
     monkeypatch.setattr(harness, "IS_PYPY", False)
     baseline = run_suite(_toy_suite(value=100.0), quick=True)
     assert baseline["calibration_sends_per_sec"] > 0
-    # Uncalibrated current vs calibrated baseline: raw ratio, no crash.
-    comparisons = compare_reports(report, baseline, gates=("toy_rate",))
-    by_name = {c.name: c for c in comparisons}
-    assert by_name["toy_rate"].ratio == pytest.approx(1.0)
-    assert not has_gated_regression(comparisons)
-
-
-def test_cli_perf_warns_on_cross_interpreter_comparison(tmp_path, monkeypatch, capsys):
-    from repro.api import cli
-    from repro import perf
-    from repro.perf import harness
-
-    monkeypatch.setattr(perf, "SUITE", _toy_suite())
-    # Pin the calibration: this test is about the warning, and two measured
-    # calibrations can differ by more than the gate's 20% on a busy host.
-    monkeypatch.setattr(harness, "machine_calibration", lambda: 1e7)
-    baseline_path = tmp_path / "baseline.json"
-    assert cli.main(["perf", "--quick", "--out", str(baseline_path)]) == 0
-    baseline = json.loads(baseline_path.read_text())
-    baseline["interpreter"] = {"implementation": "pypy", "version": "3.10.14"}
-    baseline_path.write_text(json.dumps(baseline))
-    capsys.readouterr()
-    out = tmp_path / "current.json"
-    assert cli.main(["perf", "--quick", "--out", str(out),
-                     "--baseline", str(baseline_path), "--gate", "toy_rate"]) == 0
-    assert "uncalibrated across interpreters" in capsys.readouterr().err
-
-
-def test_unknown_baseline_benchmarks_are_skipped():
-    baseline = run_suite(_toy_suite(), quick=True)
-    current = run_suite([BenchSpec(name="brand_new", fn=lambda: 1.0,
-                                   unit="x", repeats=1)], quick=True)
-    assert compare_reports(current, baseline) == []
+    trend = trend_report([("pypy.json", report), ("cpython.json", baseline)])
+    point = trend["benchmarks"]["toy_rate"]["points"][0]
+    assert point["normalized"] == 100.0 and not point["calibrated"]
 
 
 # --------------------------------------------------------------------------- #
@@ -201,7 +138,7 @@ def test_every_default_gate_is_a_suite_bench():
 # --------------------------------------------------------------------------- #
 # CLI surface
 # --------------------------------------------------------------------------- #
-def test_cli_perf_writes_report_and_gates(tmp_path, monkeypatch, capsys):
+def test_cli_perf_writes_the_report(tmp_path, monkeypatch):
     from repro.api import cli
     from repro import perf
 
@@ -211,52 +148,154 @@ def test_cli_perf_writes_report_and_gates(tmp_path, monkeypatch, capsys):
     assert cli.main(["perf", "--quick", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["schema"] == SCHEMA
-    capsys.readouterr()
+    assert [bench["name"] for bench in report["benchmarks"]] == ["toy_rate", "toy_const"]
 
-    # Gate against a baseline demanding double the throughput -> exit 1.
-    inflated = json.loads(out.read_text())
-    for bench in inflated["benchmarks"]:
-        if bench["name"] == "toy_rate":
-            bench["value"] *= 2
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(inflated))
-    code = cli.main(["perf", "--quick", "--out", str(out),
-                     "--baseline", str(baseline_path), "--gate", "toy_rate"])
+
+# --------------------------------------------------------------------------- #
+# The trend (calibration-normalized history of reports)
+# --------------------------------------------------------------------------- #
+def test_trend_tool_normalizes_by_calibration(tmp_path):
+    from repro.api.cli import main
+    from repro.perf.trend import format_trend, load_reports, trend_report
+
+    def report(path, value, calibration, name="kernel_events_per_sec"):
+        payload = {
+            "schema": SCHEMA, "created_at": "2026-08-08T00:00:00+00:00",
+            "mode": "full", "interpreter": {"implementation": "cpython"},
+            "calibration_sends_per_sec": calibration,
+            "benchmarks": [{"name": name, "unit": "events/s",
+                            "direction": "higher", "value": value,
+                            "params": {}}],
+        }
+        target = tmp_path / path
+        target.write_text(json.dumps(payload))
+        return str(target)
+
+    # 2x the raw value on a 2x-faster machine = flat in calibrated terms.
+    old = report("old.json", 100.0, 1e6)
+    new = report("new.json", 200.0, 2e6)
+    trend = trend_report(load_reports([old, new]))
+    points = trend["benchmarks"]["kernel_events_per_sec"]["points"]
+    assert points[0]["ratio"] == pytest.approx(1.0)
+    assert points[1]["ratio"] == pytest.approx(1.0)
+    assert trend["benchmarks"]["kernel_events_per_sec"]["anchor"] == "old.json"
+    assert "anchor" in format_trend(trend)
+
+    out_file = tmp_path / "BENCH_trend.json"
+    assert main(["trend", old, new, "--out", str(out_file)]) == 0
+    written = json.loads(out_file.read_text())
+    assert written["schema"] == "duet-repro/bench-trend/v1"
+    with pytest.raises(ValueError, match="not among the inputs"):
+        trend_report(load_reports([old]), baseline_path="missing.json")
+
+
+def test_trend_rejects_unknown_report_schemas(tmp_path):
+    from repro.perf.trend import load_reports
+
+    bogus = tmp_path / "BENCH_bogus.json"
+    bogus.write_text(json.dumps({"schema": "other/v9", "benchmarks": []}))
+    with pytest.raises(ValueError, match="unknown benchmark schema"):
+        load_reports([str(bogus)])
+
+
+# --------------------------------------------------------------------------- #
+# The micro-bench gate: tools/perf_compare.py on synthetic reports
+# --------------------------------------------------------------------------- #
+_SPREAD = (1.00, 1.02, 0.98, 1.01, 0.99)
+
+
+def _bench(name, scale=1.0, params=None):
+    return {"name": name, "unit": "1/s", "direction": "higher",
+            "samples": [1000.0 * scale * spread for spread in _SPREAD],
+            "params": {"size": 8} if params is None else params}
+
+
+def _gate_side(directory, benches, rounds=3, speed=1e7):
+    """``rounds`` report files holding ``benches``, as ``repro perf`` writes
+    them on a host whose calibration reads ``speed``."""
+    directory.mkdir()
+    for round_index in range(rounds):
+        report = {"schema": SCHEMA, "calibration_sends_per_sec": speed,
+                  "benchmarks": benches}
+        (directory / f"round{round_index}.json").write_text(json.dumps(report))
+    return str(directory)
+
+
+def _gate(tmp_path, parent, change, capsys, change_speed=1e7):
+    code = perf_compare.main([
+        _gate_side(tmp_path / "parent", parent),
+        _gate_side(tmp_path / "change", change, speed=change_speed)])
+    return code, capsys.readouterr().out
+
+
+def _labels(out):
+    return {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:]}
+
+
+def test_perf_compare_passes_identical_sides(tmp_path, capsys):
+    benches = [_bench(name) for name in DEFAULT_GATES] + [_bench("other")]
+    code, out = _gate(tmp_path, benches, benches, capsys)
+    assert code == 0
+    labels = _labels(out)
+    assert all(labels[name] == "unchanged" for name in DEFAULT_GATES)
+    assert labels["other"] == "info"
+    # Samples pool over every report of a side: 3 files x 5 samples.
+    assert "n=15" in out
+
+
+def test_perf_compare_scales_samples_by_host_speed(tmp_path, capsys):
+    """Half the throughput on a host whose calibration reads half as fast
+    is the same code: each sample is divided by its report's calibration."""
+    parent = [_bench(name) for name in DEFAULT_GATES]
+    change = [_bench(name, scale=0.5) for name in DEFAULT_GATES]
+    code, out = _gate(tmp_path, parent, change, capsys, change_speed=5e6)
+    assert code == 0
+    labels = _labels(out)
+    assert all(labels[name] == "unchanged" for name in DEFAULT_GATES)
+    assert "+0.0%" in out
+
+
+def test_perf_compare_fails_a_halved_gated_bench(tmp_path, capsys):
+    parent = [_bench(name) for name in DEFAULT_GATES]
+    change = [_bench(name, scale=0.5 if name == "noc_messages_per_sec" else 1.0)
+              for name in DEFAULT_GATES]
+    code, out = _gate(tmp_path, parent, change, capsys)
     assert code == 1
-    captured = capsys.readouterr()
-    assert "REGRESSED" in captured.out
+    labels = _labels(out)
+    assert labels["noc_messages_per_sec"] == "worse"
+    assert labels["kernel_events_per_sec"] == "unchanged"
+    assert "-50.0%" in out
 
 
-def test_cli_perf_refuses_to_overwrite_its_own_baseline(tmp_path, monkeypatch, capsys):
-    from repro.api import cli
-    from repro import perf
-
-    monkeypatch.setattr(perf, "SUITE", _toy_suite())
-    baseline_path = tmp_path / "BENCH_kernel.json"
-    assert cli.main(["perf", "--quick", "--out", str(baseline_path)]) == 0
-    before = baseline_path.read_text()
-    capsys.readouterr()
-    # Same file as --out (explicitly or via the default filename) -> refuse.
-    code = cli.main(["perf", "--quick", "--out", str(baseline_path),
-                     "--baseline", str(baseline_path)])
-    assert code == 2
-    assert baseline_path.read_text() == before
-    assert "refusing to overwrite" in capsys.readouterr().err
-
-
-def test_cli_perf_fails_when_gated_benchmark_is_not_comparable(tmp_path, monkeypatch, capsys):
-    """A gate that silently vanishes from the comparison must fail the run,
-    not pass vacuously."""
-    from repro.api import cli
-    from repro import perf
-
-    monkeypatch.setattr(perf, "SUITE", _toy_suite())
-    baseline_path = tmp_path / "baseline.json"
-    out = tmp_path / "current.json"
-    assert cli.main(["perf", "--quick", "--out", str(baseline_path)]) == 0
-    capsys.readouterr()
-    code = cli.main(["perf", "--quick", "--out", str(out),
-                     "--baseline", str(baseline_path),
-                     "--gate", "renamed_bench"])
+@pytest.mark.parametrize("change, label", [
+    ([_bench(name) for name in DEFAULT_GATES[1:]], "missing on the change side"),
+    ([_bench(name, params={"size": 4} if name == DEFAULT_GATES[0] else None)
+      for name in DEFAULT_GATES], "params differ"),
+], ids=["missing", "resized"])
+def test_perf_compare_fails_a_missing_or_resized_gated_bench(tmp_path, capsys,
+                                                             change, label):
+    """A gate that cannot be compared fails instead of passing vacuously."""
+    parent = [_bench(name) for name in DEFAULT_GATES]
+    code, out = _gate(tmp_path, parent, change, capsys)
     assert code == 1
-    assert "missing from the comparison" in capsys.readouterr().err
+    row = next(line for line in out.splitlines()
+               if line.startswith(DEFAULT_GATES[0]))
+    assert row.endswith(label)
+
+
+def test_perf_compare_only_informs_on_non_gated_benches(tmp_path, capsys):
+    gated = [_bench(name) for name in DEFAULT_GATES]
+    parent = gated + [_bench("other"), _bench("retired")]
+    change = gated + [_bench("other", scale=0.5), _bench("added")]
+    code, out = _gate(tmp_path, parent, change, capsys)
+    assert code == 0
+    labels = _labels(out)
+    assert labels["other"] == labels["retired"] == labels["added"] == "info"
+
+
+def test_perf_compare_fails_on_empty_report_sets(tmp_path, capsys):
+    """No reports at all is not a pass: every gate is missing on both sides."""
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    assert perf_compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    assert capsys.readouterr().out.count("missing on both sides") == len(DEFAULT_GATES)
