@@ -8,18 +8,15 @@ Subcommands:
   deviation report;
 * ``sweep``  — run with overridden parameter axes and optionally pivot the
   result into a wide table (``--pivot index columns values``);
-* ``perf``   — run the kernel/channel/NoC/energy microbenchmarks and write
-  ``BENCH_kernel.json``; see ``docs/performance.md``;
+* ``perf``   — run the kernel/channel/NoC/energy microbenchmarks and print
+  their report (``--out`` also writes it); see ``docs/performance.md``;
 * ``trace``  — re-run an experiment's canonical point with the
   :mod:`repro.obs` tracer attached and write a deterministic Chrome
   trace-event JSON (load it at https://ui.perfetto.dev); see
   ``docs/observability.md``;
 * ``alerts`` — run one telemetry-observed chaos fleet and print the typed
   alert log plus its detection scores against the injected fault
-  schedule; see ``docs/alerting.md``;
-* ``trend``  — fold ``BENCH_*.json`` perf reports into a single
-  calibration-normalized performance trend table; see
-  ``docs/performance.md``.
+  schedule; see ``docs/alerting.md``.
 
 Parameters are passed as repeated ``-p name=value`` flags; comma-separated
 values sweep an axis (``-p fpga_mhz=100,200,500``).  ``--cache DIR`` enables
@@ -141,20 +138,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    out_path = args.out or perf.BENCH_FILENAME
     progress = None if args.json else (lambda line: print(line, file=sys.stderr))
     report = perf.run_suite(perf.SUITE, quick=args.quick, progress=progress)
-    perf.write_report(report, out_path)
+    if args.out:
+        perf.write_report(report, args.out)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(format_table(
-            ["Benchmark", "Value", "Unit", "Direction"],
-            [[bench["name"], format(bench["value"], ",.6g"), bench["unit"],
-              bench["direction"]] for bench in report["benchmarks"]],
+            ["Benchmark", "Value", "Unit"],
+            [[bench["name"], format(bench["value"], ",.6g"), bench["unit"]]
+             for bench in report["benchmarks"]],
             title=f"Performance suite ({report['mode']} mode)",
         ))
-        print(f"wrote {out_path}", file=sys.stderr)
+        if args.out:
+            print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -205,24 +203,6 @@ def cmd_alerts(args: argparse.Namespace) -> int:
     print(f"faults: {score['faults']}  detected: {score['detected']}  "
           f"recall: {score['recall']:.3f}  precision: {score['precision']:.3f}  "
           f"false alarms: {score['false_alarms']}")
-    return 0
-
-
-def cmd_trend(args: argparse.Namespace) -> int:
-    # Lazy import: the trend tool only needs the perf report schema.
-    from repro.perf.trend import format_trend, load_reports, trend_report
-
-    reports = load_reports(args.reports)
-    trend = trend_report(reports, baseline_path=args.baseline_report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(json.dumps(trend, indent=2, sort_keys=True))
-        print(f"wrote trend over {len(trend['reports'])} reports to {args.out}",
-              file=sys.stderr)
-    if args.json and not args.out:
-        print(json.dumps(trend, indent=2, sort_keys=True))
-    elif not args.out or args.verbose:
-        print(format_trend(trend))
     return 0
 
 
@@ -289,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_perf = subparsers.add_parser(
-        "perf", help="run the performance suite and write BENCH_kernel.json")
+        "perf", help="run the performance microbenchmark suite")
     p_perf.add_argument("--quick", action="store_true",
                         help="reduced sizes/repeats (CI smoke mode)")
     p_perf.add_argument("--out", metavar="FILE", default=None,
-                        help="report path (default: BENCH_kernel.json)")
+                        help="also write the JSON report to FILE")
     p_perf.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     p_perf.set_defaults(func=cmd_perf)
@@ -332,23 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_alerts.add_argument("--out", metavar="FILE", default=None,
                           help="write the JSON report to FILE")
     p_alerts.set_defaults(func=cmd_alerts)
-
-    p_trend = subparsers.add_parser(
-        "trend", help="fold BENCH_*.json perf reports into one "
-                      "calibration-normalized trend table")
-    p_trend.add_argument("reports", nargs="+", metavar="BENCH.json",
-                         help="perf reports, oldest first (e.g. "
-                              "BENCH_kernel.json bench-current.json)")
-    p_trend.add_argument("--baseline-report", default=None, metavar="FILE",
-                         help="report whose values anchor every ratio "
-                              "(default: each benchmark's first appearance)")
-    p_trend.add_argument("--json", action="store_true",
-                         help="emit the trend as JSON instead of a table")
-    p_trend.add_argument("--out", metavar="FILE", default=None,
-                         help="write the trend JSON to FILE")
-    p_trend.add_argument("--verbose", action="store_true",
-                         help="also print the table when --out is given")
-    p_trend.set_defaults(func=cmd_trend)
 
     return parser
 

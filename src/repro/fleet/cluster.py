@@ -37,6 +37,7 @@ from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.node import NodeSpec, TenantShare, simulate_node
 from repro.fleet.router import Router, make_placement
 from repro.obs.metrics import MetricsSnapshot
+from repro.serve.scheduler import ServeConfig
 from repro.serve.slo import TenantAccount, tenant_rows
 from repro.serve.traffic import TenantSpec, open_loop_rates
 
@@ -121,6 +122,13 @@ class FleetConfig:
                 raise ValueError(
                     "autoscaler signal='alerts' needs telemetry_window_us set")
         make_placement(self.placement)  # fail fast on typos
+        # The node-serving fields are checked by the ServeConfig every node
+        # builds from them; build one here so a bad value fails now, not in
+        # the first node simulation (possibly inside a pool worker).
+        ServeConfig(policy=self.policy, num_fabrics=self.fabrics_per_node,
+                    system_mhz=self.system_mhz, fpga_mhz=self.fpga_mhz,
+                    queue_capacity=self.queue_capacity,
+                    patience_ns=self.patience_ns)
 
     def initial_nodes(self) -> List[NodeSpec]:
         count = (max(self.autoscaler.min_nodes, 1)

@@ -1,11 +1,12 @@
-"""Microbenchmarks and the tracked perf baseline (``BENCH_kernel.json``).
+"""The microbenchmark suite: kernel, channel, NoC and energy layers.
 
-``python -m repro perf`` runs this suite and writes the report.  The suite
-times the kernel, channel, NoC and energy layers on their own; end-to-end
-serving and paper-figure time is ``bench/run.py``'s.  The CI
-``bench-gate`` job runs both on the parent commit and on the change and
-fails on a gated regression (``tools/perf_compare.py`` for this suite).
-See ``docs/performance.md`` for the workflow and schema.
+``python -m repro perf`` runs this suite and prints its report
+(``--out FILE`` also writes it).  The suite times those layers on their
+own; end-to-end serving and paper-figure time is ``bench/run.py``'s.
+There is no committed baseline: the CI ``bench-gate`` job runs both on
+the parent commit and on the change, on one host, and fails on a gated
+regression (``tools/perf_compare.py`` for this suite).  See
+``docs/performance.md`` for the workflow and schema.
 """
 
 from repro.perf.harness import (
@@ -18,15 +19,12 @@ from repro.perf.harness import (
 )
 from repro.perf import micro
 
-#: Default output filename for the tracked baseline artifact.
-BENCH_FILENAME = "BENCH_kernel.json"
-
 #: The standard suite, in execution order.  ``kernel_events_per_sec`` is the
 #: headline (and CI-gated) number.
 SUITE = [
     # The microbenchmarks keep identical problem sizes in quick mode (only
-    # the repeat count drops) so a --quick CI run lines up with the
-    # committed full-mode baseline in the trend.
+    # the repeat count drops), so quick and full reports of one bench
+    # share their params.
     BenchSpec(
         name="kernel_events_per_sec",
         fn=micro.kernel_throughput,
@@ -104,7 +102,6 @@ SUITE = [
 ]
 
 __all__ = [
-    "BENCH_FILENAME",
     "SUITE",
     "BenchSpec",
     "DEFAULT_GATES",

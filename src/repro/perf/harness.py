@@ -3,10 +3,10 @@
 Every benchmark is a :class:`BenchSpec` — a name, a callable returning a
 throughput-style scalar (bigger is better) and a unit.  :func:`run_suite`
 executes a list of specs with repeats and returns a report dict in the
-``duet-repro/bench-kernel/v1`` schema, which
-:func:`write_report` serializes to ``BENCH_kernel.json``.  Regressions
-are judged by ``tools/perf_compare.py``, which pools the samples of
-reports run on the parent and the change on one host.  See
+``duet-repro/bench-kernel/v1`` schema, which :func:`write_report`
+serializes (``repro perf --out``) and :func:`load_report` reads back.
+Regressions are judged by ``tools/perf_compare.py``, which pools the
+samples of reports run on the parent and the change on one host.  See
 ``docs/performance.md`` for the schema and workflow.
 """
 
@@ -28,16 +28,16 @@ SCHEMA = "duet-repro/bench-kernel/v1"
 #: CPython-specific proxy: under a tracing JIT the send loop gets compiled
 #: to a few machine instructions and stops tracking how fast the *suite*
 #: runs, so on PyPy the calibration is skipped and reports carry
-#: ``calibration_sends_per_sec: null`` (the trend then falls back to raw,
-#: uncalibrated values — only meaningful against a same-interpreter
-#: report).
+#: ``calibration_sends_per_sec: null`` (``tools/perf_compare.py`` then
+#: pools their raw samples — only meaningful against same-interpreter
+#: reports).
 IS_PYPY = "__pypy__" in sys.builtin_module_names
 
 
 def interpreter_info() -> Dict[str, str]:
     """Implementation + version of the running interpreter.
 
-    Recorded in every ``BENCH_*.json`` so reports from different
+    Recorded in every perf report so reports from different
     interpreters can be told apart.
     """
     return {
@@ -88,9 +88,9 @@ def machine_calibration(sends: int = 200_000, repeats: int = 3) -> Optional[floa
 
     The kernel's hot path is dominated by pure-Python bytecode and
     generator sends, so this number tracks how fast the host can run the
-    suite at all.  Reports carry it, and :mod:`repro.perf.trend` divides
-    each benchmark by it — which is what lines up reports recorded on
-    different machines (e.g. a dev box and a CI runner).
+    suite at all.  Reports carry it, and ``tools/perf_compare.py`` divides
+    each sample by it, so a shared host's speed swings between the
+    parent's and the change's runs do not read as a regression.
 
     Returns ``None`` on PyPy (see :data:`IS_PYPY`): the JIT compiles the
     calibration loop away, so the number would wildly overstate how much

@@ -84,7 +84,7 @@ class ScratchpadAccelerator(SoftAccelerator):
         description="Scratchpad memory + DMA-style engine for the Sec. V-C studies",
     )
 
-    def __init__(self, use_soft_cache_port: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__("synthetic-scratchpad")
         self.echo_count = 0
 
@@ -168,7 +168,7 @@ class ScalabilityResult:
     per_processor_mbytes_per_s: float
 
 
-def _build(kind: SystemKind, processors: int, fpga_mhz: float, soft_cache: bool):
+def _build(kind: SystemKind, processors: int, fpga_mhz: float):
     if kind is SystemKind.DUET:
         config = DollyConfig.dolly(processors, 1, fpga_mhz=fpga_mhz)
     else:
@@ -179,7 +179,6 @@ def _build(kind: SystemKind, processors: int, fpga_mhz: float, soft_cache: bool)
         accelerator,
         registers=synthetic_registers(),
         fpga_mhz=fpga_mhz,
-        soft_cache=(True if (soft_cache and kind is SystemKind.DUET) else None),
     )
     system.start_accelerator()
     return system, accelerator
@@ -205,7 +204,7 @@ def measure_latency(mechanism: str, fpga_mhz: float,
         raise ValueError(f"unknown latency mechanism {mechanism!r}")
     slow = mechanism.endswith("_slow") or mechanism == "normal_reg"
     kind = SystemKind.FPSOC if mechanism.endswith("_slow") else SystemKind.DUET
-    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz, soft_cache=False)
+    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     buffer_a = system.memory.allocate(4096, align=4096)
     buffer_b = system.memory.allocate(4096, align=4096)
@@ -277,9 +276,7 @@ def measure_bandwidth(mechanism: str, fpga_mhz: float, quad_words: int = QUAD_WO
     if mechanism not in BANDWIDTH_MECHANISMS:
         raise ValueError(f"unknown bandwidth mechanism {mechanism!r}")
     kind = SystemKind.FPSOC if mechanism.endswith("_slow") or mechanism == "normal_reg" else SystemKind.DUET
-    if mechanism == "normal_reg":
-        kind = SystemKind.FPSOC
-    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz, soft_cache=False)
+    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     bytes_moved = quad_words * WORD_BYTES
     buffer_a = system.memory.allocate(bytes_moved, align=4096)
@@ -346,7 +343,7 @@ def measure_register_scalability(
     if operation not in ("read", "write"):
         raise ValueError("operation must be 'read' or 'write'")
     kind = SystemKind.DUET if mechanism == "shadow_reg" else SystemKind.FPSOC
-    system, _ = _build(kind, processors=num_processors, fpga_mhz=fpga_mhz, soft_cache=False)
+    system, _ = _build(kind, processors=num_processors, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     target = adapter.register_addr(REG_PLAIN_A)
     payload = _payload_words(accesses_per_processor, seed)

@@ -79,6 +79,19 @@ def test_spec_validation():
         make_placement("round_robin")
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"policy": "bogus"}, "scheduling policy"),
+    ({"queue_capacity": 0}, "queue_capacity"),
+    ({"fabrics_per_node": 0}, "fabric"),
+    ({"policy": "affinity", "patience_ns": -1.0}, "patience_ns"),
+], ids=["policy", "queue_capacity", "fabrics_per_node", "patience_ns"])
+def test_fleet_config_rejects_bad_node_serving_fields(fields, match):
+    """A bad per-node serving field fails when the FleetConfig is built,
+    not when the first node simulates."""
+    with pytest.raises(ValueError, match=match):
+        FleetConfig(**fields)
+
+
 def test_node_seed_streams_are_distinct_and_bounded():
     seeds = {node_seed(2023, node, epoch)
              for node in range(16) for epoch in range(8)}

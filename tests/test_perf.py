@@ -1,5 +1,5 @@
-"""Tests for the performance harness (repro.perf), its CLI surface, the
-trend folder and the micro-bench gate (tools/perf_compare.py)."""
+"""Tests for the performance harness (repro.perf), its CLI surface and the
+micro-bench gate (tools/perf_compare.py)."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from repro.perf import (
-    BENCH_FILENAME,
     DEFAULT_GATES,
     SCHEMA,
     SUITE,
@@ -57,7 +56,7 @@ def test_run_suite_schema_and_modes():
 
 def test_report_roundtrip_and_schema_check(tmp_path):
     report = run_suite(_toy_suite(), quick=True)
-    path = tmp_path / BENCH_FILENAME
+    path = tmp_path / "report.json"
     write_report(report, str(path))
     loaded = load_report(str(path))
     assert loaded == report
@@ -85,23 +84,19 @@ def test_reports_record_the_interpreter():
     assert harness.IS_PYPY == (interp["implementation"] == "pypy")
 
 
-def test_pypy_probe_skips_calibration(monkeypatch):
+def test_pypy_probe_skips_calibration(monkeypatch, tmp_path):
     """Under PyPy the CPython-specific calibration is skipped: reports carry
-    null and the trend marks their points uncalibrated (raw values)."""
+    null and the micro-bench gate pools their raw samples."""
     from repro.perf import harness
-    from repro.perf.trend import trend_report
 
     monkeypatch.setattr(harness, "IS_PYPY", True)
     assert harness.machine_calibration() is None
     report = run_suite(_toy_suite(value=100.0), quick=True)
     assert report["calibration_sends_per_sec"] is None
 
-    monkeypatch.setattr(harness, "IS_PYPY", False)
-    baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    assert baseline["calibration_sends_per_sec"] > 0
-    trend = trend_report([("pypy.json", report), ("cpython.json", baseline)])
-    point = trend["benchmarks"]["toy_rate"]["points"][0]
-    assert point["normalized"] == 100.0 and not point["calibrated"]
+    path = tmp_path / "pypy.json"
+    write_report(report, str(path))
+    assert perf_compare.pool(str(path))["toy_rate"]["samples"] == [100.0]
 
 
 # --------------------------------------------------------------------------- #
@@ -144,58 +139,23 @@ def test_cli_perf_writes_the_report(tmp_path, monkeypatch):
 
     # Substitute a fast suite so the CLI path stays quick under test.
     monkeypatch.setattr(perf, "SUITE", _toy_suite())
-    out = tmp_path / "BENCH_kernel.json"
+    out = tmp_path / "report.json"
     assert cli.main(["perf", "--quick", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["schema"] == SCHEMA
     assert [bench["name"] for bench in report["benchmarks"]] == ["toy_rate", "toy_const"]
 
 
-# --------------------------------------------------------------------------- #
-# The trend (calibration-normalized history of reports)
-# --------------------------------------------------------------------------- #
-def test_trend_tool_normalizes_by_calibration(tmp_path):
-    from repro.api.cli import main
-    from repro.perf.trend import format_trend, load_reports, trend_report
+def test_cli_perf_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    from repro.api import cli
+    from repro import perf
 
-    def report(path, value, calibration, name="kernel_events_per_sec"):
-        payload = {
-            "schema": SCHEMA, "created_at": "2026-08-08T00:00:00+00:00",
-            "mode": "full", "interpreter": {"implementation": "cpython"},
-            "calibration_sends_per_sec": calibration,
-            "benchmarks": [{"name": name, "unit": "events/s",
-                            "direction": "higher", "value": value,
-                            "params": {}}],
-        }
-        target = tmp_path / path
-        target.write_text(json.dumps(payload))
-        return str(target)
-
-    # 2x the raw value on a 2x-faster machine = flat in calibrated terms.
-    old = report("old.json", 100.0, 1e6)
-    new = report("new.json", 200.0, 2e6)
-    trend = trend_report(load_reports([old, new]))
-    points = trend["benchmarks"]["kernel_events_per_sec"]["points"]
-    assert points[0]["ratio"] == pytest.approx(1.0)
-    assert points[1]["ratio"] == pytest.approx(1.0)
-    assert trend["benchmarks"]["kernel_events_per_sec"]["anchor"] == "old.json"
-    assert "anchor" in format_trend(trend)
-
-    out_file = tmp_path / "BENCH_trend.json"
-    assert main(["trend", old, new, "--out", str(out_file)]) == 0
-    written = json.loads(out_file.read_text())
-    assert written["schema"] == "duet-repro/bench-trend/v1"
-    with pytest.raises(ValueError, match="not among the inputs"):
-        trend_report(load_reports([old]), baseline_path="missing.json")
-
-
-def test_trend_rejects_unknown_report_schemas(tmp_path):
-    from repro.perf.trend import load_reports
-
-    bogus = tmp_path / "BENCH_bogus.json"
-    bogus.write_text(json.dumps({"schema": "other/v9", "benchmarks": []}))
-    with pytest.raises(ValueError, match="unknown benchmark schema"):
-        load_reports([str(bogus)])
+    monkeypatch.setattr(perf, "SUITE", _toy_suite())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["perf", "--quick"]) == 0
+    assert cli.main(["perf", "--quick", "--json"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "toy_rate" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------- #
@@ -299,3 +259,12 @@ def test_perf_compare_fails_on_empty_report_sets(tmp_path, capsys):
     (tmp_path / "change").mkdir()
     assert perf_compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
     assert capsys.readouterr().out.count("missing on both sides") == len(DEFAULT_GATES)
+
+
+def test_perf_compare_rejects_unknown_report_schemas(tmp_path, capsys):
+    """A report in another schema is an error, not pooled or a KeyError."""
+    parent = _gate_side(tmp_path / "parent", [_bench(name) for name in DEFAULT_GATES])
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"schema": "other/v9", "benchmarks": []}))
+    assert perf_compare.main([parent, str(bogus)]) == 1
+    assert "other/v9" in capsys.readouterr().err

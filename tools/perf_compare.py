@@ -13,7 +13,8 @@ as ``info``.
 
 The exit code is 1 when a gated row is ``worse``, or when a gated
 benchmark is missing on one side or was run with different ``params``
-on the two sides (a gate must not pass vacuously).
+on the two sides (a gate must not pass vacuously), or when a report is
+not in the ``repro.perf`` schema.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 from compare import _side, classify  # noqa: E402
-from repro.perf.harness import DEFAULT_GATES  # noqa: E402
+from repro.perf.harness import DEFAULT_GATES, load_report  # noqa: E402
 
 #: Share of the parent's median a gated benchmark may lose.
 BOUND = 0.2
@@ -42,7 +43,7 @@ def pool(path: str) -> Dict[str, Dict[str, Any]]:
     files = sorted(target.glob("*.json")) if target.is_dir() else [target]
     pooled: Dict[str, Dict[str, Any]] = {}
     for file in files:
-        report = json.loads(file.read_text(encoding="utf-8"))
+        report = load_report(str(file))
         # A shared host changes speed by up to 2x from one run to the
         # next; raw samples of identical code then differ by more than
         # the bound.  PyPy reports carry no calibration and stay raw.
@@ -95,7 +96,11 @@ def main(argv: List[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    rows = compare(pool(argv[0]), pool(argv[1]))
+    try:
+        rows = compare(pool(argv[0]), pool(argv[1]))
+    except ValueError as error:  # a report in another schema
+        print(error, file=sys.stderr)
+        return 1
     header = ("benchmark", "A", "B", "change", "label")
     widths = [max(len(row[index]) for row in rows + [header])
               for index in range(len(header))]
