@@ -10,10 +10,10 @@ Subcommands:
   result into a wide table (``--pivot index columns values``);
 * ``perf``   — run the kernel/channel/NoC/energy microbenchmarks and print
   their report (``--out`` also writes it); see ``docs/performance.md``;
-* ``trace``  — re-run an experiment's canonical point with the
-  :mod:`repro.obs` tracer attached and write a deterministic Chrome
-  trace-event JSON (load it at https://ui.perfetto.dev); see
-  ``docs/observability.md``;
+* ``trace``  — run one cell of a registered experiment (its first grid
+  point unless ``-p`` pins another) with the :mod:`repro.obs` tracer
+  attached and write a deterministic Chrome trace-event JSON (load it at
+  https://ui.perfetto.dev); see ``docs/observability.md``;
 * ``alerts`` — run one telemetry-observed chaos fleet and print the typed
   alert log plus its detection scores against the injected fault
   schedule; see ``docs/alerting.md``.
@@ -37,7 +37,8 @@ from repro import perf
 from repro.analysis.reporting import format_table
 from repro.api.registry import get_experiment, list_experiments
 from repro.api.results import ResultSet
-from repro.api.runner import EXECUTORS, Runner
+from repro.api.runner import EXECUTORS, Runner, trace_experiment
+from repro.obs.alerting import DEFAULT_SEED, alerts_report
 
 
 def _parse_scalar(text: str) -> Any:
@@ -157,12 +158,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    # Lazy import, same rationale as cmd_perf: `repro list` stays light.
-    from repro.obs.experiments import DEFAULT_SEED, trace_experiment
-
-    overrides = parse_params(args.param)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    tracer = trace_experiment(args.experiment, seed=seed, overrides=overrides)
+    tracer = trace_experiment(args.experiment, seed=args.seed,
+                              overrides=parse_params(args.param))
     payload = tracer.to_json()
     if args.out:
         with open(args.out, "w") as handle:
@@ -175,9 +172,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_alerts(args: argparse.Namespace) -> int:
-    # Lazy import, same rationale as cmd_perf: `repro list` stays light.
-    from repro.obs.alerting import DEFAULT_SEED, alerts_report
-
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = alerts_report(fault=args.fault, control=args.control,
                            fault_rate=args.fault_rate, seed=seed)
@@ -279,16 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.set_defaults(func=cmd_perf)
 
     p_trace = subparsers.add_parser(
-        "trace", help="record a Chrome trace of one experiment's run")
+        "trace", help="record a Chrome trace of one cell of an experiment")
     p_trace.add_argument("experiment",
-                        help="traceable experiment name (serve_policy, "
-                             "reconfig, chaos, fleet_scaling, "
-                             "latency_decomposition, ...)")
+                        help="experiment whose cell takes a tracer "
+                             "(serve_policy, serve_energy, reconfig, chaos, "
+                             "fleet_scaling, latency_decomposition)")
     p_trace.add_argument("-p", "--param", action="append", metavar="NAME=VALUE",
-                        help="override a driver parameter "
-                             "(policy, duration_us, regions, fault_rate, ...)")
+                        help="pin a grid axis or fixed parameter of the "
+                             "traced cell to one value (default: the "
+                             "experiment's first cell)")
     p_trace.add_argument("--seed", type=int, default=None,
-                        help="override the trace run's seed")
+                        help="override the experiment seed")
     p_trace.add_argument("--out", metavar="FILE", default=None,
                         help="write the trace JSON to FILE (default: stdout)")
     p_trace.set_defaults(func=cmd_trace)

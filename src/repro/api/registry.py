@@ -1,12 +1,11 @@
 """The global experiment registry.
 
-Importing this module registers every experiment of the paper's evaluation:
-
-* the six paper experiments — ``table1``, ``table2``, ``fig9``, ``fig10``,
-  ``fig11`` and ``fig12``;
-* one ``app/<name>`` experiment per Fig. 12 application configuration
-  (``app/tangent`` .. ``app/bfs/16``) sweeping the three system kinds
-  (processor-only, FPSoC, Duet).
+Importing this module registers every experiment: the six of the paper's
+evaluation — ``table1``, ``table2``, ``fig9``, ``fig10``, ``fig11`` and
+``fig12`` (one cell per application configuration, each run on the three
+system kinds) — plus the NoC, power, serving, fleet, reconfig, chaos and
+observability sweeps.  The registry is the only definition of an
+experiment: ``repro trace`` runs a registered cell with a tracer attached.
 
 Cell functions are module-level so :class:`repro.api.runner.Runner` can ship
 them to a ``ProcessPoolExecutor``.  Use :func:`register_experiment` either
@@ -43,7 +42,6 @@ from repro.noc.topology import TOPOLOGY_KINDS
 from repro.platform.area import TABLE1_ROWS, AreaModel
 from repro.platform.config import SystemKind
 from repro.sim.stats import geometric_mean
-from repro.workloads.common import WorkloadParams
 from repro.workloads.synthetic import (
     BANDWIDTH_MECHANISMS,
     DEFAULT_SEED,
@@ -331,50 +329,6 @@ def noc_scaling_cell(topology: str, size: int, injection_rate: float,
         seed=seed,
     )
     return [result.as_row()]
-
-
-# --------------------------------------------------------------------------- #
-# Per-application experiments (one per Fig. 12 configuration)
-# --------------------------------------------------------------------------- #
-_JSON_SCALARS = (int, float, str, bool, type(None))
-
-
-def app_cell(benchmark: str, system: str, seed: int = DEFAULT_SEED) -> Rows:
-    """Run one application on one system kind; one row per run."""
-    config = _APP_BY_LABEL[benchmark]
-    kind = SystemKind(system)
-    params = WorkloadParams(num_processors=config.processors,
-                            num_memory_hubs=config.memory_hubs, seed=seed)
-    result = config.runner(kind, params, **config.kwargs)
-    return [{
-        "benchmark": config.label,
-        "system": kind.value,
-        "system_name": result.system_name,
-        "runtime_ns": result.runtime_ns,
-        "correct": result.correct,
-        "checksum": result.checksum if isinstance(result.checksum, _JSON_SCALARS)
-                    else repr(result.checksum),
-        "num_processors": result.num_processors,
-        "num_memory_hubs": result.num_memory_hubs,
-        "fpga_mhz": result.fpga_mhz,
-        "efpga_area_mm2": result.efpga_area_mm2,
-        "chip_area_mm2": result.chip_area_mm2,
-    }]
-
-
-for _config in APPLICATION_CONFIGS:
-    register_experiment(ExperimentSpec(
-        name=f"app/{_config.label}",
-        cell=app_cell,
-        title=f"Application benchmark {_config.label} "
-              f"(P{_config.processors}M{_config.memory_hubs})",
-        description=f"Runs {_config.label} on the CPU-only, FPSoC and Duet systems.",
-        grid={"system": tuple(kind.value for kind in
-                              (SystemKind.CPU_ONLY, SystemKind.FPSOC, SystemKind.DUET))},
-        fixed={"benchmark": _config.label, "seed": DEFAULT_SEED},
-        tags=("application",),
-    ))
-del _config
 
 
 # --------------------------------------------------------------------------- #

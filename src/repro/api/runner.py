@@ -17,6 +17,10 @@ The :class:`Runner` turns an :class:`~repro.api.spec.ExperimentSpec` into a
   measured before is served from ``<cache_dir>/<experiment>/<sha256[:16]>.json``
   without re-simulation.
 
+:func:`trace_experiment` (``python -m repro trace``) runs one cell of a
+registered experiment whose cell takes a ``tracer`` with a fresh
+:class:`~repro.obs.trace.Tracer` attached, and returns the tracer.
+
 Cache layout::
 
     <cache_dir>/
@@ -29,15 +33,17 @@ Cache layout::
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.api.registry import get_experiment
+from repro.api.registry import get_experiment, list_experiments
 from repro.api.results import ResultSet, Row, RunStats
 from repro.api.spec import ExperimentSpec, Rows
+from repro.obs.trace import Tracer
 
 #: Bump when row schemas change incompatibly; invalidates every cache entry.
 CACHE_SCHEMA_VERSION = 1
@@ -210,3 +216,38 @@ class Runner:
 def run_experiment(experiment: Union[str, ExperimentSpec], **overrides: Any) -> ResultSet:
     """Convenience one-shot: serial runner, no caching."""
     return Runner().run(experiment, **overrides)
+
+
+def _traceable(spec: ExperimentSpec) -> bool:
+    return "tracer" in inspect.signature(spec.cell).parameters
+
+
+def trace_experiment(experiment: str, seed: Optional[int] = None,
+                     overrides: Optional[Mapping[str, Any]] = None) -> Tracer:
+    """Run one cell of ``experiment`` with a fresh tracer attached; return it.
+
+    The traced cell is ``spec.cells(overrides)[0]``: the spec's first grid
+    point unless ``overrides`` pin another, so a trace records exactly the
+    run ``repro run`` measures there (the tracer never moves a row).  A
+    trace is one run, so an override with several values is rejected.
+    ``seed`` applies as in :meth:`Runner.run`.  The tracer's ``to_json``
+    bytes depend only on the experiment, the seed and the overrides.
+    """
+    spec = get_experiment(experiment)
+    if not _traceable(spec):
+        known = ", ".join(sorted(s.name for s in list_experiments()
+                                 if _traceable(s)))
+        raise KeyError(f"experiment {spec.name!r} cannot be traced; "
+                       f"traceable experiments: {known}")
+    overrides = dict(overrides or {})
+    swept = sorted(name for name, value in overrides.items()
+                   if isinstance(value, (list, tuple, set, range))
+                   and len(value) > 1)
+    if swept:
+        raise ValueError(f"a trace is one run; parameters {swept} "
+                         f"take one value each")
+    if seed is not None and "seed" in spec.parameters:
+        overrides.setdefault("seed", seed)
+    tracer = Tracer()
+    spec.cell(tracer=tracer, **spec.cells(overrides)[0])
+    return tracer

@@ -21,7 +21,7 @@ process bit-identical because every fault draw resolves in the parent
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.inject import ChaosConfig
 from repro.chaos.schedule import FaultSchedule, FaultSpec, noise_specs
@@ -71,6 +71,7 @@ def chaos_cell(
     rate_krps: float = 300.0,
     node_executor: str = "serial",
     seed: int = DEFAULT_SEED,
+    tracer: Optional[Any] = None,
 ) -> List[Dict[str, Any]]:
     """One chaos fleet run; returns merged rows + recovery columns."""
     config = FleetConfig(
@@ -89,6 +90,7 @@ def chaos_cell(
         config, FLEET_TENANTS, total_rate_rps=rate_krps * 1000.0, seed=seed,
         extra_columns={"fault_rate": fault_rate, "policy": policy,
                        "recovery": recovery},
+        tracer=tracer,
     )
     goodput = epoch_goodput(outcome.reports)
     pre = goodput[KILL_EPOCH - 1]

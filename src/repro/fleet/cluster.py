@@ -37,7 +37,7 @@ from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.node import NodeSpec, TenantShare, simulate_node
 from repro.fleet.router import Router, make_placement
 from repro.obs.metrics import MetricsSnapshot
-from repro.serve.scheduler import ServeConfig
+from repro.serve.scheduler import FAULT_COUNTERS, ServeConfig
 from repro.serve.slo import TenantAccount, tenant_rows
 from repro.serve.traffic import TenantSpec, open_loop_rates
 
@@ -563,8 +563,7 @@ def _merge_reports(reports: List[Dict[str, Any]], metrics: MetricsSnapshot,
     if config.power:
         totals["energy_nj"] = sum(r["energy_pj"] for r in ordered) / 1000.0
     if chaos:
-        for key in ("faults_injected", "fabric_faults", "requests_lost",
-                    "seu_scrubs", "link_faults"):
+        for key in FAULT_COUNTERS:
             totals[key] = metrics.counters[key]
         totals["spare_us"] = sum(
             r["cost_weight"] * epoch_ns / 1000.0 for r in ordered if r["spare"])

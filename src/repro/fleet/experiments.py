@@ -77,6 +77,7 @@ def fleet_scaling_cell(
     node_executor: str = "serial",
     workers: Optional[int] = None,
     seed: int = DEFAULT_SEED,
+    tracer: Optional[Any] = None,
 ) -> List[Dict[str, Any]]:
     population = ClientPopulation(clients=clients, think_ms=think_ms,
                                   thin_factor=thin_factor)
@@ -118,6 +119,7 @@ def fleet_scaling_cell(
             "offered_mrps": population.offered_rps / 1e6,
             "thinned_krps": population.thinned_rps / 1e3,
         },
+        tracer=tracer,
     )
     for row in outcome.rows:
         row["scale_events"] = len(outcome.autoscaler.events)

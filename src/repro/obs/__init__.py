@@ -19,8 +19,8 @@ The cross-cutting layer the serving stack reports through:
   (threshold / multi-window SLO burn-rate / EWMA z-score) evaluated
   on-stream by an :class:`AlertEngine` with a typed alert log, trace
   export and ground-truth scoring (:func:`score_alerts`);
-* :mod:`repro.obs.experiments` — the ``latency_decomposition`` cell and
-  the ``python -m repro trace`` drivers;
+* :mod:`repro.obs.experiments` — the ``latency_decomposition`` cell
+  (``python -m repro trace`` is :func:`repro.api.runner.trace_experiment`);
 * :mod:`repro.obs.alerting` — the ``alerting`` detection-quality
   experiment and the ``python -m repro alerts`` driver.
 

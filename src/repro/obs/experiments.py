@@ -1,4 +1,4 @@
-"""The ``latency_decomposition`` experiment and the ``trace`` CLI drivers.
+"""The ``latency_decomposition`` experiment.
 
 ``latency_decomposition`` answers the question the aggregate serve rows
 cannot: *where does a request's latency actually go?*  Each cell runs one
@@ -11,12 +11,6 @@ point (``affinity``, fault-free) cross-checks the trace-derived program
 share against the scheduler's own ``reconfig_overhead`` accounting — two
 independent code paths agreeing on the same number.
 
-``trace_experiment`` is the driver behind ``python -m repro trace``: it
-re-runs a named experiment's canonical point with a
-:class:`~repro.obs.trace.Tracer` attached and returns the tracer, whose
-:meth:`~repro.obs.trace.Tracer.to_json` bytes are deterministic for a
-given seed.
-
 Cells are module-level and seed-deterministic (picklable for the
 process-pool executor).  This module must not import :mod:`repro.api` —
 the registry imports *us*.
@@ -24,7 +18,7 @@ the registry imports *us*.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.inject import ChaosConfig
 from repro.chaos.schedule import FaultSchedule, noise_specs
@@ -56,13 +50,16 @@ def latency_decomposition_cell(
     arrival_rate_krps: float = DECOMPOSE_RATE_KRPS,
     duration_us: float = DECOMPOSE_DURATION_US,
     seed: int = DEFAULT_SEED,
+    tracer: Optional[Tracer] = None,
 ) -> List[Dict[str, Any]]:
     """One traced serve run -> per-tenant stage-share rows.
 
     ``fault_rate == 0`` runs with no chaos armed at all, so the fault-free
     decomposition is taken from exactly the run the serve goldens pin.
+    The run records into ``tracer`` when one is given (``repro trace``),
+    else into a fresh one.
     """
-    tracer = Tracer()
+    tracer = tracer if tracer is not None else Tracer()
     chaos = (ChaosConfig(noise_schedule(fault_rate, seed))
              if fault_rate > 0 else None)
     outcome = run_serve(
@@ -110,81 +107,3 @@ def latency_decomposition_summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
         summary[f"p999_latency_us[{label}]"] = row["p999_latency_us"]
         summary[f"share_under_2x_p50[{label}]"] = row["share_under_2x_p50"]
     return summary
-
-
-# --------------------------------------------------------------------------- #
-# ``python -m repro trace`` drivers
-# --------------------------------------------------------------------------- #
-def _trace_serve(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    params: Dict[str, Any] = dict(
-        policy="affinity", tenant_mix=DECOMPOSE_MIX,
-        arrival_rate_krps=DECOMPOSE_RATE_KRPS,
-        duration_us=DECOMPOSE_DURATION_US)
-    params.update(overrides)
-    run_serve(params.pop("policy"), seed=seed, tracer=tracer, **params)
-
-
-def _trace_reconfig(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    overrides.setdefault("regions", 4)
-    _trace_serve(seed, tracer, **overrides)
-
-
-def _trace_chaos(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    fault_rate = float(overrides.pop("fault_rate", 2.0))
-    overrides.setdefault("duration_us", DECOMPOSE_DURATION_US)
-    overrides["chaos"] = ChaosConfig(noise_schedule(fault_rate, seed))
-    _trace_serve(seed, tracer, **overrides)
-
-
-def _trace_fleet(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    from repro.fleet.cluster import FleetConfig, run_fleet
-    from repro.fleet.experiments import FLEET_TENANTS
-
-    rate_krps = float(overrides.pop("rate_krps", 300.0))
-    config = FleetConfig(
-        nodes=int(overrides.pop("nodes", 3)),
-        epochs=int(overrides.pop("epochs", 3)),
-        epoch_us=float(overrides.pop("epoch_us", 400.0)),
-        placement="affinity",
-        **overrides,
-    )
-    run_fleet(config, FLEET_TENANTS, total_rate_rps=rate_krps * 1000.0,
-              seed=seed, tracer=tracer)
-
-
-def _trace_decomposition(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    # The decomposition cell builds its own tracer; the CLI wants *this*
-    # one populated, so re-drive the same canonical point directly.
-    overrides.setdefault("policy", "affinity")
-    _trace_serve(seed, tracer, **overrides)
-
-
-TRACE_DRIVERS: Dict[str, Callable[..., None]] = {
-    "serve_policy": _trace_serve,
-    "serve_energy": _trace_serve,
-    "reconfig": _trace_reconfig,
-    "chaos": _trace_chaos,
-    "fleet_scaling": _trace_fleet,
-    "latency_decomposition": _trace_decomposition,
-}
-
-
-def trace_experiment(name: str, seed: int = DEFAULT_SEED,
-                     overrides: Optional[Dict[str, Any]] = None) -> Tracer:
-    """Run ``name``'s canonical point with a tracer attached; return it.
-
-    ``overrides`` forwards ``-p key=value`` CLI parameters to the driver
-    (policy, duration_us, regions, fault_rate, ... depending on the
-    experiment).  The returned tracer's :meth:`to_json` bytes depend only
-    on ``(name, seed, overrides)``.
-    """
-    try:
-        driver = TRACE_DRIVERS[name]
-    except KeyError:
-        known = ", ".join(sorted(TRACE_DRIVERS))
-        raise KeyError(
-            f"no trace driver for experiment {name!r}; traceable: {known}"
-        ) from None
-    tracer = Tracer()
-    driver(seed, tracer, **(overrides or {}))
-    return tracer

@@ -15,7 +15,7 @@ process-pool executor).  This module must not import anything from
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.serve.experiments import DEFAULT_SEED, run_serve
 
@@ -38,12 +38,13 @@ def reconfig_cell(regions: int, policy: str, tenant_mix: str,
                   duration_us: float = 2_000.0,
                   queue_capacity: int = 64,
                   patience_ns: float = 100_000.0,
-                  seed: int = DEFAULT_SEED) -> List[Dict[str, Any]]:
+                  seed: int = DEFAULT_SEED,
+                  tracer: Optional[Any] = None) -> List[Dict[str, Any]]:
     outcome = run_serve(
         policy, tenant_mix=tenant_mix, arrival_rate_krps=arrival_rate_krps,
         duration_us=duration_us, num_fabrics=1,
         queue_capacity=queue_capacity, patience_ns=patience_ns, seed=seed,
-        regions=regions, region_fabric_scale=fabric_scale,
+        regions=regions, region_fabric_scale=fabric_scale, tracer=tracer,
     )
     rows = outcome["rows"]
     for row in rows:

@@ -209,11 +209,13 @@ def _add_energy_columns(row: Dict[str, Any], energy) -> None:
 def serve_policy_cell(policy: str, arrival_rate_krps: float, tenant_mix: str,
                       duration_us: float = 2_000.0, num_fabrics: int = 1,
                       queue_capacity: int = 64, patience_ns: float = 100_000.0,
-                      seed: int = DEFAULT_SEED) -> List[Dict[str, Any]]:
+                      seed: int = DEFAULT_SEED,
+                      tracer: Optional[Any] = None) -> List[Dict[str, Any]]:
     outcome = run_serve(
         policy, tenant_mix=tenant_mix, arrival_rate_krps=arrival_rate_krps,
         duration_us=duration_us, num_fabrics=num_fabrics,
         queue_capacity=queue_capacity, patience_ns=patience_ns, seed=seed,
+        tracer=tracer,
     )
     return outcome["rows"]
 
@@ -245,12 +247,13 @@ def serve_policy_summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
 def serve_energy_cell(policy: str, arrival_rate_krps: float = 150.0,
                       tenant_mix: str = "duo", duration_us: float = 2_000.0,
                       queue_capacity: int = 64, patience_ns: float = 100_000.0,
-                      seed: int = DEFAULT_SEED) -> List[Dict[str, Any]]:
+                      seed: int = DEFAULT_SEED,
+                      tracer: Optional[Any] = None) -> List[Dict[str, Any]]:
     outcome = run_serve(
         policy, tenant_mix=tenant_mix, arrival_rate_krps=arrival_rate_krps,
         duration_us=duration_us, num_fabrics=1,
         queue_capacity=queue_capacity, patience_ns=patience_ns, seed=seed,
-        power=True,
+        power=True, tracer=tracer,
     )
     # Energy is deployment-wide, so the energy experiment reports only the
     # aggregate row per cell.

@@ -427,6 +427,13 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.num_fabrics < 1:
             raise ValueError(f"need at least one fabric, got {self.num_fabrics}")
+        if self.system_mhz <= 0:
+            raise ValueError(f"system_mhz must be positive, got {self.system_mhz}")
+        if self.fpga_mhz is not None and self.fpga_mhz <= 0:
+            raise ValueError(
+                f"fpga_mhz must be positive or None, got {self.fpga_mhz}")
+        if self.patience_ns < 0:
+            raise ValueError(f"patience_ns cannot be negative, got {self.patience_ns}")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError(
                 f"queue_capacity must be >= 1 or None, got {self.queue_capacity}")

@@ -50,9 +50,6 @@ def test_registry_discovers_all_paper_experiments():
     names = [spec.name for spec in list_experiments()]
     for name in PAPER_EXPERIMENTS:
         assert name in names
-    # Every Fig. 12 application config is its own experiment too.
-    for config in APPLICATION_CONFIGS:
-        assert f"app/{config.label}" in names
 
 
 def test_registry_lookup_and_tags():
@@ -61,8 +58,9 @@ def test_registry_lookup_and_tags():
         get_experiment("fig13")
     paper = {spec.name for spec in list_experiments(tag="paper")}
     assert paper == set(PAPER_EXPERIMENTS)
-    apps = list_experiments(tag="application")
-    assert len(apps) == len(APPLICATION_CONFIGS) + 1  # the 13 apps + fig12
+    # Fig. 12 is the one application experiment: a cell per configuration.
+    assert [spec.name for spec in list_experiments(tag="application")] == ["fig12"]
+    assert get_experiment("fig12").num_cells() == len(APPLICATION_CONFIGS)
 
 
 def test_register_experiment_rejects_duplicates():

@@ -4,6 +4,7 @@ and its pinned golden, the hooks-off ≡ hooks-on bit-identity contract, the
 unified metrics registry (serial ≡ process fleet merge), ``ResultSet.cdf``,
 and the ``latency_decomposition`` acceptance pins."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,9 +13,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.registry import get_experiment
+from repro.api import cli
+from repro.api.registry import get_experiment, list_experiments
 from repro.api.results import ResultSet
-from repro.api.runner import Runner
+from repro.api.runner import Runner, trace_experiment
 from repro.fleet.cluster import FleetConfig, run_fleet
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.obs import (
@@ -28,7 +30,6 @@ from repro.obs.decompose import request_stages
 from repro.obs.experiments import (
     latency_decomposition_cell,
     latency_decomposition_summary,
-    trace_experiment,
 )
 from repro.serve.experiments import run_serve
 from repro.sim.stats import fraction_at
@@ -206,7 +207,7 @@ def test_trace_bytes_are_pythonhashseed_independent():
     same bytes."""
     script = (
         "import sys\n"
-        "from repro.obs.experiments import trace_experiment\n"
+        "from repro.api.runner import trace_experiment\n"
         "tracer = trace_experiment('serve_policy',\n"
         "                          overrides={'duration_us': 200.0})\n"
         "sys.stdout.write(tracer.to_json())\n"
@@ -345,34 +346,79 @@ def test_to_json_of_an_empty_tracer_matches_the_reference():
     assert json.loads(tracer.to_json())["traceEvents"] == []
 
 
+#: One shrunk cell per traceable experiment (short serve windows, small
+#: fleets); traceable means the cell takes a ``tracer`` parameter.
+SHRUNK = {
+    "serve_policy": {"duration_us": 200.0},
+    "serve_energy": {"duration_us": 200.0},
+    "reconfig": {"regions": 4, "duration_us": 200.0},
+    "chaos": {"nodes": 2, "epochs": 2, "epoch_us": 200.0, "fault_rate": 3.0,
+              "recovery": True},
+    "fleet_scaling": {"nodes": 2, "epoch_us": 100.0},
+    "latency_decomposition": {"duration_us": 300.0, "fault_rate": 2.0},
+}
+TRACEABLE = [spec.name for spec in list_experiments()
+             if "tracer" in inspect.signature(spec.cell).parameters]
+
+
 def test_to_json_matches_the_reference_on_every_trace_driver():
     tracers = [tiny_traced_run(),
-               trace_experiment("chaos", overrides={"duration_us": 300.0,
-                                                    "fault_rate": 4.0}),
-               trace_experiment("fleet_scaling",
-                                overrides={"nodes": 2, "epochs": 2,
-                                           "epoch_us": 200.0}),
-               trace_experiment("reconfig", overrides={"duration_us": 200.0})]
+               trace_experiment("latency_decomposition",
+                                overrides={"duration_us": 300.0,
+                                           "fault_rate": 4.0}),
+               trace_experiment("chaos", overrides=SHRUNK["chaos"]),
+               trace_experiment("reconfig", overrides={"regions": 4,
+                                                       "duration_us": 200.0})]
     for tracer in tracers:
         assert tracer.to_json() == reference_json(tracer)
 
 
 def test_trace_experiment_rejects_unknown_names():
-    with pytest.raises(KeyError, match="no trace driver"):
+    with pytest.raises(KeyError, match="cannot be traced"):
         trace_experiment("fig9")
 
 
 def test_trace_experiment_covers_every_layer():
-    """Each driver actually records events from its subsystem's hooks."""
-    chaos = trace_experiment("chaos", overrides={"duration_us": 400.0,
-                                                 "fault_rate": 4.0})
-    assert any(inst.name.startswith("fault_") for inst in chaos.instants)
-    fleet = trace_experiment("fleet_scaling",
-                             overrides={"nodes": 2, "epochs": 2,
-                                        "epoch_us": 200.0})
+    """Each traceable cell records events from its subsystem's hooks."""
+    faulty = trace_experiment("latency_decomposition",
+                              overrides={"duration_us": 400.0,
+                                         "fault_rate": 4.0})
+    assert any(inst.name.startswith("fault_") for inst in faulty.instants)
+    fleet = trace_experiment("chaos", overrides={"nodes": 2, "epochs": 2,
+                                                 "epoch_us": 200.0})
     assert {span.name for span in fleet.spans} == {"epoch0", "epoch1"}
-    regional = trace_experiment("reconfig", overrides={"duration_us": 200.0})
+    regional = trace_experiment("reconfig", overrides={"regions": 4,
+                                                       "duration_us": 200.0})
     assert any("/" in span.tid for span in regional.spans)
+
+
+def test_the_traceable_experiments_are_the_serving_and_fleet_cells():
+    assert sorted(TRACEABLE) == sorted(SHRUNK)
+
+
+@pytest.mark.parametrize("name", TRACEABLE)
+def test_a_tracer_never_moves_a_registered_cells_rows(name):
+    """Tracer on ≡ off, cell by cell: ``repro trace`` records exactly the
+    run ``repro run`` measures at the same point."""
+    spec = get_experiment(name)
+    params = spec.cells(SHRUNK[name])[0]
+    tracer = Tracer()
+    assert spec.cell(tracer=tracer, **params) == spec.cell(**params)
+    assert tracer.event_count > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "serve_policy", "-p", "duraton_us=1"],
+     "has no parameters ['duraton_us']; valid parameters: ['policy', "),
+    (["trace", "fig9"], "cannot be traced; traceable experiments: chaos"),
+    (["trace", "serve_policy", "-p", "policy=fcfs,affinity"],
+     "a trace is one run"),
+], ids=["typo", "untraceable", "swept"])
+def test_trace_cli_exits_2_with_one_line(argv, message, capsys):
+    """The same exit-2 path ``repro run`` takes: no traceback."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api.registry import get_experiment
 from repro.api.runner import Runner
+from repro.fleet.cluster import FleetConfig
 from repro.obs import Tracer
 from repro.serve import (
     ACCELERATOR_NAMES,
@@ -357,6 +358,18 @@ def test_serve_config_validation():
         ServeConfig(policy="lifo", accelerators=("popcount",))
     with pytest.raises(ValueError, match="accelerators"):
         FabricScheduler(Simulator(), ServeConfig())
+
+
+@pytest.mark.parametrize("config", [ServeConfig, FleetConfig])
+@pytest.mark.parametrize("field, value", [
+    ("system_mhz", 0.0), ("system_mhz", -1.0), ("fpga_mhz", 0.0),
+    ("fpga_mhz", -5.0), ("patience_ns", -1.0),
+])
+def test_bad_clocks_and_patience_fail_when_the_config_is_built(
+        config, field, value):
+    """Under the default fcfs policy too: no run ever starts."""
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
 
 
 def test_bounded_queue_sheds_load():
