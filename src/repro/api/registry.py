@@ -408,7 +408,9 @@ register_experiment(ExperimentSpec(
           "nodes": (2, 4, 8),
           "autoscale": (False, True)},
     fixed={"policy": "fcfs", "clients": 1_000_000, "think_ms": 50.0,
-           "thin_factor": 50.0, "epoch_us": 400.0,
+           "thin_factor": 50.0,
+           "epochs": len(fleet_experiments.DEFAULT_RATE_PROFILE),
+           "epoch_us": 400.0,
            "node_executor": "serial",
            "seed": fleet_experiments.DEFAULT_SEED},
     summarize=fleet_experiments.fleet_scaling_summary,

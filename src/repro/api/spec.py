@@ -78,7 +78,8 @@ class ExperimentSpec:
         ``overrides`` may replace an axis with new values (any iterable, or a
         scalar for a single point) or change a fixed parameter; a fixed
         parameter overridden with multiple values is promoted to a swept
-        axis.  Unknown names raise ``ValueError`` so typos fail fast.
+        axis.  Unknown names, and values whose type matches no default or
+        grid value, raise ``ValueError`` so typos fail fast.
         """
         overrides = dict(overrides or {})
         unknown = set(overrides) - set(self.parameters)
@@ -97,12 +98,28 @@ class ExperimentSpec:
                 axes[key] = _as_axis(tuple(overrides[key]))
             else:
                 fixed[key] = overrides.get(key, default)
+        for name in overrides:
+            self._check_types(name, axes[name] if name in axes else (fixed[name],))
         cells: List[Dict[str, Any]] = []
         for combo in itertools.product(*axes.values()):
             params = dict(zip(axes.keys(), combo))
             params.update(fixed)
             cells.append(params)
         return cells
+
+    def _check_types(self, name: str, values: Tuple[Any, ...]) -> None:
+        """Reject an override whose type no default or grid value has (an
+        int is accepted where floats are expected)."""
+        defaults = self.grid[name] if name in self.grid else (self.fixed[name],)
+        expected = {type(value) for value in defaults}
+        for value in values:
+            kind = type(value)
+            if kind not in expected and not (kind is int and float in expected):
+                names = " or ".join(sorted(t.__name__ for t in expected))
+                raise ValueError(
+                    f"parameter {name!r} of experiment {self.name!r} expects "
+                    f"{names}, got {value!r}"
+                )
 
     def num_cells(self, overrides: Optional[Mapping[str, Any]] = None) -> int:
         return len(self.cells(overrides))

@@ -84,22 +84,25 @@ class CpuContext:
 
     # -- memory --------------------------------------------------------- #
     def load(self, addr: int):
-        yield from self._issue()
-        value = yield from self._core.cache.load(addr)
-        self._core._c_loads.value += 1
+        core = self._core
+        yield core.domain.wait_cycles(int(core.config.mem_issue_cycles))
+        value = yield from core.cache.load(addr)
+        core._c_loads.value += 1
         return value
 
     def store(self, addr: int, value: int = 0):
-        yield from self._issue()
-        yield from self._core.cache.store(addr, value)
-        self._core._c_stores.value += 1
+        core = self._core
+        yield core.domain.wait_cycles(int(core.config.mem_issue_cycles))
+        yield from core.cache.store(addr, value)
+        core._c_stores.value += 1
         return None
 
     def amo(self, addr: int, fn: Callable[[int], int]):
         """Atomic read-modify-write; returns the old value."""
-        yield from self._issue()
-        old = yield from self._core.cache.amo(addr, fn)
-        self._core._c_atomics.value += 1
+        core = self._core
+        yield core.domain.wait_cycles(int(core.config.mem_issue_cycles))
+        old = yield from core.cache.amo(addr, fn)
+        core._c_atomics.value += 1
         return old
 
     def cas(self, addr: int, expected: int, desired: int):
@@ -136,10 +139,6 @@ class CpuContext:
         if self._core.mmio is None:
             raise RuntimeError(f"core {self.core_id} has no MMIO port")
         yield from self._core.mmio.write(addr, value)
-        return None
-
-    def _issue(self):
-        yield self._core.domain.wait_cycles(int(self._core.config.mem_issue_cycles))
         return None
 
 

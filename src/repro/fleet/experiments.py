@@ -71,11 +71,7 @@ def fleet_scaling_cell(
     thin_factor: float = 50.0,
     epochs: int = len(DEFAULT_RATE_PROFILE),
     epoch_us: float = 400.0,
-    fabrics_per_node: int = 1,
-    migrate_watermark: float = 8.0,
-    power: bool = False,
     node_executor: str = "serial",
-    workers: Optional[int] = None,
     seed: int = DEFAULT_SEED,
     tracer: Optional[Any] = None,
 ) -> List[Dict[str, Any]]:
@@ -93,19 +89,15 @@ def fleet_scaling_cell(
         nodes=nodes,
         placement=placement,
         policy=policy,
-        fabrics_per_node=fabrics_per_node,
         epochs=epochs,
         epoch_us=epoch_us,
-        migrate_watermark=migrate_watermark,
         # Epochs are coarse (one scaling decision per epoch), so the grow
         # watermark sits low — by the time a queue sustains 0.75 deep for a
         # whole epoch the next ramp step will bury the node.
         autoscaler=AutoscalerConfig(
             enabled=autoscale, mode="nodes", min_nodes=1, max_nodes=nodes,
             up_queue_depth=0.75, cooldown_epochs=0),
-        power=power,
         node_executor=node_executor,
-        workers=workers,
     )
     outcome = run_fleet(
         config, FLEET_TENANTS, total_rate_rps=population.thinned_rps,

@@ -14,6 +14,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.mem.protocol import CoherenceState
 
+_INVALID = CoherenceState.INVALID
+
 
 @dataclass
 class CacheEntry:
@@ -70,11 +72,13 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ #
     # Lookup / insert / invalidate
     # ------------------------------------------------------------------ #
+    # lookup and peek run on every cache access, so they inline set_index
+    # and CacheEntry.valid.
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheEntry]:
         """Return the resident entry for ``line_addr`` (None on miss)."""
-        cache_set = self._sets[self.set_index(line_addr)]
+        cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
         entry = cache_set.get(line_addr)
-        if entry is None or not entry.valid:
+        if entry is None or entry.state is _INVALID:
             self.misses += 1
             return None
         if touch:
@@ -84,8 +88,8 @@ class SetAssociativeCache:
 
     def peek(self, line_addr: int) -> Optional[CacheEntry]:
         """Lookup without updating LRU or hit/miss statistics."""
-        entry = self._sets[self.set_index(line_addr)].get(line_addr)
-        if entry is not None and entry.valid:
+        entry = self._sets[(line_addr // self.line_bytes) % self.num_sets].get(line_addr)
+        if entry is not None and entry.state is not _INVALID:
             return entry
         return None
 

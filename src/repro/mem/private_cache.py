@@ -102,12 +102,14 @@ class PrivateCacheAgent:
         if probe is not None:
             probe.cache_accesses += 1
         yield self.domain.wait_cycles(self.config.l1_latency_cycles)
-        if self._l1_hit(line):
+        # An L1 hit needs the line still readable in the L2.  lookup and
+        # peek return valid entries only, and every valid state can read.
+        l1 = self.l1
+        if l1 is not None and l1.lookup(line) is not None and self.l2.peek(line) is not None:
             self._c_l1_hits.value += 1
             return self.memory.read_word(addr)
         yield self.domain.wait_cycles(self.config.l2_latency_cycles)
-        entry = self.l2.lookup(line)
-        if entry is not None and entry.state.can_read:
+        if self.l2.lookup(line) is not None:
             self._c_l2_hits.value += 1
             self._fill_l1(line)
             return self.memory.read_word(addr)
@@ -306,15 +308,6 @@ class PrivateCacheAgent:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _l1_hit(self, line: int) -> bool:
-        if self.l1 is None:
-            return False
-        l1_entry = self.l1.lookup(line)
-        if l1_entry is None:
-            return False
-        l2_entry = self.l2.peek(line)
-        return l2_entry is not None and l2_entry.state.can_read
-
     def _fill_l1(self, line: int) -> None:
         if self.l1 is not None:
             self.l1.insert(line, CoherenceState.SHARED)

@@ -105,15 +105,27 @@ class DollySystem:
             # Close the pre-run epoch so the measured window's energy is
             # exactly the window's (setup and drain are accounted outside).
             energy.begin_window()
+        sim = self.sim
+        remaining = len(assignments)
+
+        def counted(ctx: CpuContext, program: Callable[..., Any], args: Tuple[Any, ...]):
+            # Stop the run in the callback in which the last program returns.
+            nonlocal remaining
+            result = yield from program(ctx, *args)
+            remaining -= 1
+            if not remaining:
+                sim.stop()
+            return result
+
         processes = []
         for core_index, program, args in assignments:
             core = self.cores[core_index]
-            processes.append(core.run(program, *args))
-        self.sim.run(
-            until=until,
-            max_events=max_events,
-            stop_when=lambda: all(process.finished for process in processes),
-        )
+            processes.append(core.run(counted, program, args,
+                                      name=f"{core.name}.{program.__name__}"))
+        if not remaining:
+            # No program to wait for: stop after the first callback.
+            sim.stop()
+        sim.run(until=until, max_events=max_events)
         unfinished = [process for process in processes if not process.finished]
         if unfinished:
             raise SimulationError(

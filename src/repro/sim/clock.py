@@ -120,10 +120,16 @@ class ClockDomain:
     # Process commands
     # ------------------------------------------------------------------ #
     def wait_cycles(self, cycles: int = 1) -> Delay:
-        """Command: suspend until the ``cycles``-th rising edge after now."""
-        now = self.sim.now
-        target = self.edge_after(now, cycles)
-        return Delay(max(0.0, target - now))
+        """Command: suspend until the ``cycles``-th rising edge after now.
+
+        Runs once per modelled instruction, so :meth:`edge_after` is
+        inlined here with the same arithmetic, bit for bit.
+        """
+        if cycles < 1:
+            raise SimulationError(f"cycles must be >= 1, got {cycles}")
+        now = self.sim._now_ns
+        first = self.next_edge(now)
+        return Delay(max(0.0, first + (cycles - 1) * self._period_ns - now))
 
     def align(self) -> Delay:
         """Command: suspend until the next rising edge (one-cycle alignment)."""

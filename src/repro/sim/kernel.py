@@ -37,14 +37,15 @@ Fast-path design (see ``docs/architecture.md`` for the invariants):
   adapted once at schedule time.
 * **One run loop.**  :meth:`Simulator.run` drains the immediate deque in an
   inner loop, then advances the heap to its next instant.  Every caller —
-  unbounded or bounded by ``stop_when``/``max_events`` — runs that same
-  loop, which checks ``stop_when`` and then ``max_events`` after every
-  callback.
+  unbounded or bounded by ``max_events`` — runs that same loop, which
+  checks the stop flag set by :meth:`Simulator.stop` and then
+  ``max_events`` after every callback.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -291,6 +292,9 @@ class Simulator:
         self._immediate: "deque[Tuple[Callable[..., None], Tuple[Any, ...]]]" = deque()
         self._sequence = 0
         self.events_executed = 0
+        # Set by stop(); the run loop checks it after every callback and
+        # clears it when run() returns.
+        self._stop = False
 
     # ------------------------------------------------------------------ #
     # Time
@@ -363,24 +367,23 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
     ) -> float:
         """Execute queued events.
 
         ``until`` bounds simulated time (inclusive); ``max_events`` bounds the
         number of callbacks executed, which protects tests against accidental
-        livelock; ``stop_when`` is checked after every callback — including
-        the zero-delay ones drained from the immediate deque — and stops the
-        run early when it returns True (used to stop once all measured
-        programs have finished even if background hardware keeps ticking).
-        ``stop_when`` is checked before ``max_events``, so a run whose stop
-        condition holds on its last allowed callback returns, not raises.
-        Returns the simulation time when execution stopped.
+        livelock.  A callback may call :meth:`stop` to end the run right
+        after it returns — checked after every callback, including the
+        zero-delay ones drained from the immediate deque, and before
+        ``max_events``, so a run stopped on its last allowed callback
+        returns, not raises.  Returns the simulation time when execution
+        stopped.
         """
         heap = self._heap
         immediate = self._immediate
         heappop = heapq.heappop
         imm_popleft = immediate.popleft
+        limit = sys.maxsize if max_events is None else max_events
         executed = 0
         try:
             while True:
@@ -388,9 +391,9 @@ class Simulator:
                     callback, arg = imm_popleft()
                     callback(arg)
                     executed += 1
-                    if stop_when is not None and stop_when():
+                    if self._stop:
                         return self._now_ns
-                    if max_events is not None and executed >= max_events:
+                    if executed >= limit:
                         raise self._exceeded(max_events)
                 if not heap:
                     break
@@ -416,16 +419,28 @@ class Simulator:
                     immediate.append((nxt[3], nxt[4]))
                 head[3](head[4])
                 executed += 1
-                if stop_when is not None and stop_when():
+                if self._stop:
                     return self._now_ns
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     raise self._exceeded(max_events)
         finally:
             self.events_executed += executed
+            self._stop = False
         if until is not None and until > self._now_ns:
             self._now_ns = until
             self._now_ps = ns_to_ps(until)
         return self._now_ns
+
+    def stop(self) -> None:
+        """End the current :meth:`run` once the running callback returns.
+
+        Events still queued — including the rest of the current instant —
+        stay queued for the next ``run()``.  Called outside a run, it ends
+        the next ``run()`` after that run's first callback.  Used to stop
+        once all measured programs have finished even if background
+        hardware keeps ticking.
+        """
+        self._stop = True
 
     def _exceeded(self, max_events: int) -> SimulationError:
         return SimulationError(

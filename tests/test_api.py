@@ -1,6 +1,7 @@
 """Tests for the unified experiment API (registry, runner, results, CLI)."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -340,6 +341,38 @@ def test_cli_run_unknown_experiment_fails_cleanly():
     proc = _cli("run", "fig13")
     assert proc.returncode == 2
     assert "unknown experiment" in proc.stderr
+
+
+def test_cli_bad_parameter_type_exits_2_with_one_line():
+    expected = ["error: parameter 'regions' of experiment 'reconfig' expects int, got 'abc'"]
+    run = _cli("run", "reconfig", "-p", "regions=abc", "-p", "policy=fcfs",
+               "-p", "tenant_mix=duo", "-p", "fabric_scale=1.0")
+    trace = _cli("trace", "reconfig", "-p", "regions=abc")
+    for proc in (run, trace):
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == expected
+
+
+def test_spec_checks_override_types_against_defaults_and_grid():
+    fig9 = get_experiment("fig9")
+    assert fig9.num_cells({"fpga_mhz": 100, "mechanism": "shadow_reg"}) == 1
+    with pytest.raises(ValueError, match="'fpga_mhz' of experiment 'fig9' expects float"):
+        fig9.cells({"fpga_mhz": "fast"})
+    reconfig = get_experiment("reconfig")
+    for bad in (True, 2.0, [2, "4"]):
+        with pytest.raises(ValueError, match="'regions' .* expects int"):
+            reconfig.cells({"regions": bad})
+    with pytest.raises(ValueError, match="'duration_us' .* expects float"):
+        reconfig.cells({"duration_us": [400.0, "long"]})
+
+
+def test_every_cell_keyword_is_a_spec_parameter():
+    """A keyword a cell takes but its spec does not name cannot be set
+    from ``repro run``/``repro trace`` (``**kwargs`` and ``tracer`` aside)."""
+    for spec in list_experiments():
+        keywords = {name for name, parameter in inspect.signature(spec.cell).parameters.items()
+                    if parameter.kind is not parameter.VAR_KEYWORD and name != "tracer"}
+        assert keywords <= set(spec.parameters), spec.name
 
 
 def test_cli_workers_alone_implies_process_executor():

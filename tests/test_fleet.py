@@ -492,6 +492,19 @@ def test_fleet_scaling_is_registered_with_full_grid():
     assert "fleet" in spec.tags
 
 
+def test_fleet_scaling_exposes_epochs_at_its_default():
+    import inspect
+
+    from repro.api import Runner, get_experiment
+
+    spec = get_experiment("fleet_scaling")
+    signature = inspect.signature(fleet_scaling_cell).parameters
+    assert spec.fixed["epochs"] == signature["epochs"].default
+    rows = Runner().run("fleet_scaling", placement="affinity", nodes=2,
+                        autoscale=False, epochs=2).rows
+    assert rows == fleet_scaling_cell("affinity", 2, False, epochs=2)
+
+
 def test_fleet_scaling_cell_rows_are_deterministic():
     kwargs = dict(placement="affinity", nodes=2, autoscale=False, epochs=2)
     assert fleet_scaling_cell(**kwargs) == fleet_scaling_cell(**kwargs)

@@ -11,6 +11,7 @@ from repro.platform import (
     build_system,
 )
 from repro.platform.area import linear_scale_area, linear_scale_frequency
+from repro.sim import SimulationError
 
 
 def test_config_naming_matches_paper_convention():
@@ -114,6 +115,53 @@ def test_run_programs_reports_elapsed_and_results():
     results, elapsed = system.run_programs([(0, program, (100,)), (1, program, (300,))])
     assert results == [100, 300]
     assert elapsed >= 300.0
+
+
+def _sharing_program(ctx, shared, words):
+    # Stores to lines the other cores also touch, so coherence traffic is
+    # still in flight when the programs return.
+    total = 0
+    for index in range(words):
+        total += yield from ctx.load(shared + 64 * ((index + ctx.core_id) % words))
+        yield from ctx.store(shared + 64 * ((index * 3 + ctx.core_id) % words), index)
+        yield from ctx.compute(1 + ctx.core_id)
+    return total
+
+
+def _ticker(clock):
+    # Background hardware that never stops: only the programs end a run.
+    while True:
+        yield clock.wait_cycles(1)
+
+
+def test_run_programs_stops_where_polling_after_every_callback_stops():
+    base = 0x4000
+    assignments = [(core, _sharing_program, (base, 4 + 3 * core)) for core in range(4)]
+
+    system = build_system(DollyConfig.cpu_only(4))
+    system.sim.process(_ticker(system.sys_clock))
+    results, elapsed = system.run_programs(assignments, drain_ns=0.0)
+
+    reference = build_system(DollyConfig.cpu_only(4))
+    reference.sim.process(_ticker(reference.sys_clock))
+    processes = [reference.cores[core].run(program, *args)
+                 for core, program, args in assignments]
+    while not all(process.finished for process in processes):
+        with pytest.raises(SimulationError, match="max_events"):
+            reference.sim.run(max_events=1)
+
+    assert system.sim.pending_events > 0  # the stop point is a real cut
+    assert system.sim.now == reference.sim.now == elapsed
+    assert system.sim.events_executed == reference.sim.events_executed
+    assert results == [process.done.value for process in processes]
+
+
+def test_run_programs_without_programs_stops_after_the_first_callback():
+    system = build_system(DollyConfig.cpu_only(1))
+    system.sim.process(_ticker(system.sys_clock))
+    before = system.sim.events_executed
+    assert system.run_programs([], max_events=1_000, drain_ns=0.0) == ([], 0.0)
+    assert system.sim.events_executed == before + 1
 
 
 # --------------------------------------------------------------------------- #

@@ -134,3 +134,48 @@ def test_edge_cache_invalidated_on_retune_and_phase_change():
     assert clk.next_edge(0.5) == 2.0
     clk.phase_ns = 0.25
     assert clk.next_edge(0.5) == 2.25
+
+
+@given(
+    freq=st.floats(min_value=1.0, max_value=4000.0),
+    retuned=st.floats(min_value=1.0, max_value=4000.0),
+    phase=st.floats(min_value=0.0, max_value=50.0),
+    steps=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=3.0), st.booleans(),
+                  st.integers(min_value=1, max_value=16)),
+        min_size=1, max_size=12),
+    retune_at=st.integers(min_value=0, max_value=12),
+)
+def test_wait_cycles_is_edge_after_minus_now_bit_for_bit(freq, retuned, phase, steps,
+                                                         retune_at):
+    """wait_cycles inlines next_edge/edge_after and their edge cache; its
+    delay must equal ``max(0, edge_after(now, cycles) - now)`` from a fresh,
+    uncached domain exactly, also at ``now`` on an edge and after a retune.
+    Each step advances time by up to three periods, optionally onto the
+    exact edge value a process waiting for that edge resumes at."""
+    sim = Simulator()
+    clk = ClockDomain(sim, freq, phase_ns=phase)
+    checked = []
+
+    def step(index):
+        if index == retune_at:
+            clk.freq_mhz = retuned
+        now = sim.now
+        cycles = steps[index][2]
+        reference = ClockDomain(sim, clk.freq_mhz, phase_ns=phase)
+        checked.append((clk.wait_cycles(cycles).ns,
+                        max(0.0, reference.edge_after(now, cycles) - now)))
+        if index + 1 < len(steps):
+            periods, on_edge, _ = steps[index + 1]
+            target = now + periods * clk.period_ns
+            if on_edge:
+                target = reference.next_edge(target)
+            sim.schedule_at(target, step, index + 1)
+
+    sim.schedule_at(0.0, step, 0)
+    sim.run()
+    assert len(checked) == len(steps)
+    for got, expected in checked:
+        assert got == expected
+    with pytest.raises(SimulationError):
+        clk.wait_cycles(0)

@@ -3,7 +3,7 @@
 These pin down the ordering invariants the immediate-run deque and the
 integer-picosecond timeline must preserve (see docs/architecture.md):
 same-timestamp FIFO across heap and deque, event waiter ordering,
-``stop_when`` firing between zero-delay callbacks, explicit failure
+``stop()`` firing between zero-delay callbacks, explicit failure
 propagation, and a golden-file determinism check on fig9.
 """
 
@@ -89,14 +89,21 @@ def test_triggered_event_wakes_later_waiters_immediately():
     assert process.done.value == "late"
 
 
-def test_stop_when_fires_between_immediate_callbacks():
-    """stop_when is evaluated after *every* callback, including zero-delay
-    ones drained from the immediate deque within a single instant."""
+def test_stop_fires_between_immediate_callbacks():
+    """stop() is honoured right after the callback that calls it, including
+    zero-delay ones drained from the immediate deque within a single
+    instant; the rest of that instant stays queued for the next run()."""
     sim = Simulator()
     seen = []
+
+    def record(tag):
+        seen.append(tag)
+        if len(seen) == 2:
+            sim.stop()
+
     for tag in ("a", "b", "c", "d"):
-        sim.schedule(0.0, seen.append, tag)
-    sim.run(stop_when=lambda: len(seen) == 2)
+        sim.schedule(0.0, record, tag)
+    sim.run()
     assert seen == ["a", "b"]
     assert sim.pending_events == 2
     sim.run()

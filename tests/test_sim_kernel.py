@@ -145,15 +145,33 @@ def test_max_events_guard_catches_zero_delay_livelock():
 
 @pytest.mark.parametrize("delays", [(0.0,) * 5, (1.0, 2.0, 3.0, 4.0, 5.0)],
                          ids=["immediate", "timed"])
-def test_stop_when_wins_over_max_events_on_the_same_callback(delays):
+def test_stop_wins_over_max_events_on_the_same_callback(delays):
+    """A stop requested by the last callback max_events allows returns."""
     sim = Simulator()
     seen = []
+
+    def record(tag):
+        seen.append(tag)
+        if len(seen) == 3:
+            sim.stop()
+
     for tag, delay in enumerate(delays):
-        sim.schedule(delay, seen.append, tag)
-    stopped_at = sim.run(max_events=3, stop_when=lambda: len(seen) == 3)
+        sim.schedule(delay, record, tag)
+    stopped_at = sim.run(max_events=3)
     assert seen == [0, 1, 2]
     assert stopped_at == delays[2]
     assert sim.pending_events == 2
+
+
+def test_stop_outside_a_run_ends_the_next_run_after_one_callback():
+    sim = Simulator()
+    seen = []
+    for tag in range(3):
+        sim.schedule(float(tag), seen.append, tag)
+    sim.stop()
+    assert sim.run() == 0.0 and seen == [0]
+    sim.run()
+    assert seen == [0, 1, 2]
 
 
 def test_event_cannot_trigger_twice():
