@@ -34,9 +34,8 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import perf
-from repro.analysis.reporting import format_table
 from repro.api.registry import get_experiment, list_experiments
-from repro.api.results import ResultSet
+from repro.api.results import ResultSet, format_table
 from repro.api.runner import EXECUTORS, Runner, trace_experiment
 from repro.obs.alerting import DEFAULT_SEED, alerts_report
 

@@ -6,6 +6,9 @@ evaluation — ``table1``, ``table2``, ``fig9``, ``fig10``, ``fig11`` and
 system kinds) — plus the NoC, power, serving, fleet, reconfig, chaos and
 observability sweeps.  The registry is the only definition of an
 experiment: ``repro trace`` runs a registered cell with a tracer attached.
+The paper's reference numbers (``TABLE2_PAPER``, ``FIG9_PAPER``,
+``FIG10_PAPER_PEAKS`` and the Fig. 12 geomeans) sit beside the cells that
+report them.
 
 Cell functions are module-level so :class:`repro.api.runner.Runner` can ship
 them to a ``ProcessPoolExecutor``.  Use :func:`register_experiment` either
@@ -27,21 +30,13 @@ from repro.accel.pdes_scheduler import PdesSchedulerAccelerator
 from repro.accel.popcount import PopcountAccelerator
 from repro.accel.sortnet import SortingNetworkAccelerator
 from repro.accel.tangent import TangentAccelerator
-from repro.analysis.experiments import (
-    APPLICATION_CONFIGS,
-    FIG9_PAPER,
-    FIG10_PAPER_PEAKS,
-    FIG12_PAPER_ADP_GEOMEAN,
-    FIG12_PAPER_GEOMEAN,
-    TABLE2_PAPER,
-    ApplicationConfig,
-)
 from repro.api.spec import ExperimentSpec, Rows
 from repro.fpga.synthesis import SynthesisModel
 from repro.noc.topology import TOPOLOGY_KINDS
 from repro.platform.area import TABLE1_ROWS, AreaModel
 from repro.platform.config import SystemKind
 from repro.sim.stats import geometric_mean
+from repro.workloads import APPLICATION_CONFIGS, ApplicationConfig
 from repro.workloads.synthetic import (
     BANDWIDTH_MECHANISMS,
     DEFAULT_SEED,
@@ -133,6 +128,19 @@ def table1_cell() -> Rows:
 # --------------------------------------------------------------------------- #
 # Table II
 # --------------------------------------------------------------------------- #
+#: Paper-reported (max MHz, normalized area, CLB util, BRAM util) per accelerator.
+TABLE2_PAPER = {
+    "tangent": (282.0, 0.47, 0.84, 0.0),
+    "popcount": (189.0, 2.77, 0.83, 0.56),
+    "sort32": (228.0, 6.29, 0.30, 0.76),
+    "sort64": (234.0, 8.10, 0.27, 0.92),
+    "sort128": (228.0, 10.27, 0.27, 0.92),
+    "dijkstra": (127.0, 1.94, 0.96, 0.31),
+    "barnes-hut": (85.0, 14.22, 0.99, 0.05),
+    "bfs": (208.0, 1.24, 0.61, 0.75),
+    "pdes": (126.0, 2.77, 0.47, 0.56),
+}
+
 TABLE2_FACTORIES: Dict[str, Callable[[], Any]] = {
     "tangent": TangentAccelerator,
     "popcount": PopcountAccelerator,
@@ -174,6 +182,18 @@ def table2_cell(benchmark: str) -> Rows:
 # --------------------------------------------------------------------------- #
 # Fig. 9: latency
 # --------------------------------------------------------------------------- #
+#: Paper round-trip latencies (ns) per mechanism at {100, 200, 500} MHz,
+#: read off Fig. 9 (sum of the stacked components).
+FIG9_PAPER = {
+    "shadow_reg": {100: 42, 200: 42, 500: 42},
+    "normal_reg": {100: 300, 200: 180, 500: 108},
+    "cpu_pull_proxy": {100: 68, 200: 68, 500: 68},
+    "cpu_pull_slow": {100: 229, 200: 133, 500: 72},
+    "efpga_pull_proxy": {100: 172, 200: 112, 500: 78},
+    "efpga_pull_slow": {100: 271, 200: 162, 500: 121},
+}
+
+
 @register_experiment(
     name="fig9",
     title="Fig. 9 — CPU-eFPGA Communication Latency (single transaction)",
@@ -195,6 +215,17 @@ def fig9_cell(mechanism: str, fpga_mhz: float, seed: int = DEFAULT_SEED) -> Rows
 # --------------------------------------------------------------------------- #
 # Fig. 10: bandwidth
 # --------------------------------------------------------------------------- #
+#: Paper peak bandwidths (MB/s) quoted in Sec. V-C.
+FIG10_PAPER_PEAKS = {
+    "efpga_pull_proxy": 558.0,
+    "cpu_pull_proxy": 201.0,
+    "efpga_pull_slow": 287.0,
+    "cpu_pull_slow": 144.0,
+    "shadow_reg": 213.0,
+    "normal_reg": 121.0,
+}
+
+
 @register_experiment(
     name="fig10",
     title="Fig. 10 — Processor-eFPGA Bandwidth",
@@ -248,9 +279,9 @@ def fig11_cell(mechanism: str, operation: str, num_processors: int,
 # --------------------------------------------------------------------------- #
 # Fig. 12: application benchmarks
 # --------------------------------------------------------------------------- #
-_APP_BY_LABEL: Dict[str, ApplicationConfig] = {
-    config.label: config for config in APPLICATION_CONFIGS
-}
+#: Geometric means quoted in the paper for Fig. 12.
+FIG12_PAPER_GEOMEAN = {"duet": 4.53, "fpsoc": 2.14}
+FIG12_PAPER_ADP_GEOMEAN = {"duet": 0.61, "fpsoc": 1.23}
 
 
 def fig12_row(config: ApplicationConfig, seed: int = DEFAULT_SEED) -> Dict[str, Any]:
@@ -293,13 +324,13 @@ def fig12_summary(rows: Rows) -> Dict[str, Any]:
     title="Fig. 12 — Normalized Speedup and ADP of Application Benchmarks",
     description="Every application on the three systems (CPU-only, FPSoC, Duet); "
                 "the summary carries the geometric means.",
-    grid={"benchmark": tuple(_APP_BY_LABEL)},
+    grid={"benchmark": tuple(APPLICATION_CONFIGS)},
     fixed={"seed": DEFAULT_SEED},
     summarize=fig12_summary,
     tags=("paper", "figure", "application"),
 )
 def fig12_cell(benchmark: str, seed: int = DEFAULT_SEED) -> Rows:
-    return [fig12_row(_APP_BY_LABEL[benchmark], seed=seed)]
+    return [fig12_row(APPLICATION_CONFIGS[benchmark], seed=seed)]
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ A :class:`ResultSet` replaces the bare lists-of-dicts the legacy runners
 returned: it knows which experiment produced it, with which parameters, and
 offers relational-style helpers (``filter`` / ``group_by`` / ``pivot``),
 exports (``to_json`` / ``to_csv`` / ``to_table``) and built-in
-paper-vs-measured deviation reporting.
+paper-vs-measured deviation reporting.  :func:`format_table` is the one
+plain-text table style: ``to_table`` and the CLI both render through it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,47 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
-from repro.analysis.reporting import format_table
 from repro.sim.stats import cdf_points, nearest_rank
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
+                 title: str = "") -> str:
+    """Render a simple aligned text table (monospace, benchmark-log friendly).
+
+    Ragged input is tolerated: rows shorter than ``headers`` are padded with
+    empty cells, and rows longer than ``headers`` extend the table with
+    unnamed columns instead of raising.
+    """
+    headers = [str(header) for header in headers]
+    rendered_rows: List[List[str]] = [[_fmt(cell) for cell in row] for row in rows]
+    num_columns = max([len(headers)] + [len(row) for row in rendered_rows], default=0)
+    headers = headers + [""] * (num_columns - len(headers))
+    rendered_rows = [row + [""] * (num_columns - len(row)) for row in rendered_rows]
+    widths = [len(header) for header in headers]
+    for row in rendered_rows:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)))
+    lines.append("  ".join("-" * widths[i] for i in range(num_columns)))
+    for row in rendered_rows:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def _fmt(cell: object) -> str:
+    if isinstance(cell, float):
+        if abs(cell) >= 100:
+            return f"{cell:.0f}"
+        if abs(cell) >= 1:
+            return f"{cell:.2f}"
+        return f"{cell:.3f}"
+    return str(cell)
 
 
 class Row(dict):

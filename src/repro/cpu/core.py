@@ -35,6 +35,11 @@ class CoreConfig:
     mem_issue_cycles: float = 1.0
 
 
+#: Instructions a spin-wait runs between two polls of its word
+#: (see :meth:`CpuContext.spin_until`).
+SPIN_PAUSE_INSTRUCTIONS = 2
+
+
 class CpuContext:
     """What a program sees: the ISA-level interface of one core."""
 
@@ -89,6 +94,16 @@ class CpuContext:
         value = yield from core.cache.load(addr)
         core._c_loads.value += 1
         return value
+
+    def spin_until(self, addr: int, done: Callable[[int], bool]):
+        """Spin-wait on ``addr``: load it, and return the value once
+        ``done(value)`` holds; otherwise run :data:`SPIN_PAUSE_INSTRUCTIONS`
+        and load again.  Every synchronization primitive polls through here."""
+        while True:
+            value = yield from self.load(addr)
+            if done(value):
+                return value
+            yield from self.compute(SPIN_PAUSE_INSTRUCTIONS)
 
     def store(self, addr: int, value: int = 0):
         core = self._core

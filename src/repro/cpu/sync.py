@@ -7,7 +7,8 @@ a spin lock plus a sense-reversing barrier.  Their contention — cache-line
 ping-pong on the lock word — is exactly the software overhead the
 eFPGA-emulated schedulers and lock-free queues eliminate, so the primitives
 are implemented with real atomics over the simulated memory system rather
-than being approximated with fixed delays.
+than being approximated with fixed delays.  Every wait polls through
+:meth:`~repro.cpu.core.CpuContext.spin_until`, the one spin loop.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from typing import Dict
 
 from repro.cpu.core import CpuContext
 from repro.mem.dram import MainMemory
+
+
+def _is_zero(value: int) -> bool:
+    return value == 0
 
 
 class SpinLock:
@@ -31,11 +36,7 @@ class SpinLock:
             if old == 0:
                 return None
             # Spin on a plain load until the lock looks free, then retry.
-            while True:
-                value = yield from ctx.load(self.addr)
-                if value == 0:
-                    break
-                yield from ctx.compute(2)
+            yield from ctx.spin_until(self.addr, _is_zero)
 
     def release(self, ctx: CpuContext):
         yield from ctx.store(self.addr, 0)
@@ -81,11 +82,8 @@ class McsLock:
             return None
         # Link behind the predecessor and spin on our own flag.
         yield from ctx.store(self._next_addr[predecessor - 1], self._node_id(thread))
-        while True:
-            flag = yield from ctx.load(my_locked)
-            if flag == 0:
-                return None
-            yield from ctx.compute(2)
+        yield from ctx.spin_until(my_locked, _is_zero)
+        return None
 
     def release(self, ctx: CpuContext, thread: int):
         my_next = self._next_addr[thread]
@@ -96,11 +94,7 @@ class McsLock:
             if swapped:
                 return None
             # A successor is in the middle of linking; wait for the link.
-            while True:
-                successor = yield from ctx.load(my_next)
-                if successor != self._NO_NODE:
-                    break
-                yield from ctx.compute(2)
+            successor = yield from ctx.spin_until(my_next, lambda value: value != self._NO_NODE)
         yield from ctx.store(self._locked_addr[successor - 1], 0)
         return None
 
@@ -127,10 +121,6 @@ class Barrier:
             yield from ctx.store(self.count_addr, 0)
             yield from ctx.store(self.sense_addr, local_sense)
         else:
-            while True:
-                sense = yield from ctx.load(self.sense_addr)
-                if sense == local_sense:
-                    break
-                yield from ctx.compute(2)
+            yield from ctx.spin_until(self.sense_addr, lambda sense: sense == local_sense)
         self._local_sense[thread] = 1 - local_sense
         return None

@@ -22,6 +22,10 @@ class MainMemory:
         self.latency_ns = config.dram_latency_ns if latency_ns is None else latency_ns
         self._words: Dict[int, int] = {}
         self.stats = StatSet("dram")
+        # Hot-loop stat objects, resolved once instead of per access.
+        self._c_reads = self.stats.counter("reads")
+        self._c_writes = self.stats.counter("writes")
+        self._c_rmw = self.stats.counter("rmw")
         #: Energy-accounting hook (see ``repro.power``); ``None`` unless the
         #: system was built with ``PowerConfig(enabled=True)``.  Row
         #: activations are charged where DRAM latency is charged — on LLC
@@ -34,11 +38,11 @@ class MainMemory:
     # Functional access (zero-time; timing is charged by the caller)
     # ------------------------------------------------------------------ #
     def read_word(self, addr: int) -> int:
-        self.stats.counter("reads").increment()
+        self._c_reads.value += 1
         return self._words.get(self._align(addr), 0)
 
     def write_word(self, addr: int, value: int) -> None:
-        self.stats.counter("writes").increment()
+        self._c_writes.value += 1
         self._words[self._align(addr)] = value
 
     def read_modify_write(self, addr: int, fn) -> int:
@@ -46,7 +50,7 @@ class MainMemory:
         aligned = self._align(addr)
         old = self._words.get(aligned, 0)
         self._words[aligned] = fn(old)
-        self.stats.counter("rmw").increment()
+        self._c_rmw.value += 1
         return old
 
     def _align(self, addr: int) -> int:

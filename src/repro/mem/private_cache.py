@@ -79,6 +79,11 @@ class PrivateCacheAgent:
         self._c_stores = self.stats.counter("stores")
         self._c_store_hits = self.stats.counter("store_hits")
         self._c_store_misses = self.stats.counter("store_misses")
+        self._c_amos = self.stats.counter("amos")
+        self._c_evictions = self.stats.counter("evictions")
+        self._c_invalidations = self.stats.counter("invalidations")
+        self._c_fwd_get_s = self.stats.counter("fwd_get_s")
+        self._c_fwd_get_m = self.stats.counter("fwd_get_m")
         self._miss_wait_name = f"{self.name}.miss"
         self._fwd_name = f"{self.name}-fwd"
 
@@ -147,7 +152,7 @@ class PrivateCacheAgent:
     def amo(self, addr: int, fn: Callable[[int], int]) -> int:
         """Atomic read-modify-write (LR/SC or AMO equivalent); returns the old value."""
         line = self.address_map.line_of(addr)
-        self.stats.counter("amos").increment()
+        self._c_amos.value += 1
         probe = self.power_probe
         if probe is not None:
             probe.cache_accesses += 1
@@ -241,7 +246,7 @@ class PrivateCacheAgent:
         else:
             kind = MsgKind.PUT_S
             size = 0
-        self.stats.counter("evictions").increment()
+        self._c_evictions.value += 1
         self._writeback_buffer[line] = True
         self.port.send(home, "llc", kind, addr=line, plane=MessagePlane.REQUEST, size_bytes=size)
         yield self.domain.wait_cycles(1)
@@ -269,11 +274,11 @@ class PrivateCacheAgent:
         line = self.address_map.line_of(message.addr)
         yield self.domain.wait_cycles(self.config.l2_latency_cycles)
         if message.kind == MsgKind.INV:
-            self.stats.counter("invalidations").increment()
+            self._c_invalidations.value += 1
             self._drop_line(line, notify="invalidated")
             self.port.reply(message, MsgKind.INV_ACK)
         elif message.kind == MsgKind.FWD_GET_S:
-            self.stats.counter("fwd_get_s").increment()
+            self._c_fwd_get_s.value += 1
             entry = self.l2.peek(line)
             if entry is not None:
                 entry.state = CoherenceState.SHARED
@@ -290,7 +295,7 @@ class PrivateCacheAgent:
             )
             self.port.reply(message, MsgKind.WB_DATA, size_bytes=self.config.line_bytes)
         elif message.kind == MsgKind.FWD_GET_M:
-            self.stats.counter("fwd_get_m").increment()
+            self._c_fwd_get_m.value += 1
             self._drop_line(line, notify="invalidated")
             requester = (message.meta["requester_node"], message.meta["requester_target"])
             self.port.send(

@@ -33,7 +33,8 @@ from repro.accel.barnes_hut import (
 )
 from repro.core.soft_cache import SoftCacheConfig
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 DEFAULT_PARTICLES = 32
 THRESHOLD = 0.5
@@ -176,10 +177,8 @@ def _forces_close(measured: List[float], expected: List[float], tolerance: float
     return True
 
 
-def run_cpu(params: Optional[WorkloadParams] = None,
+def run_cpu(params: WorkloadParams,
             num_particles: int = DEFAULT_PARTICLES) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=4)
-    params.num_processors = max(params.num_processors, 1)
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     particles = _make_particles(num_particles, params.seed)
     nodes = _build_tree(particles)
@@ -225,19 +224,13 @@ def run_cpu(params: Optional[WorkloadParams] = None,
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     num_particles: int = DEFAULT_PARTICLES) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=4, num_memory_hubs=1)
-    system = build_benchmark_system(kind, params)
-    accelerator = BarnesHutForceAccelerator()
-    synthesis = system.install_accelerator(
-        accelerator,
-        registers=register_layout(params.num_processors),
-        fpga_mhz=params.fpga_mhz,
+    system, synthesis = build_accelerated_system(
+        kind, params, BarnesHutForceAccelerator(), register_layout(params.num_processors),
         soft_cache=(SoftCacheConfig(size_bytes=8192, assoc=4)
                     if kind is SystemKind.DUET else None),
     )
-    system.start_accelerator()
     adapter = system.adapter
     particles = _make_particles(num_particles, params.seed)
     nodes = _build_tree(particles)
@@ -297,8 +290,7 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
     return finalize_result(
         "barnes-hut", kind, system, elapsed,
         correct=_forces_close(forces, expected), checksum=round(sum(forces), 3),
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz},
+        synthesis=synthesis,
     )
 
 
@@ -308,7 +300,7 @@ def _stop_accelerator(system, adapter):
     yield from ctx.mmio_write(adapter.register_addr(REG_CALC_REQ), STOP_COMMAND)
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         num_particles: int = DEFAULT_PARTICLES) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, num_particles)

@@ -12,7 +12,7 @@ and pops are single MMIO accesses to shadow-register FIFOs.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.accel.lockfree_queue import (
     END_OF_FRONTIER,
@@ -28,7 +28,8 @@ from repro.accel.lockfree_queue import (
 from repro.core.shadow_registers import BOGUS_VALUE
 from repro.cpu.sync import Barrier, SpinLock
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 DEFAULT_VERTICES = 96
 DEFAULT_DEGREE = 3
@@ -92,9 +93,8 @@ def _check_levels(system, layout, adjacency) -> bool:
     return measured == expected
 
 
-def run_cpu(params: Optional[WorkloadParams] = None, vertices: int = DEFAULT_VERTICES,
+def run_cpu(params: WorkloadParams, vertices: int = DEFAULT_VERTICES,
             degree: int = DEFAULT_DEGREE) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=4)
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     adjacency = _make_graph(vertices, degree, params.seed)
     layout = _layout_graph(system, adjacency)
@@ -159,16 +159,11 @@ def run_cpu(params: Optional[WorkloadParams] = None, vertices: int = DEFAULT_VER
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     vertices: int = DEFAULT_VERTICES, degree: int = DEFAULT_DEGREE) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=4, num_memory_hubs=0)
-    params.num_memory_hubs = 0
-    system = build_benchmark_system(kind, params)
-    accelerator = FrontierQueueAccelerator()
-    synthesis = system.install_accelerator(
-        accelerator, registers=register_layout(), fpga_mhz=params.fpga_mhz
+    system, synthesis = build_accelerated_system(
+        kind, params, FrontierQueueAccelerator(), register_layout()
     )
-    system.start_accelerator()
     adapter = system.adapter
     adjacency = _make_graph(vertices, degree, params.seed)
     layout = _layout_graph(system, adjacency)
@@ -226,8 +221,7 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
         correct=_check_levels(system, layout, adjacency),
         checksum=sum(system.memory.read_word(layout["levels"] + v * WORD_BYTES)
                      for v in range(vertices)),
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz},
+        synthesis=synthesis,
     )
 
 
@@ -236,7 +230,7 @@ def _stop(system, adapter):
     yield from ctx.mmio_write(adapter.register_addr(REG_PUSH), STOP_COMMAND)
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         vertices: int = DEFAULT_VERTICES, degree: int = DEFAULT_DEGREE) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, vertices, degree)

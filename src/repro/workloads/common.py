@@ -15,8 +15,10 @@ Every benchmark follows the Sec. V-D methodology:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
+from repro.fpga.accelerator import SoftAccelerator
+from repro.fpga.synthesis import SynthesisResult
 from repro.platform.area import AreaModel
 from repro.platform.config import DollyConfig, SystemKind
 from repro.platform.dolly import DollySystem, build_system
@@ -77,6 +79,19 @@ def build_benchmark_system(kind: SystemKind, params: WorkloadParams) -> DollySys
     return build_system(config)
 
 
+def build_accelerated_system(kind: SystemKind, params: WorkloadParams,
+                             accelerator: SoftAccelerator, registers,
+                             soft_cache=None) -> Tuple[DollySystem, SynthesisResult]:
+    """Build a Duet or FPSoC system, install ``accelerator`` at
+    ``params.fpga_mhz`` (its post-route Fmax when ``None``) and start it."""
+    system = build_benchmark_system(kind, params)
+    synthesis = system.install_accelerator(
+        accelerator, registers=registers, fpga_mhz=params.fpga_mhz, soft_cache=soft_cache
+    )
+    system.start_accelerator()
+    return system, synthesis
+
+
 def finalize_result(
     benchmark: str,
     kind: SystemKind,
@@ -84,10 +99,19 @@ def finalize_result(
     runtime_ns: float,
     correct: bool,
     checksum: Any = None,
-    efpga_area_mm2: float = 0.0,
+    synthesis: Optional[SynthesisResult] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> BenchmarkResult:
-    """Attach area accounting to a raw runtime measurement."""
+    """Attach area accounting to a raw runtime measurement.
+
+    An accelerated run passes the ``synthesis`` of its accelerator: its area
+    is the eFPGA area, and its ``fmax_mhz`` leads ``extra``.
+    """
+    efpga_area_mm2 = 0.0
+    extra = dict(extra or {})
+    if synthesis is not None:
+        efpga_area_mm2 = synthesis.area_mm2
+        extra = {"fmax_mhz": synthesis.fmax_mhz, **extra}
     area_model = AreaModel()
     processors = system.config.num_processors
     hubs = system.config.num_memory_hubs
@@ -100,7 +124,6 @@ def finalize_result(
     fpga_mhz = None
     if system.fpga_domain is not None:
         fpga_mhz = system.fpga_domain.freq_mhz
-    extra = dict(extra or {})
     energy = system.energy
     if energy is not None and energy.last_window_pj is not None:
         energy_nj = energy.last_window_pj / 1000.0

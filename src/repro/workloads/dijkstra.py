@@ -11,7 +11,7 @@ calls (Sec. V-D).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.accel.dijkstra import (
     DijkstraRelaxAccelerator,
@@ -27,7 +27,8 @@ from repro.accel.dijkstra import (
 )
 from repro.core.soft_cache import SoftCacheConfig
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 DEFAULT_VERTICES = 48
 DEFAULT_DEGREE = 8
@@ -92,9 +93,8 @@ def _layout_csr(system, adjacency) -> Dict[str, int]:
             "vertices": vertices, "edge_count": offset}
 
 
-def run_cpu(params: Optional[WorkloadParams] = None, vertices: int = DEFAULT_VERTICES,
+def run_cpu(params: WorkloadParams, vertices: int = DEFAULT_VERTICES,
             degree: int = DEFAULT_DEGREE) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1)
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     adjacency = _make_graph(vertices, degree, params.seed)
     layout = _layout_csr(system, adjacency)
@@ -138,18 +138,12 @@ def run_cpu(params: Optional[WorkloadParams] = None, vertices: int = DEFAULT_VER
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     vertices: int = DEFAULT_VERTICES, degree: int = DEFAULT_DEGREE) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1, num_memory_hubs=1)
-    system = build_benchmark_system(kind, params)
-    accelerator = DijkstraRelaxAccelerator()
-    synthesis = system.install_accelerator(
-        accelerator,
-        registers=register_layout(),
-        fpga_mhz=params.fpga_mhz,
+    system, synthesis = build_accelerated_system(
+        kind, params, DijkstraRelaxAccelerator(), register_layout(),
         soft_cache=SoftCacheConfig(size_bytes=8192, assoc=4) if kind is SystemKind.DUET else None,
     )
-    system.start_accelerator()
     adapter = system.adapter
     adjacency = _make_graph(vertices, degree, params.seed)
     layout = _layout_csr(system, adjacency)
@@ -182,12 +176,11 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
     return finalize_result(
         "dijkstra", kind, system, elapsed,
         correct=measured == expected, checksum=sum(measured),
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz},
+        synthesis=synthesis,
     )
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         vertices: int = DEFAULT_VERTICES, degree: int = DEFAULT_DEGREE) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, vertices, degree)

@@ -13,7 +13,7 @@ hardware.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.accel.pdes_scheduler import (
     COMMIT_COMMAND,
@@ -30,7 +30,8 @@ from repro.accel.pdes_scheduler import (
 from repro.core.shadow_registers import BOGUS_VALUE
 from repro.cpu.sync import McsLock
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 DEFAULT_GATES = 24
 DEFAULT_INITIAL_EVENTS = 24
@@ -78,9 +79,8 @@ def _initial_events(gates: int, count: int, seed: int) -> List[Tuple[int, int]]:
     return [(rng.randint(0, 3), rng.randrange(gates)) for _ in range(count)]
 
 
-def run_cpu(params: Optional[WorkloadParams] = None, gates: int = DEFAULT_GATES,
+def run_cpu(params: WorkloadParams, gates: int = DEFAULT_GATES,
             max_events: int = DEFAULT_MAX_EVENTS) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=4)
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     fanout = _make_circuit(gates, params.seed)
     delays = _delays(gates, params.seed)
@@ -138,15 +138,11 @@ def run_cpu(params: Optional[WorkloadParams] = None, gates: int = DEFAULT_GATES,
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     gates: int = DEFAULT_GATES, max_events: int = DEFAULT_MAX_EVENTS) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=4, num_memory_hubs=1)
-    system = build_benchmark_system(kind, params)
-    accelerator = PdesSchedulerAccelerator()
-    synthesis = system.install_accelerator(
-        accelerator, registers=register_layout(), fpga_mhz=params.fpga_mhz
+    system, synthesis = build_accelerated_system(
+        kind, params, PdesSchedulerAccelerator(), register_layout()
     )
-    system.start_accelerator()
     adapter = system.adapter
     fanout = _make_circuit(gates, params.seed)
     delays = _delays(gates, params.seed)
@@ -188,12 +184,11 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
         f"pdes/{params.num_processors}", kind, system, elapsed,
         correct=counters["processed"] >= min(expected, max_events) - params.num_processors,
         checksum=counters["processed"],
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz},
+        synthesis=synthesis,
     )
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         gates: int = DEFAULT_GATES, max_events: int = DEFAULT_MAX_EVENTS) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, gates, max_events)

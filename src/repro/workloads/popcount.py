@@ -10,7 +10,7 @@ accelerator stream the four cache lines through its Memory Hub.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.accel.popcount import (
     PopcountAccelerator,
@@ -23,7 +23,8 @@ from repro.accel.popcount import (
     register_layout,
 )
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 DEFAULT_VECTORS = 24
 WORD_BYTES = 8
@@ -49,8 +50,7 @@ def _store_vectors(system, base: int, vectors: List[List[int]]) -> None:
             system.memory.write_word(base + vector_index * VECTOR_BYTES + word_index * WORD_BYTES, word)
 
 
-def run_cpu(params: Optional[WorkloadParams] = None, vectors: int = DEFAULT_VECTORS) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1)
+def run_cpu(params: WorkloadParams, vectors: int = DEFAULT_VECTORS) -> BenchmarkResult:
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     data = _make_vectors(vectors, params.seed)
     base = system.memory.allocate(vectors * VECTOR_BYTES, align=64)
@@ -79,15 +79,11 @@ def run_cpu(params: Optional[WorkloadParams] = None, vectors: int = DEFAULT_VECT
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     vectors: int = DEFAULT_VECTORS) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1, num_memory_hubs=1)
-    system = build_benchmark_system(kind, params)
-    accelerator = PopcountAccelerator()
-    synthesis = system.install_accelerator(
-        accelerator, registers=register_layout(), fpga_mhz=params.fpga_mhz
+    system, synthesis = build_accelerated_system(
+        kind, params, PopcountAccelerator(), register_layout()
     )
-    system.start_accelerator()
     adapter = system.adapter
     data = _make_vectors(vectors, params.seed)
     base = system.memory.allocate(vectors * VECTOR_BYTES, align=64)
@@ -109,12 +105,11 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
     return finalize_result(
         "popcount", kind, system, elapsed,
         correct=counts == expected, checksum=sum(counts),
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz},
+        synthesis=synthesis,
     )
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         vectors: int = DEFAULT_VECTORS) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, vectors)

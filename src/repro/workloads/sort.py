@@ -11,7 +11,7 @@ sort/128 variant of Table II / Fig. 12.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.accel.sortnet import (
     ELEMENT_BYTES,
@@ -26,7 +26,8 @@ from repro.accel.sortnet import (
     unpack_words,
 )
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 DEFAULT_TOTAL_ELEMENTS = 256
 WORD_BYTES = 8
@@ -55,10 +56,9 @@ def _load_packed(system, base: int, count: int) -> List[int]:
     return unpack_words(words, count)
 
 
-def run_cpu(params: Optional[WorkloadParams] = None,
+def run_cpu(params: WorkloadParams,
             total_elements: int = DEFAULT_TOTAL_ELEMENTS,
             slice_size: int = 32) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1)
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     data = _make_array(total_elements, params.seed)
     base = system.memory.allocate(total_elements * ELEMENT_BYTES, align=64)
@@ -110,17 +110,12 @@ def run_cpu(params: Optional[WorkloadParams] = None,
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     total_elements: int = DEFAULT_TOTAL_ELEMENTS,
                     slice_size: int = 32) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1, num_memory_hubs=2)
-    params.num_memory_hubs = max(params.num_memory_hubs, 2)
-    system = build_benchmark_system(kind, params)
-    accelerator = SortingNetworkAccelerator(slice_size)
-    synthesis = system.install_accelerator(
-        accelerator, registers=register_layout(), fpga_mhz=params.fpga_mhz
+    system, synthesis = build_accelerated_system(
+        kind, params, SortingNetworkAccelerator(slice_size), register_layout()
     )
-    system.start_accelerator()
     adapter = system.adapter
     data = _make_array(total_elements, params.seed)
     src_base = system.memory.allocate(total_elements * ELEMENT_BYTES, align=64)
@@ -169,12 +164,11 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
     return finalize_result(
         f"sort/{slice_size}", kind, system, elapsed,
         correct=merged == expected, checksum=sum(merged[:8]),
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz, "slices": num_slices},
+        synthesis=synthesis, extra={"slices": num_slices},
     )
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         total_elements: int = DEFAULT_TOTAL_ELEMENTS, slice_size: int = 32) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, total_elements, slice_size)

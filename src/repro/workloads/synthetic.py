@@ -23,8 +23,9 @@ from typing import Dict, List, Optional
 from repro.core.registers import RegisterKind, RegisterSpec
 from repro.fpga.accelerator import SoftAccelerator
 from repro.fpga.synthesis import AcceleratorDesign
-from repro.platform.config import DollyConfig, SystemKind
-from repro.platform.dolly import build_system
+from repro.platform.config import SystemKind
+from repro.platform.dolly import DollySystem
+from repro.workloads.common import WorkloadParams, build_accelerated_system
 
 #: Register map of the synthetic scratchpad accelerator.
 REG_CMD = 0          # FPGA-bound FIFO: commands / data pushed by the CPU
@@ -168,20 +169,11 @@ class ScalabilityResult:
     per_processor_mbytes_per_s: float
 
 
-def _build(kind: SystemKind, processors: int, fpga_mhz: float):
-    if kind is SystemKind.DUET:
-        config = DollyConfig.dolly(processors, 1, fpga_mhz=fpga_mhz)
-    else:
-        config = DollyConfig.fpsoc(processors, 1, fpga_mhz=fpga_mhz)
-    system = build_system(config)
-    accelerator = ScratchpadAccelerator()
-    system.install_accelerator(
-        accelerator,
-        registers=synthetic_registers(),
-        fpga_mhz=fpga_mhz,
-    )
-    system.start_accelerator()
-    return system, accelerator
+def _build(kind: SystemKind, processors: int, fpga_mhz: float) -> DollySystem:
+    params = WorkloadParams(num_processors=processors, num_memory_hubs=1, fpga_mhz=fpga_mhz)
+    system, _ = build_accelerated_system(kind, params, ScratchpadAccelerator(),
+                                         synthetic_registers())
+    return system
 
 
 # --------------------------------------------------------------------------- #
@@ -204,7 +196,7 @@ def measure_latency(mechanism: str, fpga_mhz: float,
         raise ValueError(f"unknown latency mechanism {mechanism!r}")
     slow = mechanism.endswith("_slow") or mechanism == "normal_reg"
     kind = SystemKind.FPSOC if mechanism.endswith("_slow") else SystemKind.DUET
-    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz)
+    system = _build(kind, processors=1, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     buffer_a = system.memory.allocate(4096, align=4096)
     buffer_b = system.memory.allocate(4096, align=4096)
@@ -276,7 +268,7 @@ def measure_bandwidth(mechanism: str, fpga_mhz: float, quad_words: int = QUAD_WO
     if mechanism not in BANDWIDTH_MECHANISMS:
         raise ValueError(f"unknown bandwidth mechanism {mechanism!r}")
     kind = SystemKind.FPSOC if mechanism.endswith("_slow") or mechanism == "normal_reg" else SystemKind.DUET
-    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz)
+    system = _build(kind, processors=1, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     bytes_moved = quad_words * WORD_BYTES
     buffer_a = system.memory.allocate(bytes_moved, align=4096)
@@ -343,7 +335,7 @@ def measure_register_scalability(
     if operation not in ("read", "write"):
         raise ValueError("operation must be 'read' or 'write'")
     kind = SystemKind.DUET if mechanism == "shadow_reg" else SystemKind.FPSOC
-    system, _ = _build(kind, processors=num_processors, fpga_mhz=fpga_mhz)
+    system = _build(kind, processors=num_processors, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     target = adapter.register_addr(REG_PLAIN_A)
     payload = _payload_words(accesses_per_processor, seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.accel.tangent import (
     REG_ARGUMENT,
@@ -22,7 +22,8 @@ from repro.accel.tangent import (
     to_fixed,
 )
 from repro.platform.config import SystemKind
-from repro.workloads.common import BenchmarkResult, WorkloadParams, build_benchmark_system, finalize_result
+from repro.workloads.common import (BenchmarkResult, WorkloadParams, build_accelerated_system,
+                                    build_benchmark_system, finalize_result)
 
 #: Number of tangent evaluations per run.
 DEFAULT_CALLS = 48
@@ -48,8 +49,7 @@ def _within_error(approximations: List[float], angles: List[float]) -> bool:
     return True
 
 
-def run_cpu(params: Optional[WorkloadParams] = None, calls: int = DEFAULT_CALLS) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1, num_memory_hubs=0)
+def run_cpu(params: WorkloadParams, calls: int = DEFAULT_CALLS) -> BenchmarkResult:
     system = build_benchmark_system(SystemKind.CPU_ONLY, params)
     angles = _angles(calls, params.seed)
     results: List[float] = []
@@ -69,16 +69,11 @@ def run_cpu(params: Optional[WorkloadParams] = None, calls: int = DEFAULT_CALLS)
     )
 
 
-def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run_accelerated(kind: SystemKind, params: WorkloadParams,
                     calls: int = DEFAULT_CALLS) -> BenchmarkResult:
-    params = params or WorkloadParams(num_processors=1, num_memory_hubs=0)
-    params.num_memory_hubs = max(params.num_memory_hubs, 0)
-    system = build_benchmark_system(kind, params)
-    accelerator = TangentAccelerator()
-    synthesis = system.install_accelerator(
-        accelerator, registers=register_layout(), fpga_mhz=params.fpga_mhz
+    system, synthesis = build_accelerated_system(
+        kind, params, TangentAccelerator(), register_layout()
     )
-    system.start_accelerator()
     adapter = system.adapter
     angles = _angles(calls, params.seed)
     results: List[float] = []
@@ -97,12 +92,11 @@ def run_accelerated(kind: SystemKind, params: Optional[WorkloadParams] = None,
     return finalize_result(
         "tangent", kind, system, elapsed,
         correct=_within_error(results, angles), checksum=round(sum(results), 3),
-        efpga_area_mm2=synthesis.area_mm2,
-        extra={"fmax_mhz": synthesis.fmax_mhz},
+        synthesis=synthesis,
     )
 
 
-def run(kind: SystemKind, params: Optional[WorkloadParams] = None,
+def run(kind: SystemKind, params: WorkloadParams,
         calls: int = DEFAULT_CALLS) -> BenchmarkResult:
     if kind is SystemKind.CPU_ONLY:
         return run_cpu(params, calls)

@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-from repro.analysis import APPLICATION_CONFIGS
 from repro.api import (
     ExperimentSpec,
     Runner,
@@ -19,6 +18,7 @@ from repro.api import (
     list_experiments,
     register_experiment,
 )
+from repro.workloads import APPLICATION_CONFIGS
 from repro.workloads.synthetic import (
     LATENCY_MECHANISMS,
     measure_bandwidth,

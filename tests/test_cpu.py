@@ -265,6 +265,50 @@ def test_barrier_requires_participants():
         Barrier(system.memory, num_threads=0)
 
 
+def _spin_against_a_late_store(spin, decoy, final):
+    """Core 0 spins on a word that core 1 sets to ``decoy`` and later to
+    ``final``; returns the value, time and counters seen by the spinner."""
+    system = build_mini_system()
+    spinner, writer = make_core(system, 0), make_core(system, 1)
+    word = system.memory.allocate(16)
+
+    def write_late(ctx):
+        yield from ctx.compute(150)
+        yield from ctx.store(word, decoy)
+        yield from ctx.compute(150)
+        yield from ctx.store(word, final)
+
+    def spin_program(ctx):
+        value = yield from spin(ctx, word)
+        return value, ctx.now
+
+    process = spinner.run(spin_program)
+    writer.run(write_late)
+    system.sim.run()
+    counters = spinner.stats.counters()
+    return process.done.value, counters["loads"], counters["instructions"]
+
+
+@pytest.mark.parametrize("done, decoy, final", [
+    (lambda value: value == 5, 3, 5),   # Barrier / lock-flag form
+    (lambda value: value != 0, 0, 7),   # McsLock.release waiting for a link
+], ids=["equals", "nonzero"])
+def test_spin_until_matches_a_hand_written_poll_loop(done, decoy, final):
+    def hand_written(ctx, addr):
+        while True:
+            value = yield from ctx.load(addr)
+            if done(value):
+                return value
+            yield from ctx.compute(2)
+
+    expected = _spin_against_a_late_store(hand_written, decoy, final)
+    measured = _spin_against_a_late_store(
+        lambda ctx, addr: ctx.spin_until(addr, done), decoy, final)
+    assert measured == expected
+    (value, _), loads, _ = measured
+    assert value == final and loads > 10
+
+
 def test_lock_contention_scales_runtime():
     """More contenders on one spin lock means longer total runtime."""
 

@@ -1,6 +1,6 @@
 """Unit tests for the plain-text table renderer."""
 
-from repro.analysis.reporting import _fmt, format_table
+from repro.api.results import _fmt, format_table
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,9 @@ runs a (scaled-down) benchmark on at least two of the three systems and
 checks functional correctness plus the headline performance relationship.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.api import Runner
@@ -14,6 +17,8 @@ from repro.workloads import bfs, dijkstra, pdes, popcount, sort, tangent
 from repro.workloads.common import WorkloadParams
 from repro.workloads.synthetic import measure_bandwidth, measure_latency
 from tests.conftest import QUICK_FIG12_LABELS
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 # --------------------------------------------------------------------------- #
@@ -59,6 +64,17 @@ def test_pdes_processes_all_events_on_both_systems():
     duet = pdes.run(SystemKind.DUET, WorkloadParams(2, 1), gates=12, max_events=40)
     assert cpu.correct and duet.correct
     assert duet.runtime_ns < cpu.runtime_ns
+
+
+def test_run_leaves_the_callers_params_unchanged():
+    params = WorkloadParams(4, 1)
+    assert bfs.run(SystemKind.DUET, params, vertices=48, degree=3).correct
+    assert params == WorkloadParams(4, 1)
+    # Sort's network reads through one hub and writes through another.
+    params = WorkloadParams(1, 1)
+    with pytest.raises(DuetError, match="needs 2 memory hubs"):
+        sort.run(SystemKind.DUET, params, total_elements=64, slice_size=32)
+    assert params == WorkloadParams(1, 1)
 
 
 def test_bfs_levels_match_reference_and_duet_beats_cpu():
@@ -184,3 +200,21 @@ def test_fig12_duet_beats_fpsoc_on_every_quick_application(quick_fig12):
     summary = quick_fig12.summary
     assert summary["duet_geomean_speedup"] > summary["fpsoc_geomean_speedup"]
     assert summary["duet_geomean_speedup"] > 1.0
+
+
+def test_fig12_quick_rows_and_summary_match_golden_file(quick_fig12):
+    """Every Fig. 12 number of the quick applications, pinned exactly.
+
+    Re-record only after an intentional output change, with::
+
+        PYTHONPATH=src python -c "
+        import json, sys; sys.path.insert(0, '.')
+        from repro.api import Runner; from tests.conftest import QUICK_FIG12_LABELS
+        rs = Runner().run('fig12', benchmark=QUICK_FIG12_LABELS)
+        json.dump({'rows': rs.to_dicts(), 'summary': rs.summary},
+                  open('tests/data/fig12_quick_golden.json', 'w'), indent=1, sort_keys=True)"
+    """
+    with open(os.path.join(DATA_DIR, "fig12_quick_golden.json")) as handle:
+        golden = json.load(handle)
+    measured = {"rows": quick_fig12.to_dicts(), "summary": quick_fig12.summary}
+    assert json.loads(json.dumps(measured, sort_keys=True)) == golden
