@@ -15,7 +15,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.cpu.mmio import MmioPort
 from repro.mem.private_cache import PrivateCacheAgent
-from repro.sim import ClockDomain, Process, Simulator, StatSet
+from repro.sim import ClockDomain, Process, Simulator, StatSet, Suspend
 
 
 @dataclass
@@ -67,15 +67,7 @@ class CpuContext:
     def compute(self, instructions: float = 1.0, fp: bool = False):
         """Charge ``instructions`` worth of ALU/FPU work."""
         core = self._core
-        config = core.config
-        per_op = config.fp_op_cycles if fp else config.int_op_cycles
-        cycles = max(1.0, instructions * per_op / config.issue_width)
-        core._c_instructions.value += int(instructions)
-        rounded = int(round(cycles))
-        probe = core.power_probe
-        if probe is not None:
-            probe.core_active_cycles += rounded
-        yield core.domain.wait_cycles(rounded)
+        yield core.domain.wait_cycles(core.charge(instructions, fp))
         return None
 
     def stall(self, cycles: int):
@@ -98,9 +90,20 @@ class CpuContext:
     def spin_until(self, addr: int, done: Callable[[int], bool]):
         """Spin-wait on ``addr``: load it, and return the value once
         ``done(value)`` holds; otherwise run :data:`SPIN_PAUSE_INSTRUCTIONS`
-        and load again.  Every synchronization primitive polls through here."""
+        and load again.  Every synchronization primitive polls through here.
+
+        The polls run as :class:`_SpinWait` callbacks; the process wakes
+        only to return, or to finish a load that missed the L1 as an
+        ordinary :meth:`load` tail would."""
+        core = self._core
+        spin = _SpinWait(core, addr, done)
+        command = Suspend(spin.start)
         while True:
-            value = yield from self.load(addr)
+            value = yield command
+            if value is not _L1_MISS:
+                return value
+            value = yield from core.cache.load_past_l1(addr, spin.line)
+            core._c_loads.value += 1
             if done(value):
                 return value
             yield from self.compute(SPIN_PAUSE_INSTRUCTIONS)
@@ -157,6 +160,76 @@ class CpuContext:
         return None
 
 
+#: What a :class:`_SpinWait` resumes its process with when the L1 misses.
+_L1_MISS = object()
+
+
+class _SpinWait:
+    """The polls of one :meth:`CpuContext.spin_until`, run as kernel callbacks.
+
+    A poll is three waits: the load's issue cycle, the L1 latency and the
+    :data:`SPIN_PAUSE_INSTRUCTIONS` pause.  Each callback charges what the
+    generator steps of :meth:`CpuContext.load` and :meth:`CpuContext.compute`
+    charge at that point and queues the next wait from the same callback
+    with :meth:`ClockDomain.call_after_cycles`, so the event order, the
+    sequence numbers and every counter equal a ``yield from`` poll loop's;
+    only the generator frames per poll are gone.  The process is resumed
+    with the value once ``done(value)`` holds, with ``_L1_MISS`` when the
+    L1 probe misses, and thrown into when ``done`` raises.
+    """
+
+    __slots__ = ("core", "agent", "addr", "done", "line", "issue_cycles", "l1_cycles",
+                 "resume", "throw", "_on_issue", "_on_l1", "_on_pause")
+
+    def __init__(self, core: "Core", addr: int, done: Callable[[int], bool]) -> None:
+        self.core = core
+        self.agent = core.cache
+        self.addr = addr
+        self.done = done
+        self.line = 0
+        self.issue_cycles = int(core.config.mem_issue_cycles)
+        self.l1_cycles = core.cache.config.l1_latency_cycles
+        self.resume: Optional[Callable[[Any], None]] = None
+        self.throw: Optional[Callable[[BaseException], None]] = None
+        # Bound once, not once per poll.
+        self._on_issue = self._issued
+        self._on_l1 = self._probed
+        self._on_pause = self._paused
+
+    def start(self, resume: Callable[[Any], None],
+              throw: Callable[[BaseException], None]) -> None:
+        """The :class:`Suspend` owner: take over the process and issue a load."""
+        self.resume = resume
+        self.throw = throw
+        self.core.domain.call_after_cycles(self.issue_cycles, self._on_issue)
+
+    def _issued(self, _: Any) -> None:
+        agent = self.agent
+        self.line = agent.start_load(self.addr)
+        agent.domain.call_after_cycles(self.l1_cycles, self._on_l1)
+
+    def _probed(self, _: Any) -> None:
+        agent = self.agent
+        if not agent.l1_hit(self.line):
+            self.resume(_L1_MISS)
+            return
+        value = agent.memory.read_word(self.addr)
+        core = self.core
+        core._c_loads.value += 1
+        try:
+            done = self.done(value)
+        except Exception as error:
+            self.throw(error)
+            return
+        if done:
+            self.resume(value)
+        else:
+            core.domain.call_after_cycles(core.charge(SPIN_PAUSE_INSTRUCTIONS), self._on_pause)
+
+    def _paused(self, _: Any) -> None:
+        self.core.domain.call_after_cycles(self.issue_cycles, self._on_issue)
+
+
 #: A program is a callable producing a generator when given a CpuContext.
 Program = Callable[..., Generator[Any, Any, Any]]
 
@@ -191,6 +264,19 @@ class Core:
         self._c_stores = self.stats.counter("stores")
         self._c_atomics = self.stats.counter("atomics")
         self.context = CpuContext(self)
+
+    def charge(self, instructions: float, fp: bool = False) -> int:
+        """Credit ``instructions`` of ALU/FPU work to the instruction count
+        and the power probe; returns the whole cycles the work takes."""
+        config = self.config
+        per_op = config.fp_op_cycles if fp else config.int_op_cycles
+        cycles = instructions * per_op / config.issue_width
+        self._c_instructions.value += int(instructions)
+        rounded = int(round(cycles)) if cycles > 1.0 else 1
+        probe = self.power_probe
+        if probe is not None:
+            probe.core_active_cycles += rounded
+        return rounded
 
     def run(self, program: Program, *args: Any, name: str = "", **kwargs: Any) -> Process:
         """Start ``program(ctx, *args, **kwargs)`` as a simulation process."""

@@ -37,13 +37,17 @@ class MainMemory:
     # ------------------------------------------------------------------ #
     # Functional access (zero-time; timing is charged by the caller)
     # ------------------------------------------------------------------ #
+    # read_word and write_word run on every load and store, so they
+    # inline _align.
     def read_word(self, addr: int) -> int:
         self._c_reads.value += 1
-        return self._words.get(self._align(addr), 0)
+        word = self.config.word_bytes
+        return self._words.get(addr // word * word, 0)
 
     def write_word(self, addr: int, value: int) -> None:
         self._c_writes.value += 1
-        self._words[self._align(addr)] = value
+        word = self.config.word_bytes
+        self._words[addr // word * word] = value
 
     def read_modify_write(self, addr: int, fn) -> int:
         """Atomically apply ``fn(old) -> new``; returns the old value."""

@@ -101,18 +101,36 @@ class PrivateCacheAgent:
     # ------------------------------------------------------------------ #
     def load(self, addr: int, size_bytes: int = 8) -> Any:
         """Read ``addr``; returns the functional word value."""
-        line = self.address_map.line_of(addr)
+        line = self.start_load(addr)
+        yield self.domain.wait_cycles(self.config.l1_latency_cycles)
+        if self.l1_hit(line):
+            return self.memory.read_word(addr)
+        value = yield from self.load_past_l1(addr, line)
+        return value
+
+    # A load is start_load, an l1_latency_cycles wait, l1_hit and, on a
+    # miss, load_past_l1.  CpuContext.spin_until runs the first three from
+    # kernel callbacks, so each exists once, here.
+    def start_load(self, addr: int) -> int:
+        """Count one load arriving at the L1; returns its line address."""
         self._c_loads.value += 1
         probe = self.power_probe
         if probe is not None:
             probe.cache_accesses += 1
-        yield self.domain.wait_cycles(self.config.l1_latency_cycles)
+        return self.address_map.line_of(addr)
+
+    def l1_hit(self, line: int) -> bool:
+        """Probe the L1 for ``line`` (an LRU touch and a hit or miss count)."""
         # An L1 hit needs the line still readable in the L2.  lookup and
         # peek return valid entries only, and every valid state can read.
         l1 = self.l1
         if l1 is not None and l1.lookup(line) is not None and self.l2.peek(line) is not None:
             self._c_l1_hits.value += 1
-            return self.memory.read_word(addr)
+            return True
+        return False
+
+    def load_past_l1(self, addr: int, line: int) -> Any:
+        """The rest of a load that missed the L1: the L2, then a miss."""
         yield self.domain.wait_cycles(self.config.l2_latency_cycles)
         if self.l2.lookup(line) is not None:
             self._c_l2_hits.value += 1

@@ -81,6 +81,14 @@ SUITE = [
         unit="samples/s",
         params={"samples": 20_000},
     ),
+    # Spin-wait polls, eight cores on one barrier (informational): the
+    # per-poll cost of CpuContext.spin_until, Fig. 12's CPU-only hot path.
+    BenchSpec(
+        name="spin_polls_per_sec",
+        fn=micro.spin_poll_rate,
+        unit="polls/s",
+        params={"rounds": 10, "cores": 8, "late_cycles": 4_000},
+    ),
     BenchSpec(
         name="noc_messages_per_sec_torus",
         fn=micro.noc_message_throughput,

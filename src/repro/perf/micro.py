@@ -24,6 +24,9 @@ end-to-end serving and paper-figure time is measured by ``bench/run.py``.
   energy-accounting hooks cost ~nothing on the hot path.
 * :func:`energy_sample_rate` — epoch closes per wall second of a busy
   :class:`~repro.power.EnergyModel`: the accounting layer's own overhead.
+* :func:`spin_poll_rate` — spin-wait polls per wall second, eight CPU-only
+  cores on one barrier: the cost of :meth:`~repro.cpu.CpuContext.spin_until`,
+  where Fig. 12's lock- and barrier-bound baselines spend their time.
 
 All of them return a rate (per wall second), so *higher is better* and
 regressions show up as ratios < 1 against the parent commit's runs.
@@ -195,3 +198,36 @@ def energy_sample_rate(samples: int = 20_000) -> float:
     if model.epochs < samples:
         raise RuntimeError(f"energy bench lost epochs: {model.epochs}/{samples}")
     return samples / elapsed
+
+
+def spin_poll_rate(rounds: int = 10, cores: int = 8, late_cycles: int = 4_000) -> float:
+    """Spin-wait polls per wall second.
+
+    ``cores`` cores of a CPU-only system meet at one barrier ``rounds``
+    times; each round the last core arrives ``late_cycles`` after the
+    others, which poll the barrier's sense word meanwhile (an L1 hit, the
+    pause, the next load).  Every core load in this program is a poll.
+    """
+    # Imported here, not at the top, so the other benches run in a process
+    # without the platform stack loaded, as they did before this one existed.
+    from repro.cpu import Barrier
+    from repro.platform import DollyConfig, build_system
+
+    system = build_system(DollyConfig.cpu_only(cores))
+    barrier = Barrier(system.memory, cores)
+    late = cores - 1
+
+    def program(ctx, thread):
+        for _ in range(rounds):
+            if thread == late:
+                yield from ctx.compute(late_cycles)
+            yield from barrier.wait(ctx, thread)
+
+    start = time.perf_counter()
+    system.run_programs([(thread, program, (thread,)) for thread in range(cores)],
+                        drain_ns=0.0)
+    elapsed = time.perf_counter() - start
+    polls = sum(core.stats.counters()["loads"] for core in system.cores)
+    if polls < rounds * (cores - 1):
+        raise RuntimeError(f"spin bench polled too little: {polls} polls")
+    return polls / elapsed

@@ -4,7 +4,7 @@ A governor is a simulation process that wakes once per *epoch*, closes the
 energy-accounting epoch (:meth:`EnergyModel.sample`), and decides the next
 eFPGA frequency.  Retuning goes through the existing retune path — the
 Control Hub's :class:`~repro.fpga.clocking.ProgrammableClockGenerator` —
-so the accelerator Fmax clamp, the clock-edge cache invalidation and the
+so the accelerator Fmax clamp, the clock-edge memo reset and the
 AsyncFifo visible-time memo invalidation all behave exactly as they do for
 software-initiated retunes.
 

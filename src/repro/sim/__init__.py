@@ -2,9 +2,10 @@
 
 The kernel is deliberately small: a time-ordered event heap
 (:class:`Simulator`), coroutine processes (:class:`Process`) that yield
-:class:`Delay` or :class:`Event` commands, clock domains that align work to
-rising edges (:class:`ClockDomain`), and the clock-domain-crossing
-:class:`AsyncFifo` that models Dolly's Gray-coded two-stage synchronizers.
+:class:`Delay`, :class:`Event` or :class:`Suspend` commands, clock domains
+that align work to rising edges (:class:`ClockDomain`), and the
+clock-domain-crossing :class:`AsyncFifo` that models Dolly's Gray-coded
+two-stage synchronizers.
 """
 
 from repro.sim.event import Event
@@ -13,6 +14,7 @@ from repro.sim.kernel import (
     Process,
     SimulationError,
     Simulator,
+    Suspend,
     ns_to_ps,
     ps_to_ns,
 )
@@ -26,6 +28,7 @@ __all__ = [
     "Delay",
     "Event",
     "SimulationError",
+    "Suspend",
     "ClockDomain",
     "Channel",
     "AsyncFifo",

@@ -151,8 +151,7 @@ class AsyncFifo:
         # (commit_time, period, phase, visible): memo of the last visibility
         # computation.  Producers that commit several items on the same
         # push-domain edge (a burst) resolve the pop-domain alignment once;
-        # everything else goes through the per-domain edge cache in
-        # ClockDomain.next_edge instead of recomputing the floor-division.
+        # everything else goes through ClockDomain.next_edge.
         self._visible_cache = (-1.0, 0.0, 0.0, 0.0)
         self.total_pushed = 0
         self.total_popped = 0

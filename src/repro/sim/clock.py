@@ -11,7 +11,8 @@ the slow side can even see it.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from heapq import heappush as _heappush
+from typing import Any, Callable, Optional
 
 from repro.sim.kernel import Delay, SimulationError, Simulator
 
@@ -21,7 +22,7 @@ _EDGE_EPSILON = 1e-9
 class ClockDomain:
     """A periodic clock with a frequency in MHz and an optional phase offset."""
 
-    __slots__ = ("sim", "name", "_freq_mhz", "_period_ns", "_phase_ns", "_edge_cache")
+    __slots__ = ("sim", "name", "_freq_mhz", "_period_ns", "_phase_ns", "_memo_at", "_memo_edge")
 
     def __init__(
         self,
@@ -37,9 +38,10 @@ class ClockDomain:
         self._freq_mhz = float(freq_mhz)
         self._period_ns = 1000.0 / self._freq_mhz
         self._phase_ns = phase_ns
-        # (window_lo, window_hi, edge): the next-edge result for any query
-        # strictly inside (window_lo, window_hi).  Invalidated on retune.
-        self._edge_cache = (0.0, 0.0, 0.0)
+        # The last next_edge query and its answer; NaN equals no query, so
+        # resetting _memo_at empties the memo (on retune and phase change).
+        self._memo_at = math.nan
+        self._memo_edge = 0.0
 
     # ------------------------------------------------------------------ #
     # Static properties
@@ -55,7 +57,7 @@ class ClockDomain:
             raise SimulationError(f"clock frequency must be positive, got {value}")
         self._freq_mhz = float(value)
         self._period_ns = 1000.0 / self._freq_mhz
-        self._edge_cache = (0.0, 0.0, 0.0)
+        self._memo_at = math.nan
 
     @property
     def phase_ns(self) -> float:
@@ -64,7 +66,7 @@ class ClockDomain:
     @phase_ns.setter
     def phase_ns(self, value: float) -> None:
         self._phase_ns = value
-        self._edge_cache = (0.0, 0.0, 0.0)
+        self._memo_at = math.nan
 
     @property
     def period_ns(self) -> float:
@@ -85,28 +87,23 @@ class ClockDomain:
     def next_edge(self, at: Optional[float] = None) -> float:
         """Absolute time of the first rising edge strictly after ``at``.
 
-        The last answer is cached per domain with a conservative validity
-        window: any query strictly inside the same clock period (away from
-        the edges by a guard margin) reuses the cached edge instead of
-        paying the floor-division — components that align repeatedly within
-        one cycle (FIFO pushes, NoC injections) hit the cache.  Queries
-        near a period boundary recompute exactly, so cached and uncached
-        answers are always bit-identical.
+        The last query and its answer are memoized per domain: components
+        of one domain ask again at the very instant a previous wait landed
+        on (a core's next instruction, the other cores of a shared clock),
+        and an exact repeat returns the remembered edge instead of paying
+        the floor-division.  Any other ``at`` recomputes, so memoized and
+        fresh answers are the same float by construction.
         """
         if at is None:
             at = self.sim.now
-        cache = self._edge_cache
-        if cache[0] < at < cache[1]:
-            return cache[2]
+        if at == self._memo_at:
+            return self._memo_edge
         period = self._period_ns
         phase = self._phase_ns
         ticks = math.floor((at - phase) / period + _EDGE_EPSILON) + 1
         first = phase + ticks * period
-        # The exact validity region is [first - (1+eps)*period, first -
-        # eps*period); a generous guard keeps the cached window well inside
-        # it despite float rounding of the division above.
-        guard = period * 1e-6
-        self._edge_cache = (first - period + guard, first - guard, first)
+        self._memo_at = at
+        self._memo_edge = first
         return first
 
     def edge_after(self, at: Optional[float] = None, cycles: int = 1) -> float:
@@ -122,14 +119,39 @@ class ClockDomain:
     def wait_cycles(self, cycles: int = 1) -> Delay:
         """Command: suspend until the ``cycles``-th rising edge after now.
 
-        Runs once per modelled instruction, so :meth:`edge_after` is
-        inlined here with the same arithmetic, bit for bit.
+        Runs once per modelled instruction, so :meth:`edge_after` and the
+        memo check of :meth:`next_edge` are inlined here with the same
+        arithmetic, bit for bit.
         """
         if cycles < 1:
             raise SimulationError(f"cycles must be >= 1, got {cycles}")
         now = self.sim._now_ns
-        first = self.next_edge(now)
-        return Delay(max(0.0, first + (cycles - 1) * self._period_ns - now))
+        first = self._memo_edge if now == self._memo_at else self.next_edge(now)
+        ns = first + (cycles - 1) * self._period_ns - now
+        return Delay(ns if ns > 0.0 else 0.0)
+
+    def call_after_cycles(self, cycles: int, callback: Callable[[Any], None]) -> None:
+        """Run ``callback(None)`` when a process yielding ``wait_cycles(cycles)``
+        now would resume.
+
+        The callback twin of :meth:`wait_cycles`: the same delay arithmetic,
+        queued exactly as ``Process`` queues a :class:`Delay` (the immediate
+        deque for a zero delay, else one heap entry with the next sequence
+        number), so swapping one for the other changes no event order.
+        """
+        if cycles < 1:
+            raise SimulationError(f"cycles must be >= 1, got {cycles}")
+        sim = self.sim
+        now = sim._now_ns
+        first = self._memo_edge if now == self._memo_at else self.next_edge(now)
+        ns = first + (cycles - 1) * self._period_ns - now
+        if ns > 0.0:
+            time_ns = now + ns
+            _heappush(sim._heap, (int(time_ns * 1000.0 + 0.5), time_ns,
+                                  sim._sequence, callback, None))
+            sim._sequence += 1
+        else:
+            sim._immediate.append((callback, None))
 
     def align(self) -> Delay:
         """Command: suspend until the next rising edge (one-cycle alignment)."""

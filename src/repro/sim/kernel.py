@@ -8,6 +8,8 @@ yielding commands:
   event's value is sent back into the generator (or, if the event *failed*,
   the exception is thrown into the generator at the yield point).
 * ``None`` — yield the scheduler without advancing time (cooperative yield).
+* ``Suspend(owner)`` — park the process and hand its wake-up to ``owner``,
+  which runs it later from its own kernel callbacks (see :class:`Suspend`).
 
 Sub-behaviours compose with ``yield from``, which is how the memory system,
 the NoC and the Duet Adapter are layered without callback spaghetti.
@@ -87,6 +89,31 @@ class Delay:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delay(ns={self.ns!r})"
+
+
+class Suspend:
+    """Command: park the process and hand its wake-up to a callback owner.
+
+    Yielding ``Suspend(owner)`` calls ``owner(resume, throw)`` at once,
+    still inside the callback that ran the process, and queues nothing.
+    The process then stays parked until the owner calls ``resume(value)``
+    (the ``yield`` returns ``value``) or ``throw(error)`` (the ``yield``
+    raises ``error``), once per suspension.  Either call runs the generator
+    synchronously, inside whatever callback the owner is in, and adds no
+    event of its own; an owner that calls neither leaves the process
+    unfinished.  This lets a model drive a repetitive wait with plain
+    callbacks (``CpuContext.spin_until``) and wake the process only when
+    its program has to continue.
+    """
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner: Callable[[Callable[[Any], None],
+                                        Callable[[BaseException], None]], None]) -> None:
+        self.owner = owner
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Suspend(owner={self.owner!r})"
 
 
 def _wrap_args(callback: Callable[..., None], args: Tuple[Any, ...]) -> Callable[[Any], None]:
@@ -247,6 +274,8 @@ class Process:
     def _dispatch(self, command: Any) -> None:
         if command is None:
             self.sim._immediate.append(self._resume_entry)
+        elif isinstance(command, Suspend):
+            command.owner(self._resume_bound, self._throw)
         elif isinstance(command, Delay):
             self.sim.schedule(command.ns, self._resume_bound, None)
         elif isinstance(command, (int, float)):

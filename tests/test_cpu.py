@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cpu import Barrier, Core, CoreConfig, McsLock, MmioMap, MmioPort, SpinLock
+from repro.cpu.core import CpuContext
 from repro.cpu.mmio import MmioError
+from repro.platform import DollyConfig, build_system
+from repro.power import PowerConfig
 from repro.sim import Delay
 from tests.conftest import build_mini_system
 
@@ -265,6 +268,16 @@ def test_barrier_requires_participants():
         Barrier(system.memory, num_threads=0)
 
 
+def _generator_spin_until(ctx, addr, done):
+    """The hand-written ``yield from`` poll loop, with its two-instruction
+    pause spelled out, that ``spin_until`` must reproduce."""
+    while True:
+        value = yield from ctx.load(addr)
+        if done(value):
+            return value
+        yield from ctx.compute(2)
+
+
 def _spin_against_a_late_store(spin, decoy, final):
     """Core 0 spins on a word that core 1 sets to ``decoy`` and later to
     ``final``; returns the value, time and counters seen by the spinner."""
@@ -294,19 +307,107 @@ def _spin_against_a_late_store(spin, decoy, final):
     (lambda value: value != 0, 0, 7),   # McsLock.release waiting for a link
 ], ids=["equals", "nonzero"])
 def test_spin_until_matches_a_hand_written_poll_loop(done, decoy, final):
-    def hand_written(ctx, addr):
-        while True:
-            value = yield from ctx.load(addr)
-            if done(value):
-                return value
-            yield from ctx.compute(2)
-
-    expected = _spin_against_a_late_store(hand_written, decoy, final)
+    expected = _spin_against_a_late_store(
+        lambda ctx, addr: _generator_spin_until(ctx, addr, done), decoy, final)
     measured = _spin_against_a_late_store(
         lambda ctx, addr: ctx.spin_until(addr, done), decoy, final)
     assert measured == expected
     (value, _), loads, _ = measured
     assert value == final and loads > 10
+
+
+def _release_spinners(threads):
+    """``threads`` cores of a CPU-only system with energy accounting each
+    spin once on a flag they just set, meet at a barrier, so one sense flip
+    releases ``threads - 1`` spinners at once, then take a spin lock in
+    turn, so each release hands the lock to a crowd of spinners.  Returns
+    everything the spinning can move."""
+    system = build_system(DollyConfig.cpu_only(threads, power=PowerConfig(enabled=True)))
+    sim = system.sim
+    barrier = Barrier(system.memory, threads)
+    lock = SpinLock(system.memory)
+    flags = [system.memory.allocate(system.memory.config.line_bytes)
+             for _ in range(threads)]
+    sends = []
+    network_send = system.network.send
+
+    def logged_send(message):
+        sends.append((sim.now, sim._sequence, message.src, message.dst, message.kind,
+                      message.addr))
+        return network_send(message)
+
+    system.network.send = logged_send
+
+    def program(ctx, thread):
+        # A spin whose first poll hits the L1 and is done: the process
+        # resumes inside the poll's own callback.
+        yield from ctx.store(flags[thread], thread + 1)
+        yield from ctx.spin_until(flags[thread], lambda value: value == thread + 1)
+        yield from ctx.compute(100 * (thread + 1))
+        yield from barrier.wait(ctx, thread)
+        released = ctx.now
+        yield from lock.acquire(ctx)
+        yield from ctx.compute(100)
+        yield from lock.release(ctx)
+        return released, ctx.now
+
+    results, elapsed = system.run_programs(
+        [(thread, program, (thread,)) for thread in range(threads)])
+    return {
+        "results": results,
+        "elapsed": elapsed,
+        "now": sim.now,
+        "events": sim.events_executed,
+        "sequence": sim._sequence,
+        "cores": [core.stats.counters() for core in system.cores],
+        "agents": [(core.cache.stats.counters(), core.cache.l1.hits, core.cache.l1.misses)
+                   for core in system.cores],
+        "memory": system.memory.stats.counters(),
+        "probe": system.energy.probe.snapshot(),
+        "sends": sends,
+    }
+
+
+@pytest.mark.parametrize("threads", [4, 8])
+def test_spin_until_releases_many_spinners_exactly_as_the_poll_loop(threads, monkeypatch):
+    """Callback-driven polls queue the poll loop's heap entries: same
+    results, instants, event and sequence counts, counters, probe totals
+    and NoC sends in the same order, also when one store releases several
+    spinners at the same instant."""
+    measured = _release_spinners(threads)
+    monkeypatch.setattr(CpuContext, "spin_until", _generator_spin_until)
+    expected = _release_spinners(threads)
+    assert measured == expected
+    l1_hits = sum(counters["l1_hits"] for counters, _, _ in measured["agents"])
+    assert l1_hits > 50 * threads and measured["probe"]["core_active_cycles"] > 0
+
+
+def test_a_raising_done_fails_the_spinning_process(monkeypatch):
+    """``done`` raising on a poll that hits the L1 fails the spinner at the
+    same instant, with the same counters, as in the poll loop."""
+
+    def spin_into_an_error():
+        system = build_mini_system()
+        core = make_core(system)
+        word = system.memory.allocate(16)
+        polls = []
+
+        def done(value):
+            polls.append(value)
+            if len(polls) == 5:
+                raise ValueError("bad poll")
+            return False
+
+        process = core.run(lambda ctx: ctx.spin_until(word, done))
+        with pytest.raises(ValueError, match="bad poll"):
+            system.sim.run()
+        return (process.failed, system.sim.now, system.sim.events_executed,
+                core.stats.counters(), core.cache.stats.counters())
+
+    measured = spin_into_an_error()
+    monkeypatch.setattr(CpuContext, "spin_until", _generator_spin_until)
+    assert measured == spin_into_an_error()
+    assert measured[0] and measured[4]["l1_hits"] == 4
 
 
 def test_lock_contention_scales_runtime():

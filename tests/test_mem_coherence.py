@@ -232,6 +232,39 @@ def test_store_larger_than_port_rejected(mini_system):
         mini_system.sim.run()
 
 
+# Known defect: the directory sends a forward (Inv, FwdGetS, FwdGetM) on the
+# FORWARD plane and the Data it follows on the RESPONSE plane.  Over enough
+# hops the one-flit forward overtakes the multi-flit Data by more than the
+# agent's L2 latency, so the agent answers the forward for a line it does
+# not hold yet and then installs the stale grant.  This pins the defect
+# until the protocol fix, which moves the CPU-only bfs/16 and pdes/16 rows
+# of Fig. 12 (they complete stores and AMOs while another cache holds the
+# line; the 4- and 8-core runs do not).
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="a forward that overtakes its Data leaves the "
+                          "reader holding the line the writer owns")
+def test_store_completes_while_no_other_cache_holds_the_line():
+    system = build_mini_system(width=4, height=4, num_agents=2)
+    reader, writer = system.agents
+    line = next(addr for addr in range(0x40000, 0x50000, system.config.line_bytes)
+                if system.address_map.home_tile(addr) == 15)   # 6 hops from tile 0
+    holders_after_store = []
+
+    def read():
+        yield from reader.load(line)
+
+    def write():
+        # One cycle behind the reader: its GetM queues behind the GetS at the
+        # directory, whose FwdGetM then races the reader's Data.
+        yield system.clock.wait_cycles(1)
+        yield from writer.store(line, 1)
+        holders_after_store.append(
+            [agent.name for agent in system.agents if agent.l2.peek(line) is not None])
+
+    run(system, read(), write())
+    assert holders_after_store == [[writer.name]]
+
+
 # --------------------------------------------------------------------------- #
 # Property test: protocol keeps single-writer / multi-reader invariant
 # --------------------------------------------------------------------------- #

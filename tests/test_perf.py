@@ -109,6 +109,10 @@ def test_kernel_microbenchmarks_return_positive_rates():
     assert micro.noc_message_throughput(messages=20, width=4, height=4) > 0
 
 
+def test_spin_microbenchmark_returns_a_positive_rate():
+    assert micro.spin_poll_rate(rounds=2, cores=2, late_cycles=200) > 0
+
+
 def test_power_microbenchmarks_return_positive_rates():
     assert micro.noc_message_throughput(messages=20, power_hooks=True) > 0
     assert micro.energy_sample_rate(samples=200) > 0

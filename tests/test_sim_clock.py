@@ -1,5 +1,7 @@
 """Unit tests for clock domains and edge arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -179,3 +181,89 @@ def test_wait_cycles_is_edge_after_minus_now_bit_for_bit(freq, retuned, phase, s
         assert got == expected
     with pytest.raises(SimulationError):
         clk.wait_cycles(0)
+
+
+def _floor_division_edge(at, freq_mhz, phase):
+    """next_edge's arithmetic with no memo: the reference answer."""
+    period = 1000.0 / float(freq_mhz)
+    return phase + (math.floor((at - phase) / period + 1e-9) + 1) * period
+
+
+_EDGE_QUERIES = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.floats(min_value=0.0, max_value=1e6)),
+        # Ask again at one of the last few instants asked.
+        st.tuples(st.just("repeat"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("retune"), st.floats(min_value=1.0, max_value=4000.0)),
+        st.tuples(st.just("phase"), st.floats(min_value=0.0, max_value=50.0)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@given(freq=st.floats(min_value=1.0, max_value=4000.0), steps=_EDGE_QUERIES)
+def test_edge_memo_is_bit_identical_to_floor_division(freq, steps):
+    """Memoized next_edge answers equal the uncached floor division bit for
+    bit over sequences with exact repeats, retunes and phase changes (a
+    memo that outlived a retune or a phase change would answer a repeat
+    with the old clock's edge)."""
+    sim = Simulator()
+    clk = ClockDomain(sim, freq)
+    phase = 0.0
+    asked = [0.0]
+    for kind, argument in steps:
+        if kind == "retune":
+            clk.freq_mhz = argument
+            freq = argument
+            continue
+        if kind == "phase":
+            clk.phase_ns = phase = argument
+            continue
+        at = argument if kind == "at" else asked[-1 - argument % len(asked)]
+        asked.append(at)
+        assert clk.next_edge(at).hex() == _floor_division_edge(at, freq, phase).hex()
+
+
+@given(
+    freq=st.floats(min_value=1.0, max_value=4000.0),
+    phase=st.floats(min_value=0.0, max_value=50.0),
+    start=st.floats(min_value=0.0, max_value=1e5),
+    cycles=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=6),
+)
+def test_call_after_cycles_queues_what_wait_cycles_queues(freq, phase, start, cycles):
+    """A callback queued by call_after_cycles lands on the heap entry (time
+    and sequence number) a process yielding wait_cycles would, and a chain
+    of them reaches the same instants as a chain of waits."""
+
+    def run(use_callbacks):
+        sim = Simulator()
+        clk = ClockDomain(sim, freq, phase_ns=phase)
+        seen = []
+        if use_callbacks:
+            remaining = list(cycles)
+
+            def step(_):
+                seen.append((sim.now, sim._sequence, list(sim._heap)))
+                if remaining:
+                    clk.call_after_cycles(remaining.pop(0), step)
+
+            sim.schedule_at(start, step, None)
+        else:
+            def body():
+                seen.append((sim.now, sim._sequence, list(sim._heap)))
+                for count in cycles:
+                    yield clk.wait_cycles(count)
+                    seen.append((sim.now, sim._sequence, list(sim._heap)))
+
+            sim.schedule_at(start, lambda _: sim.process(body()), None)
+        sim.run()
+        # Callbacks differ by construction; compare (time_ps, time_ns, seq).
+        return [(now, sequence, [entry[:3] for entry in heap])
+                for now, sequence, heap in seen], sim.events_executed - len(seen)
+
+    via_callbacks, extra = run(True)
+    via_process, extra_process = run(False)
+    assert via_callbacks == via_process
+    assert extra + 1 == extra_process   # the process start itself
+    with pytest.raises(SimulationError):
+        ClockDomain(Simulator(), freq).call_after_cycles(0, lambda _: None)

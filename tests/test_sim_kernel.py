@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, SimulationError, Simulator
+from repro.sim import Delay, SimulationError, Simulator, Suspend
 
 
 def test_schedule_runs_in_time_order():
@@ -208,3 +208,75 @@ def test_all_of_event_group():
     sim.schedule(3.0, events[2].succeed, "c")
     sim.run()
     assert process.done.value == ["a", "b", "c"]
+
+
+def _parking_process(sim, log, on_error=None):
+    """A process that parks on ``Suspend``; returns it and its wake-up handle."""
+    handle = {}
+
+    def owner(resume, throw):
+        log.append(("parked", sim.now))
+        handle["resume"], handle["throw"] = resume, throw
+
+    def body():
+        try:
+            value = yield Suspend(owner)
+        except ValueError as error:
+            if on_error is None:
+                raise
+            value = on_error(error)
+        log.append(("woke", value, sim.now))
+        yield Delay(1.0)
+        return value
+
+    return sim.process(body()), handle
+
+
+def test_suspend_resume_runs_inside_the_owners_callback():
+    sim = Simulator()
+    log = []
+    process, handle = _parking_process(sim, log)
+
+    def wake(_):
+        log.append("wake")
+        handle["resume"](42)
+        log.append("woken")
+
+    sim.schedule(5.0, wake, None)
+    sim.run()
+    # The generator ran to its next yield inside wake(), before it returned.
+    assert log == [("parked", 0.0), "wake", ("woke", 42, 5.0), "woken"]
+    assert process.finished and process.done.value == 42 and sim.now == 6.0
+    # Process start, wake and the Delay's wakeup: the resume queued nothing.
+    assert sim.events_executed == 3
+
+
+def test_suspend_throw_raises_at_the_yield_and_fails_the_process():
+    sim = Simulator()
+    log = []
+    caught, handle = _parking_process(sim, log, on_error=lambda error: str(error))
+    sim.schedule(2.0, lambda _: handle["throw"](ValueError("handled")), None)
+    sim.run()
+    assert caught.done.value == "handled" and log[-1] == ("woke", "handled", 2.0)
+
+    sim = Simulator()
+    process, handle = _parking_process(sim, [])
+    sim.schedule(2.0, lambda _: handle["throw"](ValueError("boom")), None)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert process.finished and process.failed
+
+
+def test_suspended_process_never_resumed_stays_unfinished():
+    sim = Simulator()
+    log = []
+    process, _ = _parking_process(sim, log)
+    sim.run()
+    assert log == [("parked", 0.0)]
+    assert not process.finished and sim.pending_events == 0
+
+    def parked():
+        yield Suspend(lambda resume, throw: None)
+
+    with pytest.raises(SimulationError, match="did not finish"):
+        sim.run_process(parked())
