@@ -222,3 +222,55 @@ def test_register_layout_rejects_duplicates_and_finds_by_name():
             RegisterSpec(0, RegisterKind.PLAIN, "x"),
             RegisterSpec(1, RegisterKind.PLAIN, "x"),
         ])
+
+
+# --------------------------------------------------------------------------- #
+# Slow cache CDC FIFOs: overflow keeps every message, in order
+# --------------------------------------------------------------------------- #
+def _slow_cache_agent():
+    from repro.core.slow_cache import SlowCacheAgent
+    from tests.conftest import build_mini_system
+
+    system = build_mini_system(num_agents=0)
+    fpga = ClockDomain(system.sim, 100.0, "fpga")
+    agent = SlowCacheAgent(system.sim, fpga, system.clock, system.routers[3],
+                           system.address_map, system.config, system.memory,
+                           name="slow")
+    return system.sim, agent
+
+
+class _RecordingPort:
+    """Stands in for the agent's real NoC port: records each send."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = []
+
+    def send(self, dst_node, dst_target, kind, **kwargs):
+        self.sent.append(kwargs["seq"])
+        return self.sim.event("sent").succeed(kwargs["seq"])
+
+
+def test_slow_cache_inbound_overflow_delivers_every_message_in_order():
+    sim, agent = _slow_cache_agent()
+    handled = []
+    agent._handle = handled.append
+    for seq in range(70):  # the inbound FIFO holds 64
+        agent._on_noc_arrival(seq)
+    sim.run()
+    assert handled == list(range(70))
+    assert agent.stats.counter("inbound_fifo_overflow").value == 6
+    assert agent.stats.counter("outbound_fifo_overflow").value == 0
+
+
+def test_slow_cache_outbound_overflow_delivers_every_send_in_order():
+    sim, agent = _slow_cache_agent()
+    recorder = _RecordingPort(sim)
+    agent.port._real_port = recorder
+    delivered = [agent.port.send(0, "dir", "GetS", seq=seq)
+                 for seq in range(70)]  # the outbound FIFO holds 64
+    sim.run()
+    assert recorder.sent == list(range(70))
+    assert [event.value for event in delivered] == list(range(70))
+    assert agent.stats.counter("outbound_fifo_overflow").value == 6
+    assert agent.stats.counter("inbound_fifo_overflow").value == 0
