@@ -22,14 +22,12 @@ class FeatureSwitches:
     FORWARD_INVALIDATIONS = "forward_invalidations"
     TLB_ENABLED = "tlb_enabled"
     ATOMICS_ENABLED = "atomics_enabled"
-    WRITE_ALLOCATE = "write_allocate"
 
     _DEFAULT_SWITCHES = {
         ACTIVE: True,
         FORWARD_INVALIDATIONS: False,
         TLB_ENABLED: False,
         ATOMICS_ENABLED: False,
-        WRITE_ALLOCATE: True,
     }
 
     #: Integer settings (values, not booleans).

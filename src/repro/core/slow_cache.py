@@ -38,16 +38,11 @@ class _CdcOutboundPort:
 
     def send(self, dst_node: int, dst_target: str, kind: str, **kwargs) -> Event:
         delivered = self._agent.sim.event("slow-cache-send")
-        if not self._fifo.try_put(("send", (dst_node, dst_target, kind), kwargs, delivered)):
-            # The outbound FIFO overflowed; stage it anyway (unbounded model)
-            # so protocol messages are never lost, but count the overflow.
-            self._fifo._items.append(
-                (self._fifo._visible_time(self._fifo.push_domain.next_edge()),
-                 ("send", (dst_node, dst_target, kind), kwargs, delivered))
-            )
-            self._fifo.total_pushed += 1
-            self._fifo._wake_getter()
+        # A full outbound FIFO still stages the send (unbounded model) so
+        # protocol messages are never lost, but the overflow is counted.
+        if self._fifo.is_full:
             self._agent.stats.counter("outbound_fifo_overflow").increment()
+        self._fifo.force_put(("send", (dst_node, dst_target, kind), kwargs, delivered))
         return delivered
 
     def reply(self, original: NocMessage, kind: str, **kwargs) -> Event:
@@ -108,14 +103,10 @@ class SlowCacheAgent(PrivateCacheAgent):
 
     def _on_noc_arrival(self, message: NocMessage) -> None:
         """NoC delivery lands in the fast domain; stage it across the CDC."""
-        if not self._inbound.try_put(message):
-            # Never drop protocol traffic: extend beyond nominal capacity.
-            self._inbound._items.append(
-                (self._inbound._visible_time(self.sys_domain.next_edge()), message)
-            )
-            self._inbound.total_pushed += 1
-            self._inbound._wake_getter()
+        # Never drop protocol traffic: extend beyond nominal capacity.
+        if self._inbound.is_full:
             self.stats.counter("inbound_fifo_overflow").increment()
+        self._inbound.force_put(message)
 
     def _pump_inbound(self):
         while True:

@@ -31,10 +31,7 @@ class SoftCacheConfig:
     line_bytes: int = 16
     word_bytes: int = 8
     hit_cycles: int = 1
-    write_allocate: bool = True
     write_buffer_depth: int = 4
-    #: Forward pending buffered writes to subsequent reads of the same word.
-    read_after_write_forwarding: bool = True
 
     @property
     def bram_kbits(self) -> int:
@@ -84,11 +81,11 @@ class SoftCache(FpgaMemoryPort):
         line = self._line_of(addr)
         word = self._word_of(addr)
         yield self.domain.wait_cycles(self.config.hit_cycles)
-        if self.config.read_after_write_forwarding:
-            for buffered_addr, buffered_value in reversed(self._write_buffer):
-                if self._word_of(buffered_addr) == word:
-                    self.stats.counter("raw_forwards").increment()
-                    return buffered_value
+        # Pending buffered writes forward to reads of the same word.
+        for buffered_addr, buffered_value in reversed(self._write_buffer):
+            if self._word_of(buffered_addr) == word:
+                self.stats.counter("raw_forwards").increment()
+                return buffered_value
         entry = self.tags.lookup(line)
         if entry is not None and word in self._line_words.get(line, {}):
             self.stats.counter("hits").increment()
@@ -115,10 +112,10 @@ class SoftCache(FpgaMemoryPort):
         line = self._line_of(addr)
         word = self._word_of(addr)
         yield self.domain.wait_cycles(self.config.hit_cycles)
-        if self.config.write_allocate or self.tags.peek(line) is not None:
-            if self.tags.peek(line) is None:
-                self._install(line, [])
-            self._line_words.setdefault(line, {})[word] = value
+        # Write-allocate: a store miss installs the line.
+        if self.tags.peek(line) is None:
+            self._install(line, [])
+        self._line_words.setdefault(line, {})[word] = value
         while len(self._write_buffer) >= self.config.write_buffer_depth:
             self._write_space = self.sim.event(f"{self.name}.wb-space")
             yield self._write_space

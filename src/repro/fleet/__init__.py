@@ -14,7 +14,7 @@ Layers (see ``docs/fleet.md``):
 * :mod:`repro.fleet.experiments` — the ``fleet_scaling`` experiment cells.
 """
 
-from repro.fleet.autoscaler import SCALING_MODES, Autoscaler, AutoscalerConfig
+from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cluster import (
     NODE_EXECUTORS,
     FleetConfig,
@@ -40,7 +40,6 @@ from repro.fleet.router import (
 )
 
 __all__ = [
-    "SCALING_MODES",
     "Autoscaler",
     "AutoscalerConfig",
     "NODE_EXECUTORS",

@@ -1,7 +1,7 @@
 """Reactive fleet autoscaling from queue-depth and shed-rate signals.
 
 The :class:`Autoscaler` looks at the cluster's last-epoch signals and
-decides to grow, hold or shrink capacity:
+grows, holds or shrinks the node count:
 
 * **grow** when tenants are visibly hurting — the cluster shed more than
   ``up_shed_fraction`` of offered requests, or the mean per-node queue
@@ -13,32 +13,16 @@ decides to grow, hold or shrink capacity:
 * otherwise **hold**.  A ``cooldown_epochs`` guard keeps the scaler from
   flapping on the epoch right after it acted.
 
-Two scaling modes: ``nodes`` adds/removes whole nodes (cloned from the
-template spec; removal picks the least-busy node and the router migrates
-its tenants away), ``fabrics`` grows/shrinks the per-node fabric count
-instead (the most-queued node gains a fabric; the least-busy node with
-more than one loses one) — elastic capacity without new machines.
-
-Two *signal sources* (``AutoscalerConfig.signal``): ``raw`` (the
-historical default) reads the omniscient end-of-epoch node signals
-directly; ``alerts`` consumes the fired-alert state of a
-:class:`repro.obs.alerts.AlertEngine` instead (:meth:`Autoscaler.\
-decide_from_alerts`) — grow when any warning-or-worse alert is firing,
-shrink when the ``fleet_idle`` detector fires on every node and nothing
-else is wrong.  Same cooldown, same ``apply`` mechanics; only the
-decision input changes, which is exactly what makes the omniscient-vs-
-telemetry comparison in the ``alerting`` experiment a controlled one.
+A grown node is a clone of the template spec with a fresh id; a shrink
+removes the least-busy node and the router migrates its tenants away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.fleet.node import NodeSpec
-
-SCALING_MODES: Tuple[str, ...] = ("nodes", "fabrics")
-SIGNAL_SOURCES: Tuple[str, ...] = ("raw", "alerts")
 
 
 @dataclass(frozen=True)
@@ -46,15 +30,8 @@ class AutoscalerConfig:
     """Watermarks and bounds for one autoscaling fleet."""
 
     enabled: bool = False
-    mode: str = "nodes"
-    #: ``raw`` reads omniscient epoch signals; ``alerts`` reads fired
-    #: alerts from the telemetry stream (requires the fleet to run with
-    #: ``telemetry_window_us`` set).
-    signal: str = "raw"
     min_nodes: int = 1
     max_nodes: int = 16
-    #: Per-node fabric bound in ``fabrics`` mode.
-    max_fabrics: int = 4
     #: Grow when cluster shed / submitted exceeds this ...
     up_shed_fraction: float = 0.005
     #: ... or the mean node queue depth sustains above this.
@@ -64,19 +41,17 @@ class AutoscalerConfig:
     cooldown_epochs: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in SCALING_MODES:
-            known = ", ".join(SCALING_MODES)
-            raise ValueError(f"unknown scaling mode {self.mode!r}; known: {known}")
-        if self.signal not in SIGNAL_SOURCES:
-            known = ", ".join(SIGNAL_SOURCES)
-            raise ValueError(
-                f"unknown signal source {self.signal!r}; known: {known}")
         if not (1 <= self.min_nodes <= self.max_nodes):
             raise ValueError(
                 f"need 1 <= min_nodes <= max_nodes, got "
                 f"{self.min_nodes}/{self.max_nodes}")
-        if self.max_fabrics < 1:
-            raise ValueError(f"max_fabrics must be >= 1, got {self.max_fabrics}")
+        for name in ("up_shed_fraction", "down_busy_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if self.up_queue_depth < 0:
+            raise ValueError(
+                f"up_queue_depth cannot be negative, got {self.up_queue_depth}")
         if self.cooldown_epochs < 0:
             raise ValueError(
                 f"cooldown_epochs cannot be negative, got {self.cooldown_epochs}")
@@ -115,71 +90,23 @@ class Autoscaler:
             return -1
         return 0
 
-    def decide_from_alerts(self, engine, node_ids: List[int]) -> int:
-        """+1 grow, -1 shrink, 0 hold — from fired alerts alone.
-
-        ``engine`` is a :class:`repro.obs.alerts.AlertEngine` that has
-        consumed the epoch's telemetry.  Pressure = any warning-or-worse
-        alert firing on an active node; idleness = the ``fleet_idle``
-        rule firing on *every* active node with nothing else wrong.  The
-        same cooldown guard as :meth:`decide` applies.
-        """
-        if not self.config.enabled or not node_ids:
-            return 0
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            return 0
-        active = set(node_ids)
-        hot = [(rule, node) for rule, node in engine.firing("warning")
-               if node in active]
-        if hot:
-            return 1
-        if all(engine.is_firing("fleet_idle", node) for node in node_ids):
-            return -1
-        return 0
-
     def apply(self, decision: int, nodes: List[NodeSpec],
               signals: Dict[int, Dict[str, float]],
               epoch: int) -> Optional[List[NodeSpec]]:
         """Returns the new node list, or ``None`` when nothing changed."""
-        if decision == 0:
-            return None
         config = self.config
-        if config.mode == "nodes":
-            if decision > 0 and len(nodes) < config.max_nodes:
-                fresh = replace(self.template, node_id=self._next_id)
-                self._next_id += 1
-                self._record(epoch, "grow", f"+{fresh.name}")
-                return nodes + [fresh]
-            if decision < 0 and len(nodes) > config.min_nodes:
-                victim = min(nodes, key=lambda node: (
-                    signals.get(node.node_id, {}).get("busy_fraction", 0.0),
-                    -node.node_id))
-                self._record(epoch, "shrink", f"-{victim.name}")
-                return [node for node in nodes if node.node_id != victim.node_id]
-            return None
-        # fabrics mode: resize one node in place.
-        if decision > 0:
-            candidates = [node for node in nodes if node.fabrics < config.max_fabrics]
-            if not candidates:
-                return None
-            target = max(candidates, key=lambda node: (
-                signals.get(node.node_id, {}).get("queue_depth_mean", 0.0),
+        if decision > 0 and len(nodes) < config.max_nodes:
+            fresh = replace(self.template, node_id=self._next_id)
+            self._next_id += 1
+            self._record(epoch, "grow", f"+{fresh.name}")
+            return nodes + [fresh]
+        if decision < 0 and len(nodes) > config.min_nodes:
+            victim = min(nodes, key=lambda node: (
+                signals.get(node.node_id, {}).get("busy_fraction", 0.0),
                 -node.node_id))
-            self._record(epoch, "grow", f"{target.name}:fabrics+1")
-            return [replace(node, fabrics=node.fabrics + 1)
-                    if node.node_id == target.node_id else node
-                    for node in nodes]
-        candidates = [node for node in nodes if node.fabrics > 1]
-        if not candidates:
-            return None
-        target = min(candidates, key=lambda node: (
-            signals.get(node.node_id, {}).get("busy_fraction", 0.0),
-            -node.node_id))
-        self._record(epoch, "shrink", f"{target.name}:fabrics-1")
-        return [replace(node, fabrics=node.fabrics - 1)
-                if node.node_id == target.node_id else node
-                for node in nodes]
+            self._record(epoch, "shrink", f"-{victim.name}")
+            return [node for node in nodes if node.node_id != victim.node_id]
+        return None
 
     def _record(self, epoch: int, action: str, detail: str) -> None:
         self.events.append({"epoch": epoch, "action": action, "detail": detail})

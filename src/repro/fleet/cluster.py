@@ -11,9 +11,9 @@ rows are bit-identical regardless of executor, worker count or completion
 order.  Between epochs the control plane runs, in order:
 
 1. the :class:`~repro.fleet.autoscaler.Autoscaler` grows/shrinks the node
-   set (or per-node fabric counts) from the epoch's queue/shed signals —
-   a node-set change triggers a full placement recompute, and every tenant
-   whose node changed is marked *migrated*;
+   set from the epoch's queue/shed signals — a change triggers a full
+   placement recompute, and every tenant whose node changed is marked
+   *migrated*;
 2. otherwise the :class:`~repro.fleet.router.Router` performs watermark
    migration off sustained-hot nodes.
 
@@ -113,14 +113,10 @@ class FleetConfig:
             raise ValueError(
                 f"telemetry_window_us must be positive, "
                 f"got {self.telemetry_window_us}")
-        if self.telemetry_window_us is None:
-            if self.chaos_control == "alerts":
-                raise ValueError(
-                    "chaos_control='alerts' needs telemetry_window_us set — "
-                    "alert-driven control is blind without a telemetry stream")
-            if self.autoscaler.signal == "alerts":
-                raise ValueError(
-                    "autoscaler signal='alerts' needs telemetry_window_us set")
+        if self.telemetry_window_us is None and self.chaos_control == "alerts":
+            raise ValueError(
+                "chaos_control='alerts' needs telemetry_window_us set — "
+                "alert-driven control is blind without a telemetry stream")
         make_placement(self.placement)  # fail fast on typos
         # The node-serving fields are checked by the ServeConfig every node
         # builds from them; build one here so a bad value fails now, not in
@@ -211,14 +207,10 @@ def run_fleet(
     autoscaler = Autoscaler(config.autoscaler, template)
     engine = None
     if config.telemetry_window_us is not None:
-        from repro.obs.alerts import (AUTOSCALER_RULES, DEFAULT_RULES,
-                                      AlertEngine)
+        from repro.obs.alerts import AlertEngine
         from repro.obs.monitor import TelemetryStream
 
-        # The autoscaler's alert signal needs the ``fleet_idle`` rule.
-        engine = AlertEngine(AUTOSCALER_RULES
-                             if config.autoscaler.signal == "alerts"
-                             else DEFAULT_RULES)
+        engine = AlertEngine()
     epoch_ns = config.epoch_us * 1000.0
     #: Epoch length on the trace timeline (integer ps), so parent-side
     #: events line up with node-internal sim-ps timestamps.
@@ -349,19 +341,12 @@ def run_fleet(
                     # A failover re-placed the survivors this boundary;
                     # don't let the autoscaler fight it in the same breath.
                     continue
-            if config.autoscaler.signal == "alerts":
-                decision = autoscaler.decide_from_alerts(
-                    engine, [n.node_id for n in nodes])
-            else:
-                decision = autoscaler.decide(signals)
-            resized = autoscaler.apply(decision, nodes, signals, epoch)
+            resized = autoscaler.apply(autoscaler.decide(signals), nodes,
+                                       signals, epoch)
             if resized is not None:
-                node_set_changed = ({n.node_id for n in resized}
-                                    != {n.node_id for n in nodes})
                 nodes = resized
-                if node_set_changed:
-                    migrated = router.place(shares, nodes)
-                    continue
+                migrated = router.place(shares, nodes)
+                continue
             migrated = router.rebalance(signals, shares, nodes)
     finally:
         if pool is not None:

@@ -95,7 +95,7 @@ def fleet_scaling_cell(
         # watermark sits low — by the time a queue sustains 0.75 deep for a
         # whole epoch the next ramp step will bury the node.
         autoscaler=AutoscalerConfig(
-            enabled=autoscale, mode="nodes", min_nodes=1, max_nodes=nodes,
+            enabled=autoscale, min_nodes=1, max_nodes=nodes,
             up_queue_depth=0.75, cooldown_epochs=0),
         node_executor=node_executor,
     )

@@ -31,8 +31,8 @@ ordered :class:`LifecycleSubscriber`\\ s (telemetry, SLO accounting,
 ``tests/test_lifecycle.py``).  See ``docs/observability.md``.
 """
 
-from repro.obs.alerts import (AUTOSCALER_RULES, DEFAULT_RULES, AlertEngine,
-                              AlertEvent, AlertRule, score_alerts)
+from repro.obs.alerts import (DEFAULT_RULES, AlertEngine, AlertEvent,
+                              AlertRule, score_alerts)
 from repro.obs.decompose import (ALL_TENANTS, STAGES, decompose_rows,
                                  request_stages)
 from repro.obs.metrics import (GAUGE_MERGE_MODES, Gauge, MetricsRegistry,
@@ -44,7 +44,6 @@ from repro.sim.stats import cdf_points
 
 __all__ = [
     "ALL_TENANTS",
-    "AUTOSCALER_RULES",
     "DEFAULT_RULES",
     "GAUGE_MERGE_MODES",
     "STAGES",

@@ -120,13 +120,6 @@ DEFAULT_RULES: Tuple[AlertRule, ...] = (
               warmup_windows=8, min_std=2.0),
 )
 
-#: DEFAULT_RULES plus the idle detector the alerts-mode autoscaler uses
-#: to scale *down* (info severity: idleness is not an incident).
-AUTOSCALER_RULES: Tuple[AlertRule, ...] = DEFAULT_RULES + (
-    AlertRule(name="fleet_idle", kind="threshold", metric="busy_fraction",
-              op="<", value=0.30, for_windows=4, severity="info"),
-)
-
 
 class _RuleState:
     """Mutable evaluation state for one (rule, node) pair."""
@@ -261,10 +254,6 @@ class AlertEngine:
     # ------------------------------------------------------------------ #
     # Control-facing queries
     # ------------------------------------------------------------------ #
-    def is_firing(self, rule: str, node_id: int) -> bool:
-        state = self._states.get((rule, node_id))
-        return state is not None and state.firing
-
     def firing(self, min_severity: str = "info") -> List[Tuple[str, int]]:
         """Currently-firing ``(rule, node_id)`` pairs at or above
         ``min_severity``, in deterministic sorted order."""

@@ -204,11 +204,19 @@ class AsyncFifo:
         """
         if self.is_full:
             return False
+        self.force_put(item)
+        return True
+
+    def force_put(self, item: Any) -> None:
+        """Push without blocking, beyond ``capacity`` if need be.
+
+        Timed as :meth:`try_put`; for producers that must never drop an
+        item and count their own overflows.
+        """
         commit_time = self.push_domain.next_edge(self.sim.now)
         self._items.append((self._visible_time(commit_time), item))
         self.total_pushed += 1
         self._wake_getter()
-        return True
 
     # ------------------------------------------------------------------ #
     # Consumer side

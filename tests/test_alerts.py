@@ -10,12 +10,10 @@ import sys
 
 import pytest
 
-from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.fleet.node import NodeSpec
 from repro.obs import (
-    AUTOSCALER_RULES,
     DEFAULT_RULES,
     AlertEngine,
     AlertEvent,
@@ -253,7 +251,7 @@ def test_threshold_rule_hysteresis_resolve_and_rearm():
         engine.observe(_sample(t, shed_rate=value))
     assert [(e.t_ps, e.event) for e in engine.events] == [
         (1, "fired"), (5, "resolved"), (7, "fired")]
-    assert engine.is_firing("hot", 0)
+    assert engine.firing() == [("hot", 0)]
 
 
 def test_burn_rate_needs_short_and_long_windows_and_survives_zero_traffic():
@@ -295,11 +293,13 @@ def test_ewma_rule_fires_on_a_spike_after_warmup_only():
 
 
 def test_firing_respects_the_severity_floor_and_sorts():
-    engine = AlertEngine(AUTOSCALER_RULES)
+    idle = AlertRule(name="idle", kind="threshold", metric="busy_fraction",
+                     op="<", value=0.30, for_windows=4, severity="info")
+    engine = AlertEngine(DEFAULT_RULES + (idle,))
     for t in range(6):
         engine.observe(_sample(t, node=1, busy_fraction=0.0,
                                shed_rate=0.9))
-    assert engine.firing("info") == [("fleet_idle", 1), ("shed_spike", 1)]
+    assert engine.firing("info") == [("idle", 1), ("shed_spike", 1)]
     assert engine.firing("warning") == [("shed_spike", 1)]
     assert engine.firing("critical") == []
 
@@ -408,72 +408,13 @@ def test_alert_log_is_pythonhashseed_independent():
 
 
 # --------------------------------------------------------------------------- #
-# Alert-driven control: autoscaler + chaos failover
+# Alert-driven control: chaos failover
 # --------------------------------------------------------------------------- #
-class _FakeEngine:
-    def __init__(self, hot=(), idle=()):
-        self._hot = list(hot)
-        self._idle = set(idle)
-
-    def firing(self, min_severity="info"):
-        return list(self._hot)
-
-    def is_firing(self, rule, node_id):
-        return rule == "fleet_idle" and node_id in self._idle
-
-
-def test_autoscaler_config_rejects_unknown_signal_sources():
-    with pytest.raises(ValueError, match="signal source"):
-        AutoscalerConfig(signal="vibes")
-
-
 def test_fleet_config_alerts_modes_require_telemetry():
     with pytest.raises(ValueError, match="chaos_control"):
         FleetConfig(chaos_control="psychic")
     with pytest.raises(ValueError, match="telemetry_window_us"):
         FleetConfig(chaos_control="alerts")
-    with pytest.raises(ValueError, match="telemetry_window_us"):
-        FleetConfig(autoscaler=AutoscalerConfig(enabled=True,
-                                                signal="alerts"))
-
-
-def test_decide_from_alerts_grows_shrinks_and_cools_down():
-    template = NodeSpec(node_id=0)
-    config = AutoscalerConfig(enabled=True, signal="alerts",
-                              cooldown_epochs=1)
-    scaler = Autoscaler(config, template)
-    # Pressure on an active node -> grow.
-    assert scaler.decide_from_alerts(
-        _FakeEngine(hot=[("shed_spike", 0)]), [0, 1]) == 1
-    # Pressure only on a node that already left the fleet -> hold.
-    assert scaler.decide_from_alerts(
-        _FakeEngine(hot=[("shed_spike", 9)]), [0, 1]) == 0
-    # fleet_idle on every node -> shrink.
-    assert scaler.decide_from_alerts(
-        _FakeEngine(idle={0, 1}), [0, 1]) == -1
-    # ... but idle on only one node -> hold.
-    assert scaler.decide_from_alerts(_FakeEngine(idle={0}), [0, 1]) == 0
-    # Cooldown: after acting, the next decision is forced to hold.
-    scaler._record(0, "grow", "+n1")
-    assert scaler.decide_from_alerts(
-        _FakeEngine(hot=[("shed_spike", 0)]), [0, 1]) == 0
-    assert scaler.decide_from_alerts(
-        _FakeEngine(hot=[("shed_spike", 0)]), [0, 1]) == 1
-
-
-def test_alerts_mode_autoscaler_grows_a_pressured_fleet():
-    """End to end: a 1-node fleet under heavy load, autoscaler reading
-    alerts only — it must grow without touching the raw signals."""
-    config = FleetConfig(
-        nodes=3, epochs=4, epoch_us=300.0,
-        autoscaler=AutoscalerConfig(enabled=True, signal="alerts",
-                                    min_nodes=1, max_nodes=3,
-                                    cooldown_epochs=0),
-        telemetry_window_us=50.0)
-    outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=700_000.0,
-                        seed=7)
-    grows = [e for e in outcome.autoscaler.events if e["action"] == "grow"]
-    assert grows, outcome.autoscaler.events
 
 
 # --------------------------------------------------------------------------- #

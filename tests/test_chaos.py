@@ -24,6 +24,7 @@ from chaos_utils import (
     run_chaos_serve,
     strip_chaos_columns,
 )
+from repro.api import Runner
 from repro.chaos import (
     ChaosConfig,
     FAULT_KINDS,
@@ -375,6 +376,16 @@ def test_chaos_fleet_serial_matches_process_executor():
     process = run_chaos_fleet(ChaosConfig(schedule), node_executor="process")
     assert serial.rows == process.rows
     assert serial.chaos == process.chaos
+
+
+def test_chaos_runner_serial_matches_process_executor():
+    overrides = dict(fault_rate=(0.0, 1.0), policy=("affinity",),
+                     recovery=(True,), epochs=3, epoch_us=300.0)
+    serial = Runner().run("chaos", **overrides)
+    parallel = Runner(executor="process", workers=2).run("chaos", **overrides)
+    assert serial.rows and serial.rows == parallel.rows
+    assert serial.summary == parallel.summary
+    assert parallel.stats.executor == "process"
 
 
 def test_spares_burn_cost_but_take_no_traffic():

@@ -13,7 +13,9 @@ from repro.core import (
     RegisterSpec,
     Tlb,
 )
+from repro.core.slow_cache import SlowCacheAgent
 from repro.sim import ClockDomain, Delay, Simulator
+from tests.conftest import build_mini_system
 
 
 # --------------------------------------------------------------------------- #
@@ -228,9 +230,6 @@ def test_register_layout_rejects_duplicates_and_finds_by_name():
 # Slow cache CDC FIFOs: overflow keeps every message, in order
 # --------------------------------------------------------------------------- #
 def _slow_cache_agent():
-    from repro.core.slow_cache import SlowCacheAgent
-    from tests.conftest import build_mini_system
-
     system = build_mini_system(num_agents=0)
     fpga = ClockDomain(system.sim, 100.0, "fpga")
     agent = SlowCacheAgent(system.sim, fpga, system.clock, system.routers[3],

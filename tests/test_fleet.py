@@ -69,8 +69,6 @@ def test_spec_validation():
         FleetConfig(node_executor="threads")
     with pytest.raises(ValueError, match="placement"):
         FleetConfig(placement="random")
-    with pytest.raises(ValueError, match="mode"):
-        AutoscalerConfig(mode="pods")
     with pytest.raises(ValueError, match="min_nodes"):
         AutoscalerConfig(min_nodes=5, max_nodes=2)
     with pytest.raises(ValueError, match="watermark"):
@@ -90,6 +88,26 @@ def test_fleet_config_rejects_bad_node_serving_fields(fields, match):
     not when the first node simulates."""
     with pytest.raises(ValueError, match=match):
         FleetConfig(**fields)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"up_shed_fraction": -0.1}, "up_shed_fraction"),
+    ({"up_shed_fraction": 1.5}, "up_shed_fraction"),
+    ({"down_busy_fraction": -0.01}, "down_busy_fraction"),
+    ({"down_busy_fraction": 2.0}, "down_busy_fraction"),
+    ({"up_queue_depth": -1.0}, "up_queue_depth"),
+    ({"cooldown_epochs": -1}, "cooldown_epochs"),
+], ids=["shed_low", "shed_high", "busy_low", "busy_high", "queue_depth",
+        "cooldown"])
+def test_autoscaler_config_rejects_out_of_range_fields(fields, match):
+    with pytest.raises(ValueError, match=match):
+        AutoscalerConfig(**fields)
+
+
+def test_autoscaler_config_accepts_the_range_bounds():
+    AutoscalerConfig(up_shed_fraction=0.0, down_busy_fraction=1.0,
+                     up_queue_depth=0.0, cooldown_epochs=0)
+    AutoscalerConfig(up_shed_fraction=1.0, down_busy_fraction=0.0)
 
 
 def test_node_seed_streams_are_distinct_and_bounded():
@@ -274,22 +292,6 @@ def test_autoscaler_grow_and_shrink_nodes_respect_bounds():
     shrunk = scaler.apply(-1, make_nodes(2), signals, epoch=1)
     assert [n.node_id for n in shrunk] == [0]  # least-busy node drained
     assert [e["action"] for e in scaler.events] == ["grow", "shrink"]
-
-
-def test_autoscaler_fabrics_mode_resizes_in_place():
-    scaler = Autoscaler(AutoscalerConfig(enabled=True, mode="fabrics",
-                                         max_fabrics=2, cooldown_epochs=0),
-                        NodeSpec(node_id=1))
-    nodes = make_nodes(2)
-    signals = {0: sig(queue=5.0), 1: sig(queue=0.1)}
-    grown = scaler.apply(1, nodes, signals, epoch=0)
-    assert [n.fabrics for n in grown] == [2, 1]  # most-queued node grew
-    capped = scaler.apply(1, [NodeSpec(node_id=0, fabrics=2),
-                              NodeSpec(node_id=1, fabrics=2)], signals, epoch=1)
-    assert capped is None  # every node at max_fabrics
-    shrunk = scaler.apply(-1, grown, {0: sig(busy=0.1), 1: sig(busy=0.9)},
-                          epoch=2)
-    assert [n.fabrics for n in shrunk] == [1, 1]
 
 
 # --------------------------------------------------------------------------- #
