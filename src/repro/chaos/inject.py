@@ -16,8 +16,9 @@ What each kind does:
   configuration memory blank (the next request pays a full reprogram).
 * ``seu`` — :meth:`FabricScheduler.corrupt_image` flips bits in one stored
   accelerator image.  Latent: nothing happens until a fabric next programs
-  that image and the engine's integrity check trips; then recovery either
-  scrubs + replays (``recovery=True``) or poisons the accelerator.
+  that image and the engine's integrity check trips; then the scheduler
+  either scrubs + replays (built with ``recovery=True``) or poisons the
+  accelerator.
 * ``link`` — cut one control-NoC link; fabrics partitioned away from the
   control tile fail, and heal when the link repairs.
 """
@@ -57,7 +58,6 @@ class FaultInjector:
         sim,
         scheduler,
         events: Sequence[FaultEvent],
-        recovery: bool = True,
         seu_targets: Optional[Sequence[str]] = None,
     ) -> None:
         self.sim = sim
@@ -68,7 +68,6 @@ class FaultInjector:
         self.targets: Tuple[str, ...] = (
             tuple(seu_targets) if seu_targets is not None
             else tuple(sorted(scheduler.accelerators)))
-        scheduler.recovery = recovery
         for index, event in enumerate(self.events):
             sim.process(self._run(event),
                         name=f"chaos.{event.kind}.{index}")
@@ -112,7 +111,6 @@ class FaultInjector:
             if not self.targets:
                 return None
             name = self.targets[event.fabric % len(self.targets)]
-            scheduler.fault_detect_ns = event.detect_ns
             scheduler.corrupt_image(name, event.seu_offset, event.seu_mask)
             return None  # scrubbed on detection, not on a timer
         if event.kind == "link":

@@ -64,8 +64,6 @@ class FaultSpec:
     at_node: Optional[int] = None
     #: ``fabric`` hits one drawn fabric; ``node`` hits all of them.
     scope: str = "fabric"
-    #: Detection/scrub latency the recovery path pays (ns).
-    detect_ns: float = 2_000.0
     #: Transient faults (links) heal this long after injection (ns);
     #: 0 means permanent for the rest of the run.
     repair_ns: float = 0.0
@@ -86,18 +84,18 @@ class FaultSpec:
             raise ValueError(
                 f"a {self.kind!r} FaultSpec needs rate_per_epoch > 0 or a "
                 "pinned at_epoch — otherwise it never fires")
-        if self.detect_ns < 0 or self.repair_ns < 0:
-            raise ValueError("detect_ns/repair_ns cannot be negative")
+        if self.repair_ns < 0:
+            raise ValueError(
+                f"repair_ns cannot be negative, got {self.repair_ns}")
 
 
 def noise_specs(fault_rate: float) -> Dict[str, FaultSpec]:
     """The background-noise fault sources, keyed by kind: SEUs at
-    ``fault_rate`` per (node, epoch), scrubbed 2 us after they strike,
-    and transient link faults at half that rate that self-repair after
-    60 us."""
+    ``fault_rate`` per (node, epoch), each scrubbed when a program trips
+    it (:data:`~repro.serve.scheduler.SEU_DETECT_NS` later), and transient
+    link faults at half that rate that self-repair after 60 us."""
     return {
-        "seu": FaultSpec(kind="seu", rate_per_epoch=fault_rate,
-                         detect_ns=2_000.0),
+        "seu": FaultSpec(kind="seu", rate_per_epoch=fault_rate),
         "link": FaultSpec(kind="link", rate_per_epoch=fault_rate * 0.5,
                           repair_ns=60_000.0),
     }
@@ -115,7 +113,6 @@ class FaultEvent:
     #: Index of the originating :class:`FaultSpec`.
     spec_index: int
     scope: str = "fabric"
-    detect_ns: float = 2_000.0
     repair_ns: float = 0.0
     # -- seu payload ----------------------------------------------------- #
     #: Byte offset the upset lands at (modulo the bitstream size).
@@ -185,7 +182,6 @@ class FaultSchedule:
                     fabric=rng.randrange(fabrics),
                     spec_index=index,
                     scope=spec.scope,
-                    detect_ns=spec.detect_ns,
                     repair_ns=spec.repair_ns,
                     seu_offset=rng.randrange(1 << 20),
                     seu_mask=1 << rng.randrange(8),

@@ -22,7 +22,7 @@ from repro.fleet.cluster import (
     run_fleet,
 )
 from repro.fleet.node import (
-    DEFAULT_STATE_TRANSFER_NS,
+    STATE_TRANSFER_NS,
     NodeSpec,
     TenantShare,
     migration_stall_ns,
@@ -46,7 +46,7 @@ __all__ = [
     "FleetConfig",
     "FleetOutcome",
     "run_fleet",
-    "DEFAULT_STATE_TRANSFER_NS",
+    "STATE_TRANSFER_NS",
     "NodeSpec",
     "TenantShare",
     "migration_stall_ns",

@@ -64,14 +64,9 @@ class FleetConfig:
     #: Per-node scheduling policy (the PR 5 FabricScheduler policy).
     policy: str = "fcfs"
     fabrics_per_node: int = 1
-    system_mhz: float = 1000.0
-    fpga_mhz: Optional[float] = None
-    queue_capacity: Optional[int] = 64
-    patience_ns: float = 100_000.0
     epochs: int = 3
     epoch_us: float = 400.0
     migrate_watermark: float = 8.0
-    state_transfer_ns: float = 25_000.0
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     power: bool = False
     #: ``serial`` or ``process`` — how node simulations execute.
@@ -121,24 +116,18 @@ class FleetConfig:
         # The node-serving fields are checked by the ServeConfig every node
         # builds from them; build one here so a bad value fails now, not in
         # the first node simulation (possibly inside a pool worker).
-        ServeConfig(policy=self.policy, num_fabrics=self.fabrics_per_node,
-                    system_mhz=self.system_mhz, fpga_mhz=self.fpga_mhz,
-                    queue_capacity=self.queue_capacity,
-                    patience_ns=self.patience_ns)
+        ServeConfig(policy=self.policy, num_fabrics=self.fabrics_per_node)
 
     def initial_nodes(self) -> List[NodeSpec]:
         count = (max(self.autoscaler.min_nodes, 1)
                  if self.autoscaler.enabled else self.nodes)
         count = min(count, self.nodes)
-        return [NodeSpec(node_id=index, fabrics=self.fabrics_per_node,
-                         system_mhz=self.system_mhz, fpga_mhz=self.fpga_mhz)
+        return [NodeSpec(node_id=index, fabrics=self.fabrics_per_node)
                 for index in range(count)]
 
     def spare_nodes(self) -> List[NodeSpec]:
         return [NodeSpec(node_id=SPARE_ID_BASE + index,
-                         fabrics=self.fabrics_per_node,
-                         system_mhz=self.system_mhz, fpga_mhz=self.fpga_mhz,
-                         spare=True)
+                         fabrics=self.fabrics_per_node, spare=True)
                 for index in range(self.spares)]
 
 
@@ -201,8 +190,7 @@ def run_fleet(
 
     nodes = config.initial_nodes()
     template = NodeSpec(node_id=max(n.node_id for n in nodes),
-                        fabrics=config.fabrics_per_node,
-                        system_mhz=config.system_mhz, fpga_mhz=config.fpga_mhz)
+                        fabrics=config.fabrics_per_node)
     router = Router(config.placement, migrate_watermark=config.migrate_watermark)
     autoscaler = Autoscaler(config.autoscaler, template)
     engine = None
@@ -270,9 +258,6 @@ def run_fleet(
                     epoch_ns=epoch_ns,
                     epoch=epoch,
                     seed=seed,
-                    queue_capacity=config.queue_capacity,
-                    patience_ns=config.patience_ns,
-                    state_transfer_ns=config.state_transfer_ns,
                     power=config.power,
                 )
                 if config.telemetry_window_us is not None:

@@ -10,12 +10,10 @@ lets the cluster layer fan node simulations out over a process pool and
 still merge results bit-identically to a serial run (sorted by node id; see
 ``docs/fleet.md``).
 
-Nodes may be heterogeneous — the INFN Tier-1 elastic-extension framing of
-the fleet experiments (PAPERS.md, arXiv:2006.14603): a remote pool whose
-machines differ in fabric count, clock and cost.  :attr:`NodeSpec.fabrics`,
-:attr:`NodeSpec.fpga_mhz`, :attr:`NodeSpec.system_mhz` and
-:attr:`NodeSpec.cost_weight` capture that; the placement policies normalize
-load by fabric count so a 2-fabric node absorbs twice the traffic.
+Nodes may differ in fabric count (:attr:`NodeSpec.fabrics`); the placement
+policies normalize load by fabric count so a 2-fabric node absorbs twice
+the traffic.  Every node serves at the :class:`ServeConfig` defaults for
+clocks, queue capacity and patience.
 
 A tenant that *migrates* onto a node (the router re-placed it) pays a real
 cost before its stream starts there: the target fabric must be programmed
@@ -42,19 +40,16 @@ from repro.sim import Delay
 
 #: Fixed state-transfer component of a tenant migration (ns): shipping the
 #: tenant's context (queue snapshot, accelerator state) to the target node.
-DEFAULT_STATE_TRANSFER_NS = 25_000.0
+STATE_TRANSFER_NS = 25_000.0
 
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Static description of one fleet node (possibly heterogeneous)."""
+    """Static description of one fleet node."""
 
     node_id: int
-    #: eFPGA fabrics on this node (the PR 5 scheduler drives all of them).
+    #: eFPGA fabrics on this node (its scheduler drives all of them).
     fabrics: int = 1
-    system_mhz: float = 1000.0
-    #: Service clock cap; ``None`` runs each accelerator at its own Fmax.
-    fpga_mhz: Optional[float] = None
     #: Relative cost of one node-second (heterogeneous pricing/power class).
     cost_weight: float = 1.0
     #: Hot spare: powered on (it burns cost/energy every epoch) but excluded
@@ -66,8 +61,6 @@ class NodeSpec:
             raise ValueError(f"node_id cannot be negative, got {self.node_id}")
         if self.fabrics < 1:
             raise ValueError(f"need >= 1 fabric, got {self.fabrics}")
-        if self.system_mhz <= 0:
-            raise ValueError(f"system_mhz must be positive, got {self.system_mhz}")
         if self.cost_weight <= 0:
             raise ValueError(f"cost_weight must be positive, got {self.cost_weight}")
 
@@ -108,18 +101,15 @@ def node_seed(seed: int, node_id: int, epoch: int) -> int:
     return (seed * 1_000_003 + node_id * 7_919 + epoch * 104_729) & 0x7FFFFFFF
 
 
-def migration_stall_ns(scheduler: FabricScheduler, accelerator: str,
-                       system_mhz: float,
-                       state_transfer_ns: float = DEFAULT_STATE_TRANSFER_NS) -> float:
+def migration_stall_ns(scheduler: FabricScheduler, accelerator: str) -> float:
     """The blackout a migrated tenant pays before serving on a new node:
-    one full bitstream program at the node's system clock plus the fixed
-    state-transfer cost."""
+    one full bitstream program through the node's own control hub at its
+    system clock, plus the fixed :data:`STATE_TRANSFER_NS`."""
     bitstream = scheduler.accelerators[accelerator].bitstream
-    cycles = program_cycles(
-        bitstream.config_bits,
-        scheduler.config.control_hub.programming_bits_per_cycle,
-    )
-    return cycles * 1000.0 / system_mhz + state_transfer_ns
+    hub = scheduler.fabrics[0].control_hub
+    cycles = program_cycles(bitstream.config_bits,
+                            hub.config.programming_bits_per_cycle)
+    return cycles * 1000.0 / scheduler.config.system_mhz + STATE_TRANSFER_NS
 
 
 def _replay_burst(scheduler: FabricScheduler, tenant: TenantSpec, count: int,
@@ -157,9 +147,6 @@ def simulate_node(
     epoch_ns: float,
     epoch: int,
     seed: int,
-    queue_capacity: Optional[int] = 64,
-    patience_ns: float = 100_000.0,
-    state_transfer_ns: float = DEFAULT_STATE_TRANSFER_NS,
     power: bool = False,
     chaos_events: Tuple[Any, ...] = (),
     chaos_recovery: bool = True,
@@ -196,10 +183,6 @@ def simulate_node(
     config = ServeConfig(
         policy=policy,
         num_fabrics=node.fabrics,
-        system_mhz=node.system_mhz,
-        fpga_mhz=node.fpga_mhz,
-        queue_capacity=queue_capacity,
-        patience_ns=patience_ns,
         accelerators=tuple(dict.fromkeys(
             share.tenant.accelerator for share in shares)) or ("popcount",),
     )
@@ -218,8 +201,7 @@ def simulate_node(
     for index, share in enumerate(shares):
         stall = 0.0
         if share.migrated:
-            stall = migration_stall_ns(scheduler, share.tenant.accelerator,
-                                       node.system_mhz, state_transfer_ns)
+            stall = migration_stall_ns(scheduler, share.tenant.accelerator)
         placed[share.tenant.name] = (index, stall)
         # Pre-register so a tenant whose blackout swallows the whole epoch
         # still reports a (zeroed) row instead of silently vanishing.
@@ -252,13 +234,12 @@ def simulate_node(
         monitor.queue_depth.time_weighted_mean())
     scheduler.metrics.gauge("busy_fraction").set(
         busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0)
-    if queue_capacity is not None:
-        # Admission-queue free-slot low-water mark.  A *min*-merge gauge:
-        # the fleet-wide value is the worst node's headroom, which a
-        # max merge would silently report as the best node's.
-        peak_depth = max(monitor.queue_depth.values, default=0.0)
-        scheduler.metrics.gauge("free_capacity", mode="min").set(
-            queue_capacity - peak_depth)
+    # Admission-queue free-slot low-water mark.  A *min*-merge gauge: the
+    # fleet-wide value is the worst node's headroom, which a max merge
+    # would silently report as the best node's.
+    peak_depth = max(monitor.queue_depth.values, default=0.0)
+    scheduler.metrics.gauge("free_capacity", mode="min").set(
+        config.queue_capacity - peak_depth)
     report: Dict[str, Any] = {
         "node_id": node.node_id,
         "epoch": epoch,

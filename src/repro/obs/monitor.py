@@ -138,11 +138,13 @@ class TelemetryMonitor(LifecycleSubscriber):
     """
 
     def __init__(self, monitor, window_ns: float, node_id: int = 0,
-                 epoch: int = 0, t0_ps: int = 0, scheduler=None) -> None:
+                 epoch: int = 0, t0_ps: int = 0) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.monitor = monitor
-        self.scheduler = scheduler
+        #: Set by the :class:`~repro.serve.scheduler.FabricScheduler` built
+        #: with this monitor; its fabrics' service time gives ``busy``.
+        self.scheduler = None
         self.window_ns = float(window_ns)
         self.window_ps = int(round(window_ns * 1000.0))
         self.node_id = node_id

@@ -324,10 +324,10 @@ class LifecycleSubscriber:
 class RequestTrace(LifecycleSubscriber):
     """Records a serving deployment's request lifecycle into a :class:`Tracer`.
 
-    Subscribed by :meth:`FabricScheduler.attach_tracer`.  It owns the
-    tracing-only state: each request's latest *ready* instant (admission
-    or replay) and the track naming — ``fabric0`` on the whole-fabric
-    path, ``fabric0/<design>`` in region mode.
+    Subscribed by a :class:`FabricScheduler` built with a tracer.  It owns
+    the tracing-only state: each request's latest *ready* instant
+    (admission or replay) and the track naming — ``fabric0`` on the
+    whole-fabric path, ``fabric0/<design>`` in region mode.
     """
 
     def __init__(self, tracer: Tracer, sim) -> None:

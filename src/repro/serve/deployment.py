@@ -19,15 +19,16 @@ MAX_EVENTS = 20_000_000
 
 
 class Deployment:
-    """A simulator, a named SLO monitor and the scheduler it watches, with
-    the optional layers attached in a fixed order that every golden was
-    recorded with: tracer, telemetry, one energy model per fabric, then
-    chaos (recovery mode, fabrics carried over dead, fault injector).
+    """A simulator, a named SLO monitor and the scheduler it watches, built
+    with its tracer, telemetry and recovery mode, then the optional layers
+    in a fixed order that every golden was recorded with: one energy model
+    per fabric, then chaos (fabrics carried over dead, fault injector).
 
     ``chaos_events`` is ``None`` for a fault-free run; any sequence, even an
-    empty one, engages chaos: the scheduler's ``recovery`` mode is set,
-    ``failed_fabrics`` start dead, and the stranded queue is shed after the
-    run so submitted == completed + shed holds.
+    empty one, engages chaos: ``failed_fabrics`` start dead, and the
+    stranded queue is shed after the run so submitted == completed + shed
+    holds.  ``recovery`` is the scheduler's fault path (see
+    :class:`~repro.serve.scheduler.FabricScheduler`).
     """
 
     def __init__(self, config: ServeConfig, name: str = "serve",
@@ -46,10 +47,6 @@ class Deployment:
         self.name = name
         self.sim = Simulator()
         self.monitor = SloMonitor(self.sim, name=name)
-        self.scheduler = scheduler = FabricScheduler(
-            self.sim, config, monitor=self.monitor)
-        if tracer is not None:
-            scheduler.attach_tracer(tracer)
         self.telemetry = None
         if telemetry_window_us is not None:
             from repro.obs.monitor import TelemetryMonitor
@@ -57,20 +54,21 @@ class Deployment:
             self.telemetry = TelemetryMonitor(
                 self.monitor, telemetry_window_us * 1000.0, node_id=node_id,
                 epoch=epoch, t0_ps=t0_ps)
-            scheduler.attach_telemetry(self.telemetry)
+        self.scheduler = scheduler = FabricScheduler(
+            self.sim, config, monitor=self.monitor, tracer=tracer,
+            telemetry=self.telemetry, recovery=recovery)
         self.energy = self._attach_energy() if power else []
         self.chaos = chaos_events is not None
         if self.chaos:
             from repro.chaos import FaultInjector
 
-            scheduler.recovery = recovery
             # Damage carried over from earlier epochs: dead before t=0, no
             # new fault window opens (the impact was accounted when it
             # happened).
             for index in failed_fabrics:
                 if 0 <= index < len(scheduler.fabrics):
                     scheduler.fabrics[index].fail(reason="carryover")
-            FaultInjector(self.sim, scheduler, chaos_events, recovery=recovery)
+            FaultInjector(self.sim, scheduler, chaos_events)
 
     def _attach_energy(self) -> List[Any]:
         """One :class:`EnergyModel` per fabric (each tracks its own eFPGA

@@ -40,19 +40,19 @@ serve run is exactly as deterministic as any other experiment cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.control_hub import ControlHub, ControlHubConfig
+from repro.core.control_hub import ControlHub
 from repro.core.exceptions import DuetError
 from repro.cpu.mmio import MmioMap
 from repro.fpga.bitstream import Bitstream
 from repro.fpga.clocking import ProgrammableClockGenerator
 from repro.noc import NocNetwork, TileRouter, make_topology
-from repro.obs.trace import LifecycleSubscriber, RequestTrace
+from repro.obs.trace import LifecycleSubscriber, RequestTrace, Tracer
 from repro.reconfig.placement import RegionAllocator
 from repro.reconfig.plan import RegionPlan
-from repro.serve.catalog import ServedAccelerator, materialize
+from repro.serve.catalog import SERVE_ACCELERATORS, ServedAccelerator, materialize
 from repro.serve.slo import SloMonitor
 from repro.serve.traffic import Request
 from repro.sim import Delay, Simulator
@@ -163,7 +163,6 @@ class FabricContext:
         accelerators: Dict[str, ServedAccelerator],
         index: int = 0,
         fpga_mhz: Optional[float] = None,
-        hub_config: Optional[ControlHubConfig] = None,
         images: Optional[Dict[str, Bitstream]] = None,
         plan: Optional[RegionPlan] = None,
     ) -> None:
@@ -178,7 +177,7 @@ class FabricContext:
             sim, sys_domain, name=f"{self.name}.clkgen")
         self.control_hub = ControlHub(
             sim, sys_domain, tile_router, mmio_map, self.clock_generator,
-            config=hub_config, name=f"{self.name}.ctrl")
+            name=f"{self.name}.ctrl")
         self.current_design: Optional[str] = None
         self.reconfigurations = 0
         self.reconfig_ns_total = 0.0
@@ -186,9 +185,9 @@ class FabricContext:
         #: Energy hook: when set, served cycles and clock retunes feed the
         #: attached :class:`~repro.power.model.EnergyModel` (see Deployment).
         self.energy = None
-        #: Observability hook (:mod:`repro.obs`): when a Tracer is attached
-        #: (see :meth:`FabricScheduler.attach_tracer`) the serve path records
-        #: ``program``/``service`` spans and ``clock_retune`` instants.
+        #: Observability hook (:mod:`repro.obs`): when the scheduler is built
+        #: with a Tracer the serve path records ``program``/``service`` spans
+        #: and ``clock_retune`` instants.
         self.tracer = None
         #: Corrupt-image overrides shared with the scheduler (see
         #: :attr:`FabricScheduler.images`); empty on every fault-free run.
@@ -416,7 +415,6 @@ class ServeConfig:
     patience_ns: float = 100_000.0
     #: Which catalog entries this deployment can serve.
     accelerators: Tuple[str, ...] = ()
-    control_hub: ControlHubConfig = field(default_factory=ControlHubConfig)
     #: Region grid per fabric; 1 = the whole-fabric path (bit-identical to
     #: a build without region support), > 1 = region-granular co-location.
     regions: int = 1
@@ -443,6 +441,13 @@ class ServeConfig:
             raise ValueError(
                 f"region_fabric_scale must be positive, got {self.region_fabric_scale}")
         make_policy(self.policy, patience_ns=self.patience_ns)  # fail fast
+        unknown = [name for name in self.accelerators
+                   if name not in SERVE_ACCELERATORS]
+        if unknown:
+            known = ", ".join(sorted(SERVE_ACCELERATORS))
+            raise ValueError(
+                f"ServeConfig.accelerators has unknown entries {unknown}; "
+                f"catalog: {known}")
 
 
 #: The scheduler's fault counters (all zero on a fault-free run), registered
@@ -453,12 +458,27 @@ FAULT_COUNTERS: Tuple[str, ...] = (
     "link_faults",
 )
 
+#: Detection/scrub latency an SEU retry pays before it requeues (ns).
+SEU_DETECT_NS = 2_000.0
+
 
 class FabricScheduler:
-    """Admission queue + per-fabric worker processes."""
+    """Admission queue + per-fabric worker processes.
+
+    Every observer and mode is fixed at construction: ``tracer`` records
+    the request lifecycle (a :class:`~repro.obs.trace.RequestTrace`
+    subscriber) plus the fabrics' program/service spans and the control
+    hubs' transfers; ``telemetry`` (a
+    :class:`~repro.obs.monitor.TelemetryMonitor`) windows the monitor's
+    series; ``recovery`` selects the fault path — replay lost requests
+    and scrub corrupt images (True) or shed what a fault touches.
+    Neither observer ever changes a result (pinned in ``tests/test_obs.py``).
+    """
 
     def __init__(self, sim: Simulator, config: ServeConfig,
-                 monitor: Optional[SloMonitor] = None) -> None:
+                 monitor: Optional[SloMonitor] = None,
+                 tracer: Optional[Tracer] = None,
+                 telemetry=None, recovery: bool = True) -> None:
         if not config.accelerators:
             raise ValueError("ServeConfig.accelerators must name >= 1 catalog entry")
         self.sim = sim
@@ -490,20 +510,15 @@ class FabricScheduler:
             FabricContext(
                 sim, self.sys_domain, TileRouter(self.network, node), mmio_map,
                 self.accelerators, index=node, fpga_mhz=config.fpga_mhz,
-                hub_config=config.control_hub, images=self.images,
-                plan=self.region_plan,
+                images=self.images, plan=self.region_plan,
             )
             for node in range(config.num_fabrics)
         ]
         self.pending: List[Request] = []
         self.closed = False
         self._work_event = sim.event(name="serve.work")
-        # -- chaos knobs/accounting (defaults keep fault-free runs exact) - #
-        #: When True (the default) faults fail over: lost requests replay
-        #: through surviving fabrics and corrupt images are scrubbed.
-        self.recovery = True
-        #: Detection/scrub latency paid before an SEU retry (ns).
-        self.fault_detect_ns = 2_000.0
+        # -- chaos (the accounting stays zero on fault-free runs) --------- #
+        self.recovery = recovery
         #: The deployment's one metrics registry (:mod:`repro.obs.metrics`),
         #: owned by the SLO monitor: the fault counters below sit beside its
         #: latency histograms and queue-depth series in one snapshot.
@@ -513,14 +528,22 @@ class FabricScheduler:
             name: self.metrics.counter(name) for name in FAULT_COUNTERS}
         #: Accelerators whose image is corrupt with recovery disabled.
         self.poisoned: Set[str] = set()
-        #: Observability attachments (see :meth:`attach_tracer` and
-        #: :meth:`attach_telemetry`); ``None`` until attached.
-        self.tracer = None
-        self.telemetry = None
-        self._request_trace: Optional[RequestTrace] = None
+        self.tracer = tracer
+        request_trace = None
+        if tracer is not None:
+            for fabric in self.fabrics:
+                fabric.tracer = tracer
+                fabric.control_hub.tracer = tracer
+            request_trace = RequestTrace(tracer, sim)
+        if telemetry is not None:
+            telemetry.scheduler = self
         #: The request-lifecycle fan-out: every event goes once to each
-        #: subscriber, in this order (see :meth:`_subscribe`).
-        self.hooks: Tuple[LifecycleSubscriber, ...] = (self.monitor,)
+        #: subscriber, in this order — telemetry first, so a window the
+        #: clock has crossed closes *before* the SLO monitor records the
+        #: event that crossed it.
+        self.hooks: Tuple[LifecycleSubscriber, ...] = tuple(
+            hook for hook in (telemetry, self.monitor, request_trace)
+            if hook is not None)
         # One worker per fabric; in region mode K per fabric, so different
         # resident designs serve concurrently, each on its own span.
         self.workers = [
@@ -531,40 +554,6 @@ class FabricScheduler:
             for fabric in self.fabrics
             for slot in range(config.regions)
         ]
-
-    # ------------------------------------------------------------------ #
-    # Observability (repro.obs; default off)
-    # ------------------------------------------------------------------ #
-    def attach_tracer(self, tracer) -> None:
-        """Record this deployment into ``tracer``: the request lifecycle
-        through a :class:`~repro.obs.trace.RequestTrace` subscriber, plus
-        the fabrics' program/service spans and the control hubs' transfers.
-
-        Call before the simulation runs.  Tracing never changes a result
-        (pinned in ``tests/test_obs.py``).
-        """
-        self.tracer = tracer
-        for fabric in self.fabrics:
-            fabric.tracer = tracer
-            fabric.control_hub.tracer = tracer
-        self._request_trace = RequestTrace(tracer, self.sim)
-        self._subscribe()
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Subscribe a :class:`repro.obs.monitor.TelemetryMonitor`.  Pure
-        observation: it owns no sim events and its windows close lazily
-        as lifecycle events arrive."""
-        telemetry.scheduler = self
-        self.telemetry = telemetry
-        self._subscribe()
-
-    def _subscribe(self) -> None:
-        """Rebuild :attr:`hooks` in a fixed order, whatever was attached
-        first: telemetry first, so a window the clock has crossed closes
-        *before* the SLO monitor records the event that crossed it."""
-        self.hooks = tuple(hook for hook in (
-            self.telemetry, self.monitor, self._request_trace)
-            if hook is not None)
 
     # ------------------------------------------------------------------ #
     # Admission (called by traffic sources)
@@ -716,8 +705,7 @@ class FabricScheduler:
             self.fault_stats["seu_scrubs"].increment()
             self.scrub_image(name)
             scrub_start_ps = self.sim.now_ps
-            if self.fault_detect_ns > 0:
-                yield Delay(self.fault_detect_ns)
+            yield Delay(SEU_DETECT_NS)
             self.pending.insert(0, request)
             for hook in self.hooks:
                 hook.on_scrub(fabric, name, scrub_start_ps)

@@ -135,6 +135,10 @@ class TenantSpec:
             )
         if self.pattern == "closed" and self.clients < 1:
             raise ValueError(f"tenant {self.name!r}: closed loop needs >= 1 client")
+        if self.slo_ns < 0:
+            raise ValueError(
+                f"tenant {self.name!r}: slo_ns cannot be negative (0 disables "
+                f"SLO accounting), got {self.slo_ns}")
         for knob in ("think_ns", "on_ns", "off_ns", "period_ns"):
             if getattr(self, knob) <= 0:
                 raise ValueError(

@@ -40,9 +40,10 @@ from repro.fleet.router import HashPlacement
 from repro.noc import NocRouteError
 from repro.noc.topology import make_topology
 from repro.serve.experiments import run_serve
-from repro.serve.scheduler import FabricScheduler, ServeConfig
+from repro.obs import Tracer
+from repro.serve.scheduler import SEU_DETECT_NS, FabricScheduler, ServeConfig
 from repro.serve.traffic import Request
-from repro.sim import Simulator
+from repro.sim import Delay, Simulator
 
 
 # --------------------------------------------------------------------------- #
@@ -272,8 +273,7 @@ def test_seu_during_a_transfer_stays_latent_until_the_next_program():
     hub.exceptions.on_error(lambda code: errors.append((code, sim.now)))
     # 1 ns in: the worker is inside popcount's configuration transfer.
     FaultInjector(sim, scheduler, [FaultEvent(
-        kind="seu", time_ns=1.0, fabric=0, spec_index=0, detect_ns=500.0,
-        seu_offset=3)], seu_targets=("popcount",))
+        kind="seu", time_ns=1.0, fabric=0, spec_index=0, seu_offset=3)], seu_targets=("popcount",))
     first, other, again = (
         Request(request_id=index, tenant="t", accelerator=name, size=8)
         for index, name in enumerate(("popcount", "sort64", "popcount")))
@@ -297,6 +297,47 @@ def test_seu_during_a_transfer_stays_latent_until_the_next_program():
     assert again.finish_ns > 0 and not again.shed
     assert "popcount" not in scheduler.images
     assert hub.programmed_bitstream is scheduler.accelerators["popcount"].bitstream
+
+
+def test_the_injector_keeps_the_fault_path_the_scheduler_was_built_with():
+    """``recovery`` is fixed when the scheduler is built: arming a
+    :class:`FaultInjector` does not switch a shedding scheduler back to
+    failover, so the tripped SEU poisons the accelerator."""
+    sim = Simulator()
+    scheduler = FabricScheduler(sim, ServeConfig(
+        policy="fcfs", accelerators=("popcount", "sort64")), recovery=False)
+    FaultInjector(sim, scheduler, [FaultEvent(
+        kind="seu", time_ns=0.0, fabric=0, spec_index=0, seu_offset=3)],
+        seu_targets=("popcount",))
+    requests = [Request(request_id=index, tenant="t", accelerator="popcount",
+                        size=8) for index in range(2)]
+
+    def feeder():
+        yield Delay(1.0)
+        for request in requests:
+            scheduler.submit(request)
+        scheduler.close()
+
+    sim.process(feeder(), name="test.feeder")
+    sim.run(max_events=500_000)
+    assert scheduler.recovery is False
+    assert scheduler.poisoned == {"popcount"}
+    assert scheduler.fault_stats["seu_scrubs"].value == 0
+    assert all(request.shed for request in requests)
+
+
+def test_every_seu_scrub_pays_the_one_detection_latency():
+    """Each traced ``seu_scrub`` span, from the tripped program to the
+    requeue, lasts exactly :data:`SEU_DETECT_NS` — the scheduler's one
+    detection latency, whatever schedule drew the upset."""
+    tracer = Tracer()
+    run_serve("fcfs", arrival_rate_krps=300.0, duration_us=400.0,
+              num_fabrics=2, tracer=tracer,
+              chaos=ChaosConfig(FaultSchedule(seed=1, specs=(
+                  FaultSpec(kind="seu", rate_per_epoch=3.0),)), recovery=True))
+    scrubs = [span.dur_ps for span in tracer.spans if span.name == "seu_scrub"]
+    assert scrubs
+    assert set(scrubs) == {int(SEU_DETECT_NS * 1000)}
 
 
 def test_link_cut_fails_unreachable_fabrics_and_repair_restores_them():

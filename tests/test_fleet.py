@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from repro.fleet import (
+    STATE_TRANSFER_NS,
     Autoscaler,
     AutoscalerConfig,
     FleetConfig,
@@ -79,10 +80,8 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("fields, match", [
     ({"policy": "bogus"}, "scheduling policy"),
-    ({"queue_capacity": 0}, "queue_capacity"),
     ({"fabrics_per_node": 0}, "fabric"),
-    ({"policy": "affinity", "patience_ns": -1.0}, "patience_ns"),
-], ids=["policy", "queue_capacity", "fabrics_per_node", "patience_ns"])
+], ids=["policy", "fabrics_per_node"])
 def test_fleet_config_rejects_bad_node_serving_fields(fields, match):
     """A bad per-node serving field fails when the FleetConfig is built,
     not when the first node simulates."""
@@ -344,20 +343,35 @@ def test_node_report_ships_each_fact_once():
     assert damaged["dead_fabrics"] == [1]
 
 
+def test_node_free_capacity_is_the_serving_queue_bound_minus_its_peak():
+    """Every node serves at the ``ServeConfig`` queue bound, so its
+    free-slot low-water mark is that bound minus the deepest queue seen."""
+    report = simulate_node(
+        node=NodeSpec(node_id=0), shares=make_shares(rate_rps=40_000.0),
+        policy="fcfs", epoch_ns=100_000.0, epoch=0, seed=2023)
+    metrics = report["metrics"]
+    peak = max(depth for _, depth in metrics["series"]["queue_depth"])
+    assert 0 < peak < ServeConfig().queue_capacity
+    assert metrics["gauges"]["free_capacity"] == ServeConfig().queue_capacity - peak
+    assert metrics["gauge_modes"]["free_capacity"] == "min"
+
+
 def test_migration_stall_charges_programming_plus_state_transfer():
-    sim = Simulator()
-    config = ServeConfig(accelerators=("popcount",))
-    scheduler = FabricScheduler(sim, config)
+    def scheduler_at(system_mhz):
+        return FabricScheduler(Simulator(), ServeConfig(
+            system_mhz=system_mhz, accelerators=("popcount",)))
+
+    scheduler = scheduler_at(1000.0)
     bitstream = scheduler.accelerators["popcount"].bitstream
-    bits_per_cycle = config.control_hub.programming_bits_per_cycle
+    hub = scheduler.fabrics[0].control_hub
+    bits_per_cycle = hub.config.programming_bits_per_cycle
     expected_program_ns = -(-bitstream.config_bits // bits_per_cycle) * 1.0
-    stall = migration_stall_ns(scheduler, "popcount", system_mhz=1000.0,
-                               state_transfer_ns=25_000.0)
-    assert stall == pytest.approx(expected_program_ns + 25_000.0)
-    # Faster system clock programs faster; the state transfer is fixed.
-    faster = migration_stall_ns(scheduler, "popcount", system_mhz=2000.0,
-                                state_transfer_ns=25_000.0)
-    assert faster == pytest.approx(expected_program_ns / 2 + 25_000.0)
+    stall = migration_stall_ns(scheduler, "popcount")
+    assert stall == pytest.approx(expected_program_ns + STATE_TRANSFER_NS)
+    # A node with a faster system clock programs faster; the state
+    # transfer is fixed.
+    faster = migration_stall_ns(scheduler_at(2000.0), "popcount")
+    assert faster == pytest.approx(expected_program_ns / 2 + STATE_TRANSFER_NS)
 
 
 def test_migrated_tenant_pays_the_blackout():
@@ -371,7 +385,7 @@ def test_migrated_tenant_pays_the_blackout():
         shares=(TenantShare(tenant=tenant, rate_rps=100_000.0, migrated=True),),
         **kwargs)
     assert migrated["migrations"] == 1
-    assert migrated["migration_stall_ns"] > 25_000.0
+    assert migrated["migration_stall_ns"] > STATE_TRANSFER_NS
     # Requests that would have arrived during the blackout never get served.
     assert (migrated["tenants"][tenant.name]["submitted"]
             < settled["tenants"][tenant.name]["submitted"])
@@ -388,14 +402,15 @@ def test_blackout_swallowing_the_whole_epoch_keeps_the_tenant_row():
                           pattern="closed", clients=2, think_ns=5_000.0))
     shares = tuple(TenantShare(tenant=t, rate_rps=100_000.0, migrated=True)
                    for t in tenants)
+    epoch_ns = 20_000.0
+    assert STATE_TRANSFER_NS > epoch_ns  # each blackout outlasts the epoch
     report = simulate_node(node=node, shares=shares, policy="fcfs",
-                           epoch_ns=50_000.0, epoch=0, seed=2023,
-                           state_transfer_ns=80_000.0)
+                           epoch_ns=epoch_ns, epoch=0, seed=2023)
     assert set(report["tenants"]) == {t.name for t in tenants}
     for name, account in report["tenants"].items():
         assert account["submitted"] == 0, name
         assert account["completed"] == 0, name
-    assert report["migration_stall_ns"] > 2 * 80_000.0
+    assert report["migration_stall_ns"] > 2 * STATE_TRANSFER_NS
 
 
 # --------------------------------------------------------------------------- #

@@ -30,7 +30,9 @@ from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.obs import TelemetryMonitor, Tracer
-from repro.serve.experiments import build_sources, get_mix, run_serve
+from repro.obs.trace import RequestTrace
+from repro.serve.experiments import (DEFAULT_SEED, build_sources, get_mix,
+                                     run_serve)
 from repro.serve.scheduler import FabricScheduler, ServeConfig
 from repro.serve.slo import SloMonitor
 from repro.sim import Simulator
@@ -41,7 +43,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data",
 #: Fabric kill (healed 50 us later: a ``failover`` span) plus SEU noise.
 WHOLE_FABRIC_FAULTS = FaultSchedule(seed=1, specs=(
     FaultSpec(kind="fabric", at_epoch=0, repair_ns=50_000.0),
-    FaultSpec(kind="seu", rate_per_epoch=3.0, detect_ns=2_000.0),
+    FaultSpec(kind="seu", rate_per_epoch=3.0),
 ))
 
 
@@ -147,26 +149,31 @@ def test_lifecycle_cell_matches_golden(name):
     assert cell_digests(name, cell) == golden[name]
 
 
-def _observed_serve(attach_order):
-    """A region-mode deployment with tracer and telemetry attached in
-    ``attach_order``; returns the scheduler and every observable output."""
+def test_scheduler_built_with_observers_orders_hooks_and_matches_golden():
+    """A scheduler given its tracer and telemetry at construction fans
+    each event out telemetry first (a window the clock crossed closes
+    before the SLO monitor records), then the monitor, then the request
+    trace; built by hand, it reproduces the ``regions4_observed`` golden's
+    trace, telemetry and metrics bytes."""
     tenants = get_mix("quad")
     sim = Simulator()
-    monitor = SloMonitor(sim)
+    monitor = SloMonitor(sim, name="serve")
+    tracer = Tracer()
+    telemetry = TelemetryMonitor(monitor, 50_000.0)
     scheduler = FabricScheduler(sim, ServeConfig(
         policy="affinity", regions=4,
         accelerators=tuple(dict.fromkeys(t.accelerator for t in tenants))),
-        monitor=monitor)
-    tracer = Tracer()
-    telemetry = TelemetryMonitor(monitor, 50_000.0)
-    for kind in attach_order:
-        if kind == "tracer":
-            scheduler.attach_tracer(tracer)
-        else:
-            scheduler.attach_telemetry(telemetry)
+        monitor=monitor, tracer=tracer, telemetry=telemetry)
+    assert scheduler.hooks[:2] == (telemetry, monitor)
+    assert len(scheduler.hooks) == 3
+    assert isinstance(scheduler.hooks[2], RequestTrace)
+    assert scheduler.hooks[2].tracer is tracer
+    assert telemetry.scheduler is scheduler
+    assert all(fabric.tracer is tracer and fabric.control_hub.tracer is tracer
+               for fabric in scheduler.fabrics)
     sources = build_sources(sim, tenants, scheduler.submit,
-                            total_rate_rps=300_000.0, duration_ns=200_000.0,
-                            seed=2023)
+                            total_rate_rps=300_000.0, duration_ns=300_000.0,
+                            seed=DEFAULT_SEED)
     processes = [process for source in sources for process in source.start()]
 
     def supervisor():
@@ -175,19 +182,11 @@ def _observed_serve(attach_order):
                 yield process
         scheduler.close()
 
-    sim.process(supervisor(), name="test.supervisor")
+    sim.process(supervisor(), name="serve.supervisor")
     sim.run(max_events=2_000_000)
-    telemetry.finalize(sim.now)
-    return scheduler, (tracer.to_json(), telemetry.stream.as_dict(),
-                       monitor.metrics.snapshot().as_dict(),
-                       monitor.tenant_rows(sim.now))
-
-
-def test_attach_order_does_not_change_outputs():
-    first, tracer_first = _observed_serve(("tracer", "telemetry"))
-    second, telemetry_first = _observed_serve(("telemetry", "tracer"))
-    assert tracer_first == telemetry_first
-    # Telemetry ticks before the SLO monitor records, whatever the order.
-    for scheduler in (first, second):
-        assert [type(hook).__name__ for hook in scheduler.hooks] == [
-            "TelemetryMonitor", "SloMonitor", "RequestTrace"]
+    telemetry.finalize(max(sim.now, 300_000.0))
+    with open(GOLDEN) as handle:
+        golden = json.load(handle)["regions4_observed"]
+    assert _sha(tracer.to_json()) == golden["trace"]
+    assert _sha(telemetry.stream.as_dict()) == golden["telemetry"]
+    assert _sha(monitor.metrics.snapshot().as_dict()) == golden["metrics"]

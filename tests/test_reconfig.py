@@ -72,9 +72,9 @@ def test_migration_stall_uses_the_shared_helper():
     scheduler = FabricScheduler(sim, ServeConfig(accelerators=("popcount",)))
     bits = scheduler.accelerators["popcount"].bitstream.config_bits
     cycles = program_cycles(
-        bits, scheduler.config.control_hub.programming_bits_per_cycle)
+        bits, scheduler.fabrics[0].control_hub.config.programming_bits_per_cycle)
     expected = cycles * 1000.0 / 1000.0 + 25_000.0
-    assert migration_stall_ns(scheduler, "popcount", 1000.0) == expected
+    assert migration_stall_ns(scheduler, "popcount") == expected
 
 
 # --------------------------------------------------------------------------- #

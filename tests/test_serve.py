@@ -9,7 +9,6 @@ import pytest
 
 from repro.api.registry import get_experiment
 from repro.api.runner import Runner
-from repro.fleet.cluster import FleetConfig
 from repro.obs import Tracer
 from repro.serve import (
     ACCELERATOR_NAMES,
@@ -90,6 +89,18 @@ def test_tenant_spec_validation():
     with pytest.raises(ValueError, match="think_ns"):
         TenantSpec(name="x", accelerator="popcount", pattern="closed",
                    think_ns=0.0)
+
+
+def test_tenant_spec_rejects_a_negative_slo():
+    """A negative target used to pass and then read as "no SLO" in
+    ``Request.slo_met``; 0 is the one way to switch SLO accounting off."""
+    with pytest.raises(ValueError, match="slo_ns"):
+        TenantSpec(name="x", accelerator="popcount", slo_ns=-1.0)
+    tenant = TenantSpec(name="x", accelerator="popcount", slo_ns=0.0)
+    request = Request(request_id=0, tenant="x", accelerator="popcount",
+                      size=8, slo_ns=tenant.slo_ns)
+    request.arrival_ns, request.finish_ns = 0.0, 1e9
+    assert request.slo_met
 
 
 def _collect_arrivals(pattern, seed=7, rate_rps=500_000.0, duration_ns=400_000.0,
@@ -360,7 +371,22 @@ def test_serve_config_validation():
         FabricScheduler(Simulator(), ServeConfig())
 
 
-@pytest.mark.parametrize("config", [ServeConfig, FleetConfig])
+@pytest.mark.parametrize("accelerators", [("bogus",), ("popcount", "fft")],
+                         ids=["only", "one_of_two"])
+def test_serve_config_rejects_unknown_accelerators_when_built(accelerators):
+    """A catalog typo fails at ``ServeConfig`` construction, naming the
+    field, not as a catalog ``KeyError`` out of ``FabricScheduler``."""
+    with pytest.raises(ValueError, match="accelerators"):
+        ServeConfig(accelerators=accelerators)
+
+
+def test_serve_config_accepts_no_accelerators():
+    """An empty tuple stays legal on the config (``FleetConfig`` builds
+    one to check its node fields); only the scheduler needs an entry."""
+    assert ServeConfig().accelerators == ()
+
+
+@pytest.mark.parametrize("config", [ServeConfig])
 @pytest.mark.parametrize("field, value", [
     ("system_mhz", 0.0), ("system_mhz", -1.0), ("fpga_mhz", 0.0),
     ("fpga_mhz", -5.0), ("patience_ns", -1.0),
@@ -409,7 +435,7 @@ def test_scheduler_charges_real_reconfiguration_cost():
     samples = [span.dur_ps / 1000.0 for span in tracer.spans
                if span.name == "program" and span.tid == fabric.name]
     assert len(samples) == fabric.reconfigurations
-    bits_per_cycle = scheduler.config.control_hub.programming_bits_per_cycle
+    bits_per_cycle = fabric.control_hub.config.programming_bits_per_cycle
     period_ns = scheduler.sys_domain.period_ns
     expected = {
         accelerator.name: max(1, accelerator.bitstream.config_bits // bits_per_cycle)
