@@ -78,14 +78,18 @@ def test_spec_validation():
         make_placement("round_robin")
 
 
-@pytest.mark.parametrize("fields, match", [
-    ({"policy": "bogus"}, "scheduling policy"),
-    ({"fabrics_per_node": 0}, "fabric"),
-], ids=["policy", "fabrics_per_node"])
-def test_fleet_config_rejects_bad_node_serving_fields(fields, match):
+@pytest.mark.parametrize("fields, error, match", [
+    ({"policy": "bogus"}, ValueError, "scheduling policy"),
+    ({"queue_capacity": 0}, TypeError, "queue_capacity"),
+    ({"fabrics_per_node": 0}, ValueError, "fabric"),
+    ({"policy": "affinity", "patience_ns": -1.0}, TypeError, "patience_ns"),
+], ids=["policy", "queue_capacity", "fabrics_per_node", "patience_ns"])
+def test_fleet_config_rejects_bad_node_serving_fields(fields, error, match):
     """A bad per-node serving field fails when the FleetConfig is built,
-    not when the first node simulates."""
-    with pytest.raises(ValueError, match=match):
+    not when the first node simulates.  The queue bound and patience are
+    not fleet fields at all (every node serves at the ``ServeConfig``
+    values), so passing one fails as an unknown argument."""
+    with pytest.raises(error, match=match):
         FleetConfig(**fields)
 
 

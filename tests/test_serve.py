@@ -9,6 +9,7 @@ import pytest
 
 from repro.api.registry import get_experiment
 from repro.api.runner import Runner
+from repro.fleet.cluster import FleetConfig
 from repro.obs import Tracer
 from repro.serve import (
     ACCELERATOR_NAMES,
@@ -386,7 +387,13 @@ def test_serve_config_accepts_no_accelerators():
     assert ServeConfig().accelerators == ()
 
 
-@pytest.mark.parametrize("config", [ServeConfig])
+#: How each config refuses a bad clock or patience: ``ServeConfig``
+#: rejects the value; ``FleetConfig`` holds no copy of the field (every
+#: node serves at the ``ServeConfig`` values), so it rejects the argument.
+_BAD_SERVING_FIELD_ERROR = {ServeConfig: ValueError, FleetConfig: TypeError}
+
+
+@pytest.mark.parametrize("config", [ServeConfig, FleetConfig])
 @pytest.mark.parametrize("field, value", [
     ("system_mhz", 0.0), ("system_mhz", -1.0), ("fpga_mhz", 0.0),
     ("fpga_mhz", -5.0), ("patience_ns", -1.0),
@@ -394,7 +401,7 @@ def test_serve_config_accepts_no_accelerators():
 def test_bad_clocks_and_patience_fail_when_the_config_is_built(
         config, field, value):
     """Under the default fcfs policy too: no run ever starts."""
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(_BAD_SERVING_FIELD_ERROR[config], match=field):
         config(**{field: value})
 
 
