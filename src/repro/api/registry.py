@@ -442,7 +442,6 @@ register_experiment(ExperimentSpec(
            "thin_factor": 50.0,
            "epochs": len(fleet_experiments.DEFAULT_RATE_PROFILE),
            "epoch_us": 400.0,
-           "node_executor": "serial",
            "seed": fleet_experiments.DEFAULT_SEED},
     summarize=fleet_experiments.fleet_scaling_summary,
     tags=("fleet", "serve", "sweep", "pareto"),
@@ -506,8 +505,7 @@ register_experiment(ExperimentSpec(
           "policy": ("fcfs", "affinity"),
           "recovery": (False, True)},
     fixed={"nodes": 3, "spares": 1, "epochs": 5, "epoch_us": 600.0,
-           "rate_krps": 300.0, "node_executor": "serial",
-           "seed": chaos_experiments.DEFAULT_SEED},
+           "rate_krps": 300.0, "seed": chaos_experiments.DEFAULT_SEED},
     summarize=chaos_experiments.chaos_summary,
     tags=("chaos", "fleet", "reliability", "sweep"),
 ))
@@ -557,7 +555,7 @@ register_experiment(ExperimentSpec(
     fixed={"fault_rate": 2.0, "nodes": 3, "spares": 1, "epochs": 5,
            "epoch_us": 600.0, "rate_krps": 300.0,
            "window_us": obs_alerting.ALERT_WINDOW_US,
-           "node_executor": "serial", "seed": obs_alerting.DEFAULT_SEED},
+           "seed": obs_alerting.DEFAULT_SEED},
     summarize=obs_alerting.alerting_summary,
     tags=("obs", "alerts", "chaos", "fleet", "sweep"),
 ))

@@ -14,9 +14,10 @@ what comes out is the cost of reliability:
 * without recovery, the dead node keeps its tenants and sheds everything —
   the ablation the summary's ``recovery_goodput_gain`` compares against.
 
-Cells are module-level and picklable; chaos fleet runs stay serial ≡
-process bit-identical because every fault draw resolves in the parent
-(see :mod:`repro.chaos.schedule`).
+Cells are module-level and picklable, so ``Runner(executor="process")``
+runs them in parallel with the serial rows bit for bit: every fault draw
+resolves from the schedule before a node simulates (see
+:mod:`repro.chaos.schedule`).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def chaos_cell(
     epochs: int = 5,
     epoch_us: float = 600.0,
     rate_krps: float = 300.0,
-    node_executor: str = "serial",
     seed: int = DEFAULT_SEED,
     tracer: Optional[Any] = None,
 ) -> List[Dict[str, Any]]:
@@ -81,7 +81,6 @@ def chaos_cell(
         epochs=epochs,
         epoch_us=epoch_us,
         autoscaler=AutoscalerConfig(enabled=False),
-        node_executor=node_executor,
         power=True,
         chaos=ChaosConfig(build_schedule(fault_rate, seed), recovery=recovery),
         spares=spares,

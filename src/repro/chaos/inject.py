@@ -6,8 +6,7 @@ event's injection instant, applies the fault through the scheduler's chaos
 APIs, and — for transient faults — sleeps ``repair_ns`` longer and undoes
 it.  All randomness was already resolved when the events were drawn, so the
 injector itself is completely deterministic: the same event tuple against
-the same scheduler produces the same trace, whether the enclosing run is
-serial or inside a ``ProcessPoolExecutor`` worker.
+the same scheduler produces the same trace.
 
 What each kind does:
 

@@ -10,11 +10,10 @@ function of ``(schedule seed, spec index, epoch, node_id)``:
   :func:`~repro.fleet.node.node_seed` uses — no ``hash()`` anywhere, so
   schedules are bit-identical across runs, machines and ``PYTHONHASHSEED``
   values (pinned by a subprocess test in ``tests/test_chaos.py``);
-* events are plain frozen dataclasses of ints/floats/strings, so the fleet
-  can compute them in the parent process and ship them to a
-  ``ProcessPoolExecutor`` node simulation unchanged — which is what makes
-  a chaos fleet run serial ≡ process bit-identical: the faults a node sees
-  never depend on which process simulates it.
+* events are plain frozen dataclasses of ints/floats/strings, so the
+  fleet's control plane computes them before a node simulates and hands
+  them to :func:`~repro.fleet.node.simulate_node` as data: the faults a
+  node sees never depend on what its simulation does.
 
 Three fault kinds ship (:data:`FAULT_KINDS`):
 

@@ -33,6 +33,20 @@ class SoftCacheConfig:
     hit_cycles: int = 1
     write_buffer_depth: int = 4
 
+    def __post_init__(self) -> None:
+        for name in ("size_bytes", "assoc", "line_bytes", "word_bytes",
+                     "write_buffer_depth"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.line_bytes % self.word_bytes:
+            raise ValueError(
+                f"line_bytes ({self.line_bytes}) must be a whole number of "
+                f"{self.word_bytes}-byte words")
+        if self.hit_cycles < 0:
+            raise ValueError(
+                f"hit_cycles cannot be negative, got {self.hit_cycles}")
+
     @property
     def bram_kbits(self) -> int:
         return (self.size_bytes * 8) // 1024

@@ -34,6 +34,15 @@ class CoreConfig:
     #: to the cache access time.
     mem_issue_cycles: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.issue_width < 1:
+            raise ValueError(f"issue_width must be >= 1, got {self.issue_width}")
+        for name in ("int_op_cycles", "fp_op_cycles", "branch_cycles",
+                     "mem_issue_cycles"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} cannot be negative, got {value}")
+
 
 #: Instructions a spin-wait runs between two polls of its word
 #: (see :meth:`CpuContext.spin_until`).

@@ -9,14 +9,14 @@ Layers (see ``docs/fleet.md``):
   least-loaded / bitstream-affinity) and watermark migration;
 * :mod:`repro.fleet.autoscaler` — reactive node/fabric scaling from
   queue-depth and shed-rate signals;
-* :mod:`repro.fleet.cluster` — the epoch driver: fans node simulations
-  over a process pool and merges results bit-identically to a serial run;
+* :mod:`repro.fleet.cluster` — the epoch driver: simulates every node of
+  an epoch in turn and merges the reports in sorted ``(epoch, node_id)``
+  order;
 * :mod:`repro.fleet.experiments` — the ``fleet_scaling`` experiment cells.
 """
 
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cluster import (
-    NODE_EXECUTORS,
     FleetConfig,
     FleetOutcome,
     run_fleet,
@@ -42,7 +42,6 @@ from repro.fleet.router import (
 __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
-    "NODE_EXECUTORS",
     "FleetConfig",
     "FleetOutcome",
     "run_fleet",

@@ -1,14 +1,12 @@
-"""Cluster-scale serving: epochs of parallel node simulation, merged
+"""Cluster-scale serving: epochs of share-nothing node simulation, merged
 deterministically.
 
 :func:`run_fleet` drives N share-nothing nodes (:mod:`repro.fleet.node`)
 through ``epochs`` control epochs.  Within an epoch every node simulates
-independently — serially or fanned out over a
-``concurrent.futures.ProcessPoolExecutor`` (one pool per run, reused across
-epochs, mirroring the :class:`~repro.api.runner.Runner`'s shared pool) —
-and the per-node reports are merged **sorted by node id**, so the merged
-rows are bit-identical regardless of executor, worker count or completion
-order.  Between epochs the control plane runs, in order:
+independently, one after another in node-id order, and the per-node
+reports are merged **sorted by node id**.  Parallelism lives one level up:
+the :class:`~repro.api.runner.Runner`'s process executor fans whole fleet
+cells out over its pool.  Between epochs the control plane runs, in order:
 
 1. the :class:`~repro.fleet.autoscaler.Autoscaler` grows/shrinks the node
    set from the epoch's queue/shed signals — a change triggers a full
@@ -24,7 +22,7 @@ rate per epoch, which is what gives the autoscaler something to chase.
 
 Determinism contract (tested in ``tests/test_fleet.py``): rows depend only
 on ``(FleetConfig, tenants, total_rate_rps, rate_profile, seed)`` — not on
-the node executor, the worker count, ``PYTHONHASHSEED`` or wall-clock.
+``PYTHONHASHSEED``, wall-clock or which process runs the cell.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from repro.obs.metrics import MetricsSnapshot
 from repro.serve.scheduler import FAULT_COUNTERS, ServeConfig
 from repro.serve.slo import TenantAccount, tenant_rows
 from repro.serve.traffic import TenantSpec, open_loop_rates
-
-NODE_EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
 #: How the epoch-boundary failover step learns about dead nodes:
 #: ``omniscient`` reads the simulator's ground-truth damage reports (the
@@ -69,9 +65,9 @@ class FleetConfig:
     migrate_watermark: float = 8.0
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     power: bool = False
-    #: ``serial`` or ``process`` — how node simulations execute.
+    #: Nodes simulate in this process; ``"serial"`` is the only accepted
+    #: value.  Fleet cells run in parallel under ``Runner(executor="process")``.
     node_executor: str = "serial"
-    workers: Optional[int] = None
     #: Fault schedule + recovery policy; ``None`` injects nothing and keeps
     #: every row bit-identical to a chaos-free build.
     chaos: Optional[ChaosConfig] = None
@@ -94,12 +90,10 @@ class FleetConfig:
             raise ValueError(f"need >= 1 epoch, got {self.epochs}")
         if self.epoch_us <= 0:
             raise ValueError(f"epoch_us must be positive, got {self.epoch_us}")
-        if self.node_executor not in NODE_EXECUTORS:
+        if self.node_executor != "serial":
             raise ValueError(
-                f"node_executor must be one of {NODE_EXECUTORS}, "
-                f"got {self.node_executor!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
+                f"node_executor must be 'serial', got {self.node_executor!r}; "
+                f"run fleet cells in parallel with Runner(executor=\"process\")")
         if self.chaos_control not in CHAOS_CONTROL_MODES:
             raise ValueError(
                 f"chaos_control must be one of {CHAOS_CONTROL_MODES}, "
@@ -115,7 +109,7 @@ class FleetConfig:
         make_placement(self.placement)  # fail fast on typos
         # The node-serving fields are checked by the ServeConfig every node
         # builds from them; build one here so a bad value fails now, not in
-        # the first node simulation (possibly inside a pool worker).
+        # the first node simulation.
         ServeConfig(policy=self.policy, num_fabrics=self.fabrics_per_node)
 
     def initial_nodes(self) -> List[NodeSpec]:
@@ -131,11 +125,6 @@ class FleetConfig:
                 for index in range(self.spares)]
 
 
-def _node_cell(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """Module-level trampoline so the pool pickles only plain data."""
-    return simulate_node(**kwargs)
-
-
 @dataclass
 class FleetOutcome:
     """Everything :func:`run_fleet` learned, pre-merge and merged."""
@@ -149,7 +138,7 @@ class FleetOutcome:
     #: promotions, dead node ids, and per-epoch cluster goodput.
     chaos: Optional[Dict[str, Any]] = None
     #: Per-node :class:`~repro.obs.metrics.MetricsSnapshot`\\ s folded in
-    #: sorted ``(epoch, node_id)`` order — bit-identical serial vs process.
+    #: sorted ``(epoch, node_id)`` order.
     metrics: Optional[MetricsSnapshot] = None
     #: Merged :class:`~repro.obs.monitor.TelemetryStream` (``None`` unless
     #: the fleet ran with ``telemetry_window_us`` set).
@@ -172,9 +161,11 @@ def run_fleet(
 
     When a :class:`~repro.obs.trace.Tracer` is supplied, the parent-side
     control plane records per-(node, epoch) spans and migration/failover
-    instants.  Node-internal request lifecycles cannot cross the process
-    pool, so fleet traces are epoch-granular by design; attach the tracer
-    to :func:`repro.serve.experiments.run_serve` for request granularity.
+    instants.  Node reports are plain data — they are golden-hashed, and
+    the Runner pickles the rows built from them — so no node-internal span
+    rides back in them and fleet traces are epoch-granular by design;
+    attach the tracer to :func:`repro.serve.experiments.run_serve` for
+    request granularity.
     Tracing never perturbs the simulation — rows are bit-identical with
     and without a tracer attached.
     """
@@ -204,14 +195,6 @@ def run_fleet(
     #: events line up with node-internal sim-ps timestamps.
     epoch_ps = int(round(config.epoch_us * 1e6))
 
-    pool = None
-    if config.node_executor == "process":
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.api.runner import _available_cpus
-        workers = config.workers or min(len(nodes), _available_cpus())
-        pool = ProcessPoolExecutor(max_workers=workers)
-
     reports: List[Dict[str, Any]] = []
     #: Each epoch's telemetry, merged once for the alert engine.
     epoch_streams: List[Any] = []
@@ -225,117 +208,103 @@ def run_fleet(
     replay_map: Dict[int, Tuple[Tuple[str, int], ...]] = {}
     promotions = 0
     dead_nodes: List[int] = []
-    try:
-        for epoch in range(config.epochs):
-            rates = open_loop_rates(tenants, total_rate_rps * profile[epoch])
-            shares = tuple(
-                TenantShare(tenant=tenant, rate_rps=rate,
-                            migrated=tenant.name in migrated)
-                for tenant, rate in zip(tenants, rates))
-            if tracer is not None and migrated:
-                # Migration stalls are paid at the start of this epoch on
-                # the target node — stamp the instants there.
-                for name in sorted(migrated):
-                    tracer.instant("migrate", "router", epoch * epoch_ps,
-                                   cat="fleet", pid="fleet.ctrl",
-                                   args={"t": name, "epoch": epoch})
-            if not placed:
-                router.place(shares, nodes)
-                placed = True
-            by_node: Dict[int, List[TenantShare]] = {n.node_id: [] for n in nodes}
-            for share in shares:
-                node_id = router.placement[share.tenant.name]
-                by_node[node_id].append(share)
-            # Spares simulate alongside active nodes (idle: no shares, no
-            # faults) so their cost and idle energy land in the totals.
-            ordered_nodes = sorted(nodes + spare_pool, key=lambda n: n.node_id)
-            calls = []
-            for node in ordered_nodes:
-                call = dict(
-                    node=node,
-                    shares=tuple(by_node.get(node.node_id, ())),
-                    policy=config.policy,
-                    epoch_ns=epoch_ns,
-                    epoch=epoch,
-                    seed=seed,
-                    power=config.power,
+    for epoch in range(config.epochs):
+        rates = open_loop_rates(tenants, total_rate_rps * profile[epoch])
+        shares = tuple(
+            TenantShare(tenant=tenant, rate_rps=rate,
+                        migrated=tenant.name in migrated)
+            for tenant, rate in zip(tenants, rates))
+        if tracer is not None and migrated:
+            # Migration stalls are paid at the start of this epoch on
+            # the target node — stamp the instants there.
+            for name in sorted(migrated):
+                tracer.instant("migrate", "router", epoch * epoch_ps,
+                               cat="fleet", pid="fleet.ctrl",
+                               args={"t": name, "epoch": epoch})
+        if not placed:
+            router.place(shares, nodes)
+            placed = True
+        by_node: Dict[int, List[TenantShare]] = {n.node_id: [] for n in nodes}
+        for share in shares:
+            node_id = router.placement[share.tenant.name]
+            by_node[node_id].append(share)
+        # Spares simulate alongside active nodes (idle: no shares, no
+        # faults) so their cost and idle energy land in the totals.
+        epoch_reports: List[Dict[str, Any]] = []
+        for node in sorted(nodes + spare_pool, key=lambda n: n.node_id):
+            call = dict(
+                node=node,
+                shares=tuple(by_node.get(node.node_id, ())),
+                policy=config.policy,
+                epoch_ns=epoch_ns,
+                epoch=epoch,
+                seed=seed,
+                power=config.power,
+            )
+            if config.telemetry_window_us is not None:
+                call.update(telemetry_window_us=config.telemetry_window_us)
+            if config.chaos is not None and not node.spare:
+                # Fault draws resolve here, in the control plane, to
+                # plain data — a pure function of (schedule seed, epoch,
+                # node), never of what the node simulation does.
+                call.update(
+                    chaos_events=config.chaos.schedule.events(
+                        epoch, node.node_id, node.fabrics, epoch_ns),
+                    chaos_recovery=config.chaos.recovery,
+                    failed_fabrics=persistent_dead.get(node.node_id, ()),
+                    replays=replay_map.get(node.node_id, ()),
                 )
-                if config.telemetry_window_us is not None:
-                    call.update(telemetry_window_us=config.telemetry_window_us)
-                if config.chaos is not None and not node.spare:
-                    # Fault draws resolve HERE, in the parent, to plain
-                    # data — the events a node sees never depend on which
-                    # process simulates it (serial ≡ process under faults).
-                    call.update(
-                        chaos_events=config.chaos.schedule.events(
-                            epoch, node.node_id, node.fabrics, epoch_ns),
-                        chaos_recovery=config.chaos.recovery,
-                        failed_fabrics=persistent_dead.get(node.node_id, ()),
-                        replays=replay_map.get(node.node_id, ()),
-                    )
-                calls.append(call)
-            if pool is not None:
-                # Futures are collected in submission (= node id) order, so
-                # the merge is independent of completion interleaving.
-                epoch_reports = [future.result()
-                                 for future in [pool.submit(_node_cell, call)
-                                                for call in calls]]
-            else:
-                epoch_reports = [_node_cell(call) for call in calls]
-            reports.extend(epoch_reports)
-            if tracer is not None:
-                for report in epoch_reports:
-                    tracer.complete(
-                        f"epoch{epoch}", "node", epoch * epoch_ps,
-                        int(round(report["elapsed_ns"] * 1000.0)),
-                        cat="fleet", pid=f"node{report['node_id']}",
-                        args={"epoch": epoch, "spare": report["spare"]})
-            if engine is not None:
-                # Stream this epoch's windows through the alert engine in
-                # the canonical merged order — the same samples whatever
-                # executor produced them, so the alert log (and any control
-                # decision read off it) is serial ≡ process bit-identical.
-                stream = TelemetryStream.merged(
-                    TelemetryStream.from_dict(report["telemetry"])
-                    for report in epoch_reports)
-                engine.consume(stream)
-                epoch_streams.append(stream)
+            epoch_reports.append(simulate_node(**call))
+        reports.extend(epoch_reports)
+        if tracer is not None:
+            for report in epoch_reports:
+                tracer.complete(
+                    f"epoch{epoch}", "node", epoch * epoch_ps,
+                    int(round(report["elapsed_ns"] * 1000.0)),
+                    cat="fleet", pid=f"node{report['node_id']}",
+                    args={"epoch": epoch, "spare": report["spare"]})
+        if engine is not None:
+            # Stream this epoch's windows through the alert engine in
+            # the canonical merged order, so the alert log (and any
+            # control decision read off it) is reproducible bit for bit.
+            stream = TelemetryStream.merged(
+                TelemetryStream.from_dict(report["telemetry"])
+                for report in epoch_reports)
+            engine.consume(stream)
+            epoch_streams.append(stream)
 
-            if epoch == config.epochs - 1:
-                break
-            signals = _signals(epoch_reports)
-            migrated = set()
-            if config.chaos is not None:
-                (nodes, spare_pool, persistent_dead, replay_map, migrated,
-                 epoch_promotions, epoch_dead, handled) = _failover(
-                    config, epoch_reports, shares, nodes, spare_pool, router,
-                    _suspects(config, epoch_reports, nodes, engine))
-                promotions += epoch_promotions
-                dead_nodes.extend(epoch_dead)
-                if tracer is not None:
-                    boundary_ps = (epoch + 1) * epoch_ps
-                    for node_id in epoch_dead:
-                        tracer.instant("failover", "chaos", boundary_ps,
-                                       cat="fleet", pid="fleet.ctrl",
-                                       args={"node": node_id})
-                    for index in range(epoch_promotions):
-                        tracer.instant("promote", "chaos", boundary_ps,
-                                       cat="fleet", pid="fleet.ctrl",
-                                       args={"n": index})
-                if handled:
-                    # A failover re-placed the survivors this boundary;
-                    # don't let the autoscaler fight it in the same breath.
-                    continue
-            resized = autoscaler.apply(autoscaler.decide(signals), nodes,
-                                       signals, epoch)
-            if resized is not None:
-                nodes = resized
-                migrated = router.place(shares, nodes)
+        if epoch == config.epochs - 1:
+            break
+        signals = _signals(epoch_reports)
+        migrated = set()
+        if config.chaos is not None:
+            (nodes, spare_pool, persistent_dead, replay_map, migrated,
+             epoch_promotions, epoch_dead, handled) = _failover(
+                config, epoch_reports, shares, nodes, spare_pool, router,
+                _suspects(config, epoch_reports, nodes, engine))
+            promotions += epoch_promotions
+            dead_nodes.extend(epoch_dead)
+            if tracer is not None:
+                boundary_ps = (epoch + 1) * epoch_ps
+                for node_id in epoch_dead:
+                    tracer.instant("failover", "chaos", boundary_ps,
+                                   cat="fleet", pid="fleet.ctrl",
+                                   args={"node": node_id})
+                for index in range(epoch_promotions):
+                    tracer.instant("promote", "chaos", boundary_ps,
+                                   cat="fleet", pid="fleet.ctrl",
+                                   args={"n": index})
+            if handled:
+                # A failover re-placed the survivors this boundary;
+                # don't let the autoscaler fight it in the same breath.
                 continue
-            migrated = router.rebalance(signals, shares, nodes)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        resized = autoscaler.apply(autoscaler.decide(signals), nodes,
+                                   signals, epoch)
+        if resized is not None:
+            nodes = resized
+            migrated = router.place(shares, nodes)
+            continue
+        migrated = router.rebalance(signals, shares, nodes)
 
     metrics = MetricsSnapshot.merged(
         MetricsSnapshot.from_dict(report["metrics"])
@@ -494,8 +463,8 @@ def _merge_reports(reports: List[Dict[str, Any]], metrics: MetricsSnapshot,
     snapshots already merged.
 
     Reports are consumed sorted by ``(epoch, node_id)`` — the canonical
-    order no matter which executor produced them — so sample concatenation
-    (and therefore every percentile) is reproducible bit for bit.  Each
+    order — so sample concatenation (and therefore every percentile) is
+    reproducible bit for bit.  Each
     tenant's samples come from the ``latency_ns.<tenant>`` histogram of the
     report's own metrics snapshot.
     """

@@ -25,11 +25,8 @@ acceptance tests assert:
   peak-epoch goodput while spending fewer node-microseconds overall.
 
 Cells are module-level and seed-deterministic (picklable for the runner's
-process executor).  This module must not import :mod:`repro.api` — the
-registry imports *us*.  Inside the runner's process pool, cells keep the
-default ``node_executor="serial"`` (no nested pools); the process-parallel
-node fan-out is exercised directly via :func:`repro.fleet.cluster.run_fleet`
-in ``tests/test_fleet.py``.
+process executor, which is where fleet cells run in parallel).  This
+module must not import :mod:`repro.api` — the registry imports *us*.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ def fleet_scaling_cell(
     thin_factor: float = 50.0,
     epochs: int = len(DEFAULT_RATE_PROFILE),
     epoch_us: float = 400.0,
-    node_executor: str = "serial",
     seed: int = DEFAULT_SEED,
     tracer: Optional[Any] = None,
 ) -> List[Dict[str, Any]]:
@@ -97,7 +93,6 @@ def fleet_scaling_cell(
         autoscaler=AutoscalerConfig(
             enabled=autoscale, min_nodes=1, max_nodes=nodes,
             up_queue_depth=0.75, cooldown_epochs=0),
-        node_executor=node_executor,
     )
     outcome = run_fleet(
         config, FLEET_TENANTS, total_rate_rps=population.thinned_rps,

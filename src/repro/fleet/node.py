@@ -5,10 +5,9 @@ A *node* is an independent Dolly system serving its assigned tenants — a
 fabrics, its own simulation kernel, its own traffic sources and its own
 SLO accounting.  Nodes are deliberately *share-nothing*: one node's
 simulation reads only its :class:`NodeSpec`, its tenant assignments and a
-seed derived arithmetically from ``(seed, node_id, epoch)``, which is what
-lets the cluster layer fan node simulations out over a process pool and
-still merge results bit-identically to a serial run (sorted by node id; see
-``docs/fleet.md``).
+seed derived arithmetically from ``(seed, node_id, epoch)``, so the cluster
+layer can merge node reports in any order it chooses and still get the
+same rows (it sorts them by node id; see ``docs/fleet.md``).
 
 Nodes may differ in fabric count (:attr:`NodeSpec.fabrics`); the placement
 policies normalize load by fabric count so a 2-fabric node absorbs twice
@@ -163,16 +162,16 @@ def simulate_node(
     the raw samples the cluster merges into exact percentiles), and what
     only the node knows: fabric time, migrations, energy (zero unless
     ``power=True``) and ``dead_fabrics``.  Everything is a plain
-    dict/list/float so a ``ProcessPoolExecutor`` ships it back without
-    custom reducers; ``docs/fleet.md`` lists the keys.
+    dict/list/float: reports are golden-hashed, and the Runner pickles the
+    rows built from them; ``docs/fleet.md`` lists the keys.
 
     Chaos inputs are plain data computed by the *parent* (see
     ``docs/chaos.md``): ``chaos_events`` are this (node, epoch)'s resolved
     :class:`~repro.chaos.FaultEvent` draws, ``failed_fabrics`` carries
     fabric indices that died permanently in earlier epochs, and ``replays``
     re-offers requests a dead node lost, as an epoch-start burst per tenant.
-    The faults a node sees therefore never depend on which process simulates
-    it — the serial ≡ process identity holds under injection.
+    The faults a node sees are therefore fixed before it simulates: a pure
+    function of the schedule, the epoch and the node id.
 
     ``telemetry_window_us`` attaches a tumbling-window
     :class:`~repro.obs.monitor.TelemetryMonitor`; the report gains a

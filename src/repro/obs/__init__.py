@@ -6,15 +6,15 @@ The cross-cutting layer the serving stack reports through:
   recording spans/instants on the integer-ps sim timeline, exportable as
   deterministic Chrome trace-event JSON (Perfetto-loadable);
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, counters/gauges/
-  histograms over :mod:`repro.sim.stats` with a picklable
-  :class:`MetricsSnapshot` that merges deterministically across the
-  fleet process pool;
+  histograms over :mod:`repro.sim.stats` with a plain-data
+  :class:`MetricsSnapshot` that merges deterministically across fleet
+  node reports;
 * :mod:`repro.obs.decompose` — per-request stage attribution
   (queue/program/retune/service/blackout);
 * :mod:`repro.obs.monitor` — streaming telemetry: tumbling/sliding
   window reads (goodput, shed rate, p99-over-window, queue slope)
-  emitted as a picklable :class:`TelemetryStream` that merges across the
-  fleet pool like :class:`MetricsSnapshot`;
+  emitted as a plain-data :class:`TelemetryStream` that merges across
+  fleet node reports like :class:`MetricsSnapshot`;
 * :mod:`repro.obs.alerts` — declarative :class:`AlertRule`\\ s
   (threshold / multi-window SLO burn-rate / EWMA z-score) evaluated
   on-stream by an :class:`AlertEngine` with a typed alert log, trace

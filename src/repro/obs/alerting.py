@@ -86,7 +86,6 @@ def _observed_run(
     epoch_us: float = 600.0,
     rate_krps: float = 300.0,
     window_us: float = ALERT_WINDOW_US,
-    node_executor: str = "serial",
     seed: int = DEFAULT_SEED,
 ) -> Tuple[FleetConfig, FleetOutcome, List[Dict[str, Any]], Dict[str, Any], int]:
     """One telemetry-observed chaos fleet run, scored against its injected
@@ -99,7 +98,6 @@ def _observed_run(
         epochs=epochs,
         epoch_us=epoch_us,
         autoscaler=AutoscalerConfig(enabled=False),
-        node_executor=node_executor,
         power=True,
         chaos=ChaosConfig(schedule, recovery=True) if schedule else None,
         spares=spares,
@@ -127,8 +125,8 @@ def alerting_cell(fault: str, control: str, fault_rate: float = 2.0,
     """One telemetry-observed chaos run; returns a single scored row.
 
     ``fleet`` overrides the run's ``nodes``, ``spares``, ``epochs``,
-    ``epoch_us``, ``rate_krps``, ``window_us``, ``node_executor`` and
-    ``seed`` (defaults in :func:`_observed_run`)."""
+    ``epoch_us``, ``rate_krps``, ``window_us`` and ``seed`` (defaults in
+    :func:`_observed_run`)."""
     config, outcome, _, score, epoch_ps = _observed_run(
         fault, control, fault_rate, **fleet)
     alerts = outcome.alerts or []

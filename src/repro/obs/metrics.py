@@ -8,14 +8,14 @@ scheduler kept a raw ``fault_stats`` dict, the SLO monitor its own
 and adds the two things the fleet layer needs:
 
 * :meth:`MetricsRegistry.snapshot` — a :class:`MetricsSnapshot` of plain
-  dicts and lists, picklable across the fleet process pool exactly like
-  node report dicts;
+  dicts and lists, which node report dicts carry (reports are
+  golden-hashed, and the Runner pickles the rows built from them);
 * :meth:`MetricsSnapshot.merged` — a deterministic fold: counters add,
   histogram samples and series points concatenate in merge order, and
   gauges fold by their declared merge mode (``max`` by default; ``min``
   for low-water marks like ``free_capacity``).  Folding snapshots
   in the fleet's sorted ``(epoch, node_id)`` report order therefore
-  gives the same bytes serial or process-pooled.
+  gives the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ GAUGE_MERGE_MODES = ("max", "min")
 class Gauge:
     """A last-written scalar (queue depth, busy fraction, ...).
 
-    ``mode`` declares how the value folds when snapshots merge across the
-    fleet pool: ``max`` (the historical default — correct for high-water
+    ``mode`` declares how the value folds when snapshots merge across
+    fleet node reports: ``max`` (the historical default — correct for high-water
     marks) or ``min`` (low-water marks such as free capacity).
     """
 
@@ -55,8 +55,8 @@ class Gauge:
 class MetricsSnapshot:
     """A picklable, mergeable point-in-time copy of a registry.
 
-    Only plain containers — safe to send through the fleet process pool
-    inside a node report dict and to serialize as JSON.
+    Only plain containers — safe to carry inside a node report dict, to
+    pickle and to serialize as JSON.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
@@ -71,7 +71,7 @@ class MetricsSnapshot:
     def merge(self, other: "MetricsSnapshot") -> None:
         """Fold ``other`` into this snapshot (see module docstring for the
         per-kind semantics).  Merge order is the caller's contract: fold in
-        sorted ``(epoch, node_id)`` order for serial ≡ process identity."""
+        sorted ``(epoch, node_id)`` order for bit-identical results."""
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
         for name, mode in other.gauge_modes.items():

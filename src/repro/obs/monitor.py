@@ -15,11 +15,11 @@ touching the simulation schedule:
   ``finalize`` sweep at run end.  Attaching a monitor therefore cannot
   perturb event ordering — monitor-on runs are bit-identical to
   monitor-off runs, not just "close" (pinned in ``tests/test_alerts.py``).
-* :class:`TelemetryStream` — the picklable result: a flat list of plain
-  window-sample dicts with integer-ps timestamps that merges across the
-  fleet process pool exactly like
+* :class:`TelemetryStream` — the plain-data result: a flat list of
+  window-sample dicts with integer-ps timestamps that merges across fleet
+  node reports exactly like
   :class:`~repro.obs.metrics.MetricsSnapshot` (deterministic
-  ``(epoch, t_ps, node_id)`` order, serial ≡ process bit-identical), plus
+  ``(epoch, t_ps, node_id)`` order, the same bytes on every run), plus
   tumbling (:meth:`TelemetryStream.series`) and sliding
   (:meth:`TelemetryStream.sliding`) reads for consumers.
 
@@ -54,7 +54,7 @@ class TelemetryStream:
     """A picklable sequence of window samples with a deterministic merge.
 
     ``samples`` is a list of plain dicts (JSON-shaped by contract — they
-    travel inside node report dicts through the fleet process pool).  Each
+    travel inside node report dicts).  Each
     sample carries ``(epoch, node_id, seq, t_ps, window_ps)`` identity
     fields plus the :data:`SAMPLE_METRICS` readings and a ``tenants``
     sub-dict of per-tenant counts.
@@ -77,7 +77,7 @@ class TelemetryStream:
         """Deterministic fold: concatenate then sort by the total key
         ``(epoch, t_ps, node_id, seq)``.  Because the key is total over
         samples from distinct (node, epoch) cells, the result is
-        bit-identical whatever order the pool delivered the pieces in."""
+        bit-identical whatever order the pieces arrive in."""
         result = cls()
         for stream in streams:
             result.merge(stream)

@@ -55,8 +55,7 @@ def run_chaos_serve(chaos, policy="fcfs", **overrides):
 
 
 def run_chaos_fleet(chaos, nodes=2, spares=1, epochs=3, epoch_us=300.0,
-                    rate_krps=200.0, node_executor="serial", seed=2023,
-                    **overrides):
+                    rate_krps=200.0, seed=2023, **overrides):
     """A small chaos fleet run (autoscaler off so node counts are pinned)."""
     params = dict(
         nodes=nodes,
@@ -64,7 +63,6 @@ def run_chaos_fleet(chaos, nodes=2, spares=1, epochs=3, epoch_us=300.0,
         epochs=epochs,
         epoch_us=epoch_us,
         autoscaler=AutoscalerConfig(enabled=False),
-        node_executor=node_executor,
         chaos=chaos,
         spares=spares,
     )

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from repro.api import Runner
 from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.fleet.node import NodeSpec
@@ -368,17 +369,16 @@ def test_attaching_telemetry_never_perturbs_fleet_results():
 
 
 def test_fleet_telemetry_and_alerts_are_serial_process_bit_identical():
-    kwargs = dict(tenants=FLEET_TENANTS, total_rate_rps=250_000.0, seed=7)
-    configs = [FleetConfig(nodes=2, epochs=3, epoch_us=300.0,
-                           telemetry_window_us=50.0,
-                           node_executor=executor,
-                           workers=2 if executor == "process" else None)
-               for executor in ("serial", "process")]
-    serial = run_fleet(configs[0], **kwargs)
-    pooled = run_fleet(configs[1], **kwargs)
-    assert serial.rows == pooled.rows
-    assert serial.telemetry.as_dict() == pooled.telemetry.as_dict()
-    assert serial.alerts == pooled.alerts
+    """The registered alerting cell under an alert-driven node kill scores
+    the same alert log in a Runner pool worker as in this process."""
+    overrides = dict(fault="kill", control="alerts")
+    serial = Runner().run("alerting", **overrides)
+    with Runner(executor="process", workers=2) as runner:
+        pooled = runner.run("alerting", **overrides)
+    assert pooled.stats.executor == "process"
+    assert serial.rows and serial.rows == pooled.rows
+    assert serial.summary == pooled.summary
+    assert serial.rows[0]["alerts_fired"] > 0
 
 
 def test_alert_log_is_pythonhashseed_independent():

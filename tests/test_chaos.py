@@ -407,16 +407,16 @@ def test_node_kill_without_recovery_keeps_shedding():
 
 
 def test_chaos_fleet_serial_matches_process_executor():
-    """Fault draws resolve in the parent as plain data, so which process
-    simulates a node never changes what it sees — bit for bit."""
+    """A chaos fleet simulates its nodes in-process: asking for a process
+    node executor fails when the config is built, naming the Runner's
+    process executor (which runs whole chaos cells in parallel, pinned by
+    the next test)."""
     schedule = FaultSchedule(seed=2023, specs=(
         FaultSpec(kind="fabric", at_epoch=1, at_node=0, scope="node"),
         FaultSpec(kind="seu", rate_per_epoch=1.0),
     ))
-    serial = run_chaos_fleet(ChaosConfig(schedule), node_executor="serial")
-    process = run_chaos_fleet(ChaosConfig(schedule), node_executor="process")
-    assert serial.rows == process.rows
-    assert serial.chaos == process.chaos
+    with pytest.raises(ValueError, match=r'Runner\(executor="process"\)'):
+        run_chaos_fleet(ChaosConfig(schedule), node_executor="process")
 
 
 def test_chaos_runner_serial_matches_process_executor():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.soft_cache import SoftCacheConfig
 from repro.cpu import Barrier, Core, CoreConfig, McsLock, MmioMap, MmioPort, SpinLock
 from repro.cpu.core import CpuContext
 from repro.cpu.mmio import MmioError
@@ -430,3 +431,37 @@ def test_lock_contention_scales_runtime():
         return system.sim.now
 
     assert run_with(8) > run_with(2)
+
+
+@pytest.mark.parametrize("config, field, value, match", [
+    (CoreConfig, "issue_width", 0, "issue_width"),
+    (CoreConfig, "int_op_cycles", -1.0, "int_op_cycles"),
+    (CoreConfig, "fp_op_cycles", -0.5, "fp_op_cycles"),
+    (CoreConfig, "branch_cycles", -1.0, "branch_cycles"),
+    (CoreConfig, "mem_issue_cycles", -1.0, "mem_issue_cycles"),
+    (SoftCacheConfig, "size_bytes", 0, "size_bytes"),
+    (SoftCacheConfig, "assoc", 0, "assoc"),
+    (SoftCacheConfig, "line_bytes", -16, "line_bytes"),
+    (SoftCacheConfig, "word_bytes", 0, "word_bytes"),
+    (SoftCacheConfig, "line_bytes", 12, "whole number of 8-byte words"),
+    (SoftCacheConfig, "hit_cycles", -1, "hit_cycles"),
+    (SoftCacheConfig, "write_buffer_depth", 0, "write_buffer_depth"),
+], ids=["CoreConfig.issue_width", "CoreConfig.int_op_cycles",
+        "CoreConfig.fp_op_cycles", "CoreConfig.branch_cycles",
+        "CoreConfig.mem_issue_cycles", "SoftCacheConfig.size_bytes",
+        "SoftCacheConfig.assoc", "SoftCacheConfig.line_bytes",
+        "SoftCacheConfig.word_bytes", "SoftCacheConfig.line_bytes_in_words",
+        "SoftCacheConfig.hit_cycles", "SoftCacheConfig.write_buffer_depth"])
+def test_core_and_soft_cache_configs_reject_bad_fields(config, field, value,
+                                                       match):
+    """A bad pipeline cost or cache geometry fails when the config is built,
+    not deep in a run: ``write_buffer_depth=0`` would park every soft-cache
+    store forever."""
+    with pytest.raises(ValueError, match=match):
+        config(**{field: value})
+
+
+def test_core_and_soft_cache_configs_accept_zero_costs():
+    CoreConfig(int_op_cycles=0.0, fp_op_cycles=0.0, branch_cycles=0.0,
+               mem_issue_cycles=0.0)
+    SoftCacheConfig(hit_cycles=0, line_bytes=8, word_bytes=8)

@@ -486,15 +486,19 @@ def test_serve_outcome_carries_a_unified_snapshot():
 
 
 def test_fleet_metrics_merge_is_serial_process_bit_identical():
-    kwargs = dict(tenants=FLEET_TENANTS, total_rate_rps=200_000.0, seed=7)
-    serial = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0,
-                                   node_executor="serial"), **kwargs)
-    pooled = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0,
-                                   node_executor="process", workers=2),
-                       **kwargs)
-    assert serial.rows == pooled.rows
-    assert serial.metrics == pooled.metrics
-    assert sum(map(len, serial.metrics.histograms.values())) > 0
+    """The fleet's metrics are the node reports' snapshots folded one by
+    one in ``(epoch, node_id)`` order: counters add and every latency
+    sample survives the merge."""
+    outcome = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0),
+                        tenants=FLEET_TENANTS, total_rate_rps=200_000.0,
+                        seed=7)
+    folded = MetricsSnapshot()
+    for report in sorted(outcome.reports,
+                         key=lambda r: (r["epoch"], r["node_id"])):
+        folded.merge(MetricsSnapshot.from_dict(report["metrics"]))
+    assert outcome.metrics == folded
+    aggregate = next(row for row in outcome.rows if row["tenant"] == "__all__")
+    assert sum(map(len, folded.histograms.values())) == aggregate["completed"] > 0
 
 
 # --------------------------------------------------------------------------- #
