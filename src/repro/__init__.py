@@ -7,8 +7,9 @@ Duet Adapter with its Proxy Cache, Memory Hubs, Control Hub and Shadow
 Registers) is built.  ``platform`` composes full systems (Dolly instances,
 an FPSoC-like baseline and a processor-only baseline), ``accel`` and
 ``workloads`` provide the seven application benchmarks plus the synthetic
-communication microbenchmarks, and ``analysis`` regenerates every table and
-figure of the paper's evaluation.
+communication microbenchmarks, and ``api`` registers every table and figure
+of the paper's evaluation as an experiment that ``python -m repro run``
+regenerates and ``python -m repro report`` compares with the paper's numbers.
 """
 
 from repro.sim import AsyncFifo, ClockDomain, Delay, Event, Simulator

@@ -8,8 +8,6 @@ Subcommands:
   deviation report;
 * ``sweep``  — run with overridden parameter axes and optionally pivot the
   result into a wide table (``--pivot index columns values``);
-* ``perf``   — run the kernel/channel/NoC/energy microbenchmarks and print
-  their report (``--out`` also writes it); see ``docs/performance.md``;
 * ``trace``  — run one cell of a registered experiment (its first grid
   point unless ``-p`` pins another) with the :mod:`repro.obs` tracer
   attached and write a deterministic Chrome trace-event JSON (load it at
@@ -33,7 +31,6 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro import perf
 from repro.api.registry import get_experiment, list_experiments
 from repro.api.results import ResultSet, format_table
 from repro.api.runner import EXECUTORS, Runner, trace_experiment
@@ -80,6 +77,13 @@ def _run(args: argparse.Namespace) -> ResultSet:
         return runner.run(args.experiment, use_cache=not args.no_cache, **overrides)
 
 
+def _print_table(results: ResultSet) -> None:
+    spec = get_experiment(results.experiment)
+    print(results.to_table(title=spec.title or results.experiment))
+    for key, value in results.summary.items():
+        print(f"{key}: {value}")
+
+
 def _emit(results: ResultSet, args: argparse.Namespace) -> None:
     if args.out:
         if args.out.endswith(".csv") or args.csv:
@@ -93,10 +97,7 @@ def _emit(results: ResultSet, args: argparse.Namespace) -> None:
     elif args.csv:
         print(results.to_csv(), end="")
     else:
-        spec = get_experiment(results.experiment)
-        print(results.to_table(title=spec.title or results.experiment))
-        for key, value in results.summary.items():
-            print(f"{key}: {value}")
+        _print_table(results)
 
 
 # --------------------------------------------------------------------------- #
@@ -124,35 +125,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results = _run(args)
-    spec = get_experiment(results.experiment)
-    print(results.to_table(title=spec.title or results.experiment))
-    for key, value in results.summary.items():
-        print(f"{key}: {value}")
+    _print_table(results)
     deviations = results.deviations()
     if deviations:
         print()
         print(results.deviation_table())
     else:
         print("\n(no paper_* columns to compare against)")
-    return 0
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    progress = None if args.json else (lambda line: print(line, file=sys.stderr))
-    report = perf.run_suite(perf.SUITE, quick=args.quick, progress=progress)
-    if args.out:
-        perf.write_report(report, args.out)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_table(
-            ["Benchmark", "Value", "Unit"],
-            [[bench["name"], format(bench["value"], ",.6g"), bench["unit"]]
-             for bench in report["benchmarks"]],
-            title=f"Performance suite ({report['mode']} mode)",
-        ))
-        if args.out:
-            print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -260,16 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--pivot", nargs=3, metavar=("INDEX", "COLUMNS", "VALUES"),
                          help="pivot the rows into a wide table")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_perf = subparsers.add_parser(
-        "perf", help="run the performance microbenchmark suite")
-    p_perf.add_argument("--quick", action="store_true",
-                        help="reduced sizes/repeats (CI smoke mode)")
-    p_perf.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the JSON report to FILE")
-    p_perf.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    p_perf.set_defaults(func=cmd_perf)
 
     p_trace = subparsers.add_parser(
         "trace", help="record a Chrome trace of one cell of an experiment")

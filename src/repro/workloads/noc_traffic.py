@@ -6,8 +6,9 @@ to uniformly-random destinations with exponentially-distributed gaps whose
 mean is set by ``injection_rate`` (messages per node per NoC cycle).  The
 experiment reports *simulated-time* quantities — delivered throughput,
 latency percentiles, link-wait time — so it measures the interconnect
-model, not the host; wall-clock NoC speed is tracked separately by
-``repro.perf.micro.noc_message_throughput``.
+model, not the host.  The host cost of the NoC model is timed end to end
+by ``bench/run.py``'s ``paper_figs`` workload, whose cells send every
+message through it.
 
 Everything is seeded and deterministic: per-node PRNGs derive from the
 experiment seed, so a (topology, size, rate, seed) cell always reproduces

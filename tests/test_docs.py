@@ -4,6 +4,7 @@ The same checker runs in the CI ``docs`` job (``tools/check_doc_links.py``);
 having it in tier-1 keeps broken links from landing in the first place.
 """
 
+import json
 import os
 import sys
 
@@ -61,11 +62,16 @@ def test_architecture_doc_maps_the_noc_modules():
     assert "noc.md" in architecture
 
 
-def test_performance_doc_covers_the_noc_benchmarks():
-    from repro import perf
-
+def test_performance_doc_names_every_benchmark_workload_and_bound():
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        benchmark = json.load(handle)
     performance = _read("docs/performance.md")
-    for spec in perf.SUITE:
-        assert spec.name in performance, f"docs/performance.md misses {spec.name}"
-    for gate in perf.DEFAULT_GATES:
-        assert gate in performance
+    for workload in benchmark["workloads"]:
+        assert f"`{workload['name']}`" in performance, \
+            f"docs/performance.md misses workload {workload['name']}"
+    rows = [line for line in performance.splitlines() if line.startswith("| `")]
+    for metric in benchmark["end_to_end"]:
+        bound = f"{metric['bound'] * 100:g} %"
+        assert any(row.startswith(f"| `{metric['name']}` |") and f"| {bound} |" in row
+                   for row in rows), \
+            f"docs/performance.md has no table row for {metric['name']} with its {bound} bound"
