@@ -16,6 +16,11 @@ from repro.mem.protocol import CoherenceState
 
 _INVALID = CoherenceState.INVALID
 
+#: The set every cache set starts as: shared by all of them, read-only.
+#: :meth:`SetAssociativeCache.insert` gives a set its own ``OrderedDict``
+#: on its first line, so the many sets that never hold one cost nothing.
+_EMPTY_SET: "OrderedDict[int, CacheEntry]" = OrderedDict()
+
 
 @dataclass
 class CacheEntry:
@@ -52,9 +57,7 @@ class SetAssociativeCache:
         self.name = name
         self.num_sets = size_bytes // (line_bytes * assoc)
         # Each set is an OrderedDict keyed by line address; LRU at the front.
-        self._sets: List["OrderedDict[int, CacheEntry]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets: List["OrderedDict[int, CacheEntry]"] = [_EMPTY_SET] * self.num_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -101,7 +104,10 @@ class SetAssociativeCache:
         virtual_page: Optional[int] = None,
     ) -> Optional[CacheEntry]:
         """Install ``line_addr``; returns the evicted victim entry, if any."""
-        cache_set = self._sets[self.set_index(line_addr)]
+        index = self.set_index(line_addr)
+        cache_set = self._sets[index]
+        if cache_set is _EMPTY_SET:
+            cache_set = self._sets[index] = OrderedDict()
         victim: Optional[CacheEntry] = None
         if line_addr not in cache_set and len(cache_set) >= self.assoc:
             _, victim = cache_set.popitem(last=False)
@@ -118,10 +124,8 @@ class SetAssociativeCache:
 
     def invalidate_all(self) -> int:
         """Flush every line; returns the number of lines removed."""
-        removed = 0
-        for cache_set in self._sets:
-            removed += len(cache_set)
-            cache_set.clear()
+        removed = len(self)
+        self._sets = [_EMPTY_SET] * self.num_sets
         return removed
 
     # ------------------------------------------------------------------ #

