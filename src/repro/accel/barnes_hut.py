@@ -28,8 +28,7 @@ STOP_COMMAND = (1 << 62)
 #: Register map.  Requests encode (requester << 56) | (target_index << 28) | particle_index.
 REG_APPROX_REQ = 0    # FPGA-bound FIFO: ApproxForce invocations
 REG_CALC_REQ = 1      # FPGA-bound FIFO: CalcForce invocations
-REG_RESULT_BASE = 2   # CPU-bound FIFOs: one per CPU thread (2 + thread id)
-MAX_THREADS = 8
+REG_RESULT_BASE = 2   # CPU-bound FIFOs: one per CPU thread (2 + thread id, up to 8)
 
 REG_NODES_BASE = 10    # plain: base address of the tree-node record array
 REG_PARTICLES_BASE = 11  # plain: base address of the particle record array

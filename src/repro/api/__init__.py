@@ -13,11 +13,10 @@ sweep beyond it — into a named, discoverable experiment:
   executors and on-disk JSON result caching keyed by (experiment, params),
   plus ``trace_experiment``, which runs one registered cell with a tracer;
 * :mod:`repro.api.results` — the typed :class:`ResultSet`/:class:`Row` model
-  with ``filter``/``group_by``/``pivot``/``to_json``/``to_csv``/``to_table``
+  with ``filter``/``pivot``/``to_json``/``to_csv``/``to_table``
   and paper-vs-measured deviation reporting;
 * :mod:`repro.api.cli` — the ``python -m repro`` command line
-  (``list`` / ``run`` / ``report`` / ``sweep`` / ``perf`` / ``trace`` /
-  ``alerts``).
+  (``list`` / ``run`` / ``report`` / ``sweep`` / ``trace`` / ``alerts``).
 
 Quick tour::
 
@@ -34,7 +33,7 @@ from repro.api.registry import (
     register_experiment,
 )
 from repro.api.results import ResultSet, Row, RunStats
-from repro.api.runner import Runner, run_experiment
+from repro.api.runner import Runner
 from repro.api.spec import ExperimentSpec
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "Runner",
-    "run_experiment",
     "ResultSet",
     "Row",
     "RunStats",

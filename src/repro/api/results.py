@@ -2,7 +2,7 @@
 
 A :class:`ResultSet` replaces the bare lists-of-dicts the legacy runners
 returned: it knows which experiment produced it, with which parameters, and
-offers relational-style helpers (``filter`` / ``group_by`` / ``pivot``),
+offers relational-style helpers (``filter`` / ``pivot``),
 exports (``to_json`` / ``to_csv`` / ``to_table``) and built-in
 paper-vs-measured deviation reporting.  :func:`format_table` is the one
 plain-text table style: ``to_table`` and the CLI both render through it.
@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
-from repro.sim.stats import cdf_points, nearest_rank
+from repro.sim.stats import nearest_rank
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -148,19 +148,6 @@ class ResultSet:
         return ResultSet(self.experiment, [row for row in self.rows if keep(row)],
                          params=self.params, summary=self.summary, stats=self.stats)
 
-    def group_by(self, *keys: str) -> Dict[Union[Any, Tuple[Any, ...]], "ResultSet"]:
-        """Partition rows by the given columns (tuple keys for >1 column)."""
-        if not keys:
-            raise ValueError("group_by needs at least one column")
-        groups: Dict[Any, List[Row]] = {}
-        for row in self.rows:
-            key = tuple(row.get(k) for k in keys)
-            groups.setdefault(key[0] if len(keys) == 1 else key, []).append(row)
-        return {
-            key: ResultSet(self.experiment, rows, params=self.params, stats=self.stats)
-            for key, rows in groups.items()
-        }
-
     def percentile(self, column: str, q: float) -> Optional[float]:
         """Nearest-rank percentile of ``column`` over the rows (``q`` in 0..1).
 
@@ -178,19 +165,6 @@ class ResultSet:
         ]
         rank = nearest_rank(values, q)  # raises on q outside [0, 1]
         return rank if values else None
-
-    def cdf(self, column: str) -> List[Tuple[float, float]]:
-        """Empirical CDF of ``column``: sorted ``(value, cumulative_fraction)``
-        pairs ending at fraction 1.0.
-
-        Same ragged-data tolerance as :meth:`percentile` — rows missing the
-        column or holding non-numeric values are skipped; an empty or fully
-        ragged column yields ``[]`` (distinguishable from a single-point
-        distribution).  Duplicate values collapse into one point carrying
-        the highest fraction, so the pairs are strictly increasing in value
-        and plot directly as a step function.
-        """
-        return cdf_points([row.get(column) for row in self.rows])
 
     def pivot(self, index: str, columns: str, values: str) -> Tuple[List[str], List[List[Any]]]:
         """A (headers, rows) wide table: one row per ``index`` value, one

@@ -13,9 +13,10 @@ The :class:`Runner` turns an :class:`~repro.api.spec.ExperimentSpec` into a
   ``run()``); call :meth:`Runner.close` — or use the runner as a context
   manager — to tear the workers down;
 * passing ``cache_dir`` enables on-disk JSON caching keyed by
-  (experiment name, cell parameters): a cell whose exact parameters were
-  measured before is served from ``<cache_dir>/<experiment>/<sha256[:16]>.json``
-  without re-simulation.
+  (experiment name, cell parameters, :func:`source_digest`): a cell whose
+  exact parameters were measured before by the same ``repro`` sources is
+  served from ``<cache_dir>/<experiment>/<sha256[:16]>.json`` without
+  re-simulation; any edit to the package's sources misses every entry.
 
 :func:`trace_experiment` (``python -m repro trace``) runs one cell of a
 registered experiment whose cell takes a ``tracer`` with a fresh
@@ -32,6 +33,7 @@ Cache layout::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -41,12 +43,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.registry import get_experiment, list_experiments
-from repro.api.results import ResultSet, Row, RunStats
+from repro.api.results import ResultSet, RunStats
 from repro.api.spec import ExperimentSpec, Rows
 from repro.obs.trace import Tracer
-
-#: Bump when row schemas change incompatibly; invalidates every cache entry.
-CACHE_SCHEMA_VERSION = 1
 
 EXECUTORS = ("serial", "process")
 
@@ -63,9 +62,27 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str:
+    """SHA-256 over the path and bytes of every ``.py`` file of the
+    ``repro`` package, so cached rows never outlive the model that
+    measured them.  Computed once per process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode() + b"\0")
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def _cell_key(experiment: str, params: Mapping[str, Any]) -> str:
     payload = json.dumps(
-        {"experiment": experiment, "schema": CACHE_SCHEMA_VERSION,
+        {"experiment": experiment, "source": source_digest(),
          "params": dict(params)},
         sort_keys=True, default=str,
     )
@@ -211,11 +228,6 @@ class Runner:
         with open(tmp_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, default=str)
         os.replace(tmp_path, path)
-
-
-def run_experiment(experiment: Union[str, ExperimentSpec], **overrides: Any) -> ResultSet:
-    """Convenience one-shot: serial runner, no caching."""
-    return Runner().run(experiment, **overrides)
 
 
 def _traceable(spec: ExperimentSpec) -> bool:

@@ -6,10 +6,10 @@ descriptions into concrete :class:`FaultEvent` draws for each
 function of ``(schedule seed, spec index, epoch, node_id)``:
 
 * stream seeds mix the schedule seed, a CRC-32 of the spec's identity and
-  the epoch/node ids with the same odd-constant arithmetic the fleet's
-  :func:`~repro.fleet.node.node_seed` uses — no ``hash()`` anywhere, so
-  schedules are bit-identical across runs, machines and ``PYTHONHASHSEED``
-  values (pinned by a subprocess test in ``tests/test_chaos.py``);
+  the epoch/node ids through :func:`~repro.sim.stats.mix_seed`, the rule
+  every derived seed uses — no ``hash()`` anywhere, so schedules are
+  bit-identical across runs, machines and ``PYTHONHASHSEED`` values
+  (pinned by a subprocess test in ``tests/test_chaos.py``);
 * events are plain frozen dataclasses of ints/floats/strings, so the
   fleet's control plane computes them before a node simulates and hands
   them to :func:`~repro.fleet.node.simulate_node` as data: the faults a
@@ -33,9 +33,10 @@ See ``docs/chaos.md`` for the fault model and the determinism contract.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+from repro.sim.stats import mix_seed
 
 #: The supported fault kinds.
 FAULT_KINDS: Tuple[str, ...] = ("seu", "fabric", "link")
@@ -141,16 +142,14 @@ class FaultSchedule:
         return bool(self.specs)
 
     def stream_seed(self, spec_index: int, epoch: int, node_id: int = 0) -> int:
-        """The per-(spec, epoch, node) RNG seed — CRC-32 + odd constants.
+        """The per-(spec, epoch, node) RNG seed (:func:`mix_seed`).
 
-        Mirrors :func:`repro.fleet.node.node_seed`'s arithmetic mixing;
-        the spec's identity enters via CRC-32 of a stable label so adding
+        The spec's identity enters via CRC-32 of a stable label so adding
         a spec never perturbs the streams of the ones before it.
         """
         spec = self.specs[spec_index]
         label = f"chaos:{spec.kind}:{spec_index}".encode()
-        return (self.seed * 1_000_003 + zlib.crc32(label)
-                + epoch * 104_729 + node_id * 7_919) & 0x7FFFFFFF
+        return mix_seed(self.seed, label, node=node_id, epoch=epoch)
 
     def events(self, epoch: int, node_id: int, fabrics: int,
                epoch_ns: float) -> Tuple[FaultEvent, ...]:

@@ -24,7 +24,6 @@ from repro.cpu.mmio import MmioMap
 from repro.fpga.accelerator import AcceleratorEnvironment, SoftAccelerator
 from repro.fpga.bitstream import Bitstream
 from repro.fpga.clocking import ProgrammableClockGenerator
-from repro.fpga.scratchpad import Scratchpad
 from repro.fpga.synthesis import SynthesisModel, SynthesisResult
 from repro.mem.address import AddressMap
 from repro.mem.config import MemoryConfig
@@ -44,8 +43,6 @@ class AdapterConfig:
     sync_stages: int = 2
     #: Initial eFPGA clock frequency (MHz); retuned at installation time.
     initial_fpga_mhz: float = 100.0
-    #: BRAM scratchpad available to the accelerator (bytes); 0 disables it.
-    scratchpad_bytes: int = 8192
     control_hub: ControlHubConfig = field(default_factory=ControlHubConfig)
 
     def __post_init__(self) -> None:
@@ -83,10 +80,9 @@ class DuetAdapter:
         self.name = name
         self.memory = memory
         self.address_map = address_map
-        self.mem_config = mem_config
 
         self.clock_generator = ProgrammableClockGenerator(
-            sim, sys_domain, initial_mhz=self.config.initial_fpga_mhz, name=f"{name}.clkgen"
+            sim, initial_mhz=self.config.initial_fpga_mhz, name=f"{name}.clkgen"
         )
         self.exceptions = ExceptionHandler(sim, sys_domain, name=f"{name}.exc")
         self.control_hub = ControlHub(
@@ -124,8 +120,6 @@ class DuetAdapter:
         self.exceptions.on_error(self._on_error)
         self.control_hub.set_hub_activation_hook(self._apply_hub_activation_mask)
         self.installed_accelerator: Optional[SoftAccelerator] = None
-        self.synthesis_result: Optional[SynthesisResult] = None
-        self.scratchpad: Optional[Scratchpad] = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -182,7 +176,6 @@ class DuetAdapter:
         soft_cache: Union[bool, SoftCacheConfig, None] = None,
         enable_atomics: bool = False,
         physical_memory_access: bool = True,
-        synthesis_model: Optional[SynthesisModel] = None,
     ) -> SynthesisResult:
         """Run the full installation flow and attach ``accelerator``.
 
@@ -192,8 +185,7 @@ class DuetAdapter:
         Returns the synthesis result (Fmax, area, utilization) so callers can
         build Table II and the ADP figures.
         """
-        model = synthesis_model or SynthesisModel()
-        synthesis = model.implement(accelerator.design)
+        synthesis = SynthesisModel().implement(accelerator.design)
         bitstream = Bitstream.generate(accelerator.design, synthesis.fabric)
 
         # Programming: hubs must be inactive while the fabric is reconfigured.
@@ -237,23 +229,14 @@ class DuetAdapter:
             else:
                 ports.append(hub.fpga_port())
 
-        scratchpad = None
-        if self.config.scratchpad_bytes > 0:
-            scratchpad = Scratchpad(
-                self.fpga_domain, self.config.scratchpad_bytes, name=f"{self.name}.scratchpad"
-            )
         environment = AcceleratorEnvironment(
             sim=self.sim,
             domain=self.fpga_domain,
             mem_ports=ports,
             registers=self.control_hub.fpga_registers,
-            scratchpad=scratchpad,
-            extra={"adapter": self},
         )
         accelerator.attach(environment)
         self.installed_accelerator = accelerator
-        self.synthesis_result = synthesis
-        self.scratchpad = scratchpad
         return synthesis
 
     def start_accelerator(self):

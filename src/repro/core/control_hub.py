@@ -16,12 +16,12 @@ parks to the side so it cannot deadlock the hub.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
 from repro.core.feature_switches import FeatureSwitches
-from repro.core.registers import RegisterLayout, RegisterSpec
+from repro.core.registers import RegisterLayout
 from repro.core.shadow_registers import BOGUS_VALUE, SoftRegisterInterface
 from repro.cpu.mmio import MmioMap, MmioRegion
 from repro.fpga.bitstream import Bitstream

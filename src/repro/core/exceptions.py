@@ -47,7 +47,6 @@ class ExceptionHandler:
         self.name = name
         self.timeout_cycles = timeout_cycles
         self.error_code = ErrorCode.NONE
-        self.error_time_ns: Optional[float] = None
         self._on_error: List[Callable[[ErrorCode], None]] = []
         self.stats = StatSet(f"{name}.stats")
 
@@ -70,7 +69,6 @@ class ExceptionHandler:
     def clear(self) -> None:
         """Clear a previously-logged error code (feature-switch action)."""
         self.error_code = ErrorCode.NONE
-        self.error_time_ns = None
 
     # ------------------------------------------------------------------ #
     # Checks
@@ -81,7 +79,6 @@ class ExceptionHandler:
         if self.has_error:
             return
         self.error_code = code
-        self.error_time_ns = self.sim.now
         for callback in self._on_error:
             callback(code)
 

@@ -19,7 +19,7 @@ cache is fire-and-forget: the Proxy Cache never waits for the eFPGA.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
 from repro.core.feature_switches import FeatureSwitches

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 class RegisterKind(enum.Enum):
@@ -29,10 +29,6 @@ class RegisterKind(enum.Enum):
     FPGA_BOUND_FIFO = "fpga_bound_fifo"
     CPU_BOUND_FIFO = "cpu_bound_fifo"
     TOKEN_FIFO = "token_fifo"
-
-    @property
-    def is_shadowed(self) -> bool:
-        return self is not RegisterKind.NORMAL
 
 
 @dataclass(frozen=True)
@@ -72,12 +68,6 @@ class RegisterLayout:
         names = [spec.name for spec in self.specs if spec.name]
         if len(names) != len(set(names)):
             raise ValueError("duplicate register names in layout")
-
-    def by_name(self, name: str) -> RegisterSpec:
-        for spec in self.specs:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no register named {name!r}")
 
     def downgraded(self) -> "RegisterLayout":
         return RegisterLayout([spec.downgraded() for spec in self.specs])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.exceptions import ExceptionHandler
 from repro.core.registers import RegisterKind, RegisterLayout, RegisterSpec
@@ -378,10 +378,6 @@ class FpgaRegisterView(RegisterFileView):
         return None
 
     # -- normal-register barrier reads ------------------------------------ #
-    def claim(self, index: int) -> None:
-        """Take over servicing of normal register ``index`` (barrier use)."""
-        self._state(index).claimed = True
-
     def wait_cpu_read(self, index: int):
         """Block until a processor reads normal register ``index``.
 

@@ -15,8 +15,6 @@ the agent and the mesh in both directions.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.mem.address import AddressMap
 from repro.mem.config import MemoryConfig
 from repro.mem.dram import MainMemory
@@ -74,7 +72,6 @@ class SlowCacheAgent(PrivateCacheAgent):
         include_l1: bool = False,
     ) -> None:
         self.sys_domain = sys_domain
-        self._sync_stages = sync_stages
         # CDC FIFOs must exist before super().__init__ calls _attach().
         self._inbound = AsyncFifo(sim, sys_domain, fpga_domain, capacity=64,
                                   sync_stages=sync_stages, name=f"{name or target}.in")

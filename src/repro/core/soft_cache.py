@@ -15,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.core.exceptions import DuetError
 from repro.fpga.accelerator import FpgaMemoryPort
 from repro.mem.cache_store import SetAssociativeCache
 from repro.mem.protocol import CoherenceState

@@ -150,11 +150,6 @@ class CpuContext:
         yield from self._core.cache.flush_line(addr)
         return None
 
-    def fence(self):
-        """Full fence: in this in-order model, a single-cycle drain."""
-        yield self._core.domain.wait_cycles(1)
-        return None
-
     # -- MMIO ----------------------------------------------------------- #
     def mmio_read(self, addr: int):
         if self._core.mmio is None:

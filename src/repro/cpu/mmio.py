@@ -12,7 +12,7 @@ valuable, so the model enforces it faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.noc import MessagePlane, NocMessage, TileRouter
 from repro.sim import ClockDomain, Event, Simulator, StatSet

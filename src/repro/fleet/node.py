@@ -36,6 +36,7 @@ from repro.serve.deployment import Deployment
 from repro.serve.scheduler import FabricScheduler, ServeConfig
 from repro.serve.traffic import Request, TenantSpec, TrafficSource
 from repro.sim import Delay
+from repro.sim.stats import mix_seed
 
 #: Fixed state-transfer component of a tenant migration (ns): shipping the
 #: tenant's context (queue snapshot, accelerator state) to the target node.
@@ -90,14 +91,11 @@ class TenantShare:
 
 
 def node_seed(seed: int, node_id: int, epoch: int) -> int:
-    """Per-(node, epoch) RNG stream base, mixed arithmetically.
+    """Per-(node, epoch) RNG stream base (:func:`~repro.sim.stats.mix_seed`).
 
-    No ``hash()`` anywhere (PYTHONHASHSEED-independence); the multipliers
-    are distinct odd constants so streams for neighbouring nodes/epochs
-    share no structure.  Tenant identity is mixed in later by
-    :meth:`TenantSpec.rng_seed` via CRC-32.
+    Tenant identity is mixed in later by :meth:`TenantSpec.rng_seed`.
     """
-    return (seed * 1_000_003 + node_id * 7_919 + epoch * 104_729) & 0x7FFFFFFF
+    return mix_seed(seed, node=node_id, epoch=epoch)
 
 
 def migration_stall_ns(scheduler: FabricScheduler, accelerator: str) -> float:

@@ -10,8 +10,7 @@ package provides the pieces of that flow the evaluation actually consumes:
   accelerator's resource descriptor into max frequency, tile counts and
   silicon area — the quantities Table II reports,
 * bitstream generation with integrity checking (:class:`Bitstream`),
-* the programmable clock generator of the Control Hub,
-* a BRAM scratchpad, and
+* the programmable clock generator of the Control Hub, and
 * the :class:`SoftAccelerator` base class all behavioural accelerators in
   :mod:`repro.accel` derive from.
 """
@@ -20,7 +19,6 @@ from repro.fpga.fabric import FabricInstance, FabricSpec
 from repro.fpga.synthesis import AcceleratorDesign, SynthesisModel, SynthesisResult
 from repro.fpga.bitstream import Bitstream, BitstreamError
 from repro.fpga.clocking import ProgrammableClockGenerator
-from repro.fpga.scratchpad import Scratchpad
 from repro.fpga.accelerator import AcceleratorEnvironment, FpgaMemoryPort, SoftAccelerator
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "Bitstream",
     "BitstreamError",
     "ProgrammableClockGenerator",
-    "Scratchpad",
     "SoftAccelerator",
     "AcceleratorEnvironment",
     "FpgaMemoryPort",

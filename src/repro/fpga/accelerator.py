@@ -18,7 +18,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
-from repro.fpga.scratchpad import Scratchpad
 from repro.fpga.synthesis import AcceleratorDesign
 from repro.sim import ClockDomain, Simulator, StatSet
 
@@ -110,9 +109,6 @@ class AcceleratorEnvironment:
     domain: ClockDomain
     mem_ports: List[FpgaMemoryPort] = field(default_factory=list)
     registers: Optional[RegisterFileView] = None
-    scratchpad: Optional[Scratchpad] = None
-    #: Extra, platform-specific hooks (e.g. the Duet Adapter for tests).
-    extra: dict = field(default_factory=dict)
 
 
 class SoftAccelerator(abc.ABC):

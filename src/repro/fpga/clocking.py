@@ -15,21 +15,18 @@ from repro.sim import ClockDomain, Simulator
 
 
 class ProgrammableClockGenerator:
-    """Divides the system clock or synthesizes an arbitrary eFPGA frequency."""
+    """Sets the eFPGA frequency (a system-clock divider setting is one such
+    frequency), clamped to the accelerator's Fmax."""
 
     def __init__(
         self,
         sim: Simulator,
-        system_domain: ClockDomain,
         initial_mhz: float = 100.0,
         name: str = "fpga-clkgen",
     ) -> None:
-        self.sim = sim
-        self.system_domain = system_domain
         self.name = name
         self.fpga_domain = ClockDomain(sim, initial_mhz, name=f"{name}.clk")
         self.max_mhz: Optional[float] = None
-        self._divider: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -52,21 +49,6 @@ class ProgrammableClockGenerator:
             raise ValueError(f"frequency must be positive, got {mhz}")
         mhz = self.clamp(mhz)
         self.fpga_domain.freq_mhz = mhz
-        self._divider = None
-        return mhz
-
-    def set_divider(self, divider: int) -> float:
-        """Divider mode: eFPGA clock = system clock / ``divider``; returns MHz."""
-        if divider < 1:
-            raise ValueError(f"divider must be >= 1, got {divider}")
-        mhz = self.system_domain.freq_mhz / divider
-        if self.max_mhz is not None and mhz > self.max_mhz:
-            raise ValueError(
-                f"divider {divider} gives {mhz:.1f}MHz, above the accelerator "
-                f"Fmax of {self.max_mhz:.1f}MHz"
-            )
-        self.fpga_domain.freq_mhz = mhz
-        self._divider = divider
         return mhz
 
     # ------------------------------------------------------------------ #

@@ -73,10 +73,6 @@ class FabricInstance:
         return self.clb_columns * self.rows
 
     @property
-    def total_luts(self) -> int:
-        return self.total_clbs * self.spec.luts_per_clb
-
-    @property
     def total_bram_kbits(self) -> int:
         return self.bram_columns * self.rows * self.spec.bram_kbits_per_tile
 

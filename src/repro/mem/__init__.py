@@ -20,7 +20,7 @@ from repro.mem.address import AddressMap
 from repro.mem.cache_store import CacheEntry, SetAssociativeCache
 from repro.mem.config import MemoryConfig
 from repro.mem.dram import MainMemory
-from repro.mem.protocol import CoherenceState, DirectoryState, MESI_STABLE_STATES
+from repro.mem.protocol import CoherenceState, DirectoryState
 from repro.mem.directory import DirectoryShard
 from repro.mem.private_cache import PrivateCacheAgent
 
@@ -32,7 +32,6 @@ __all__ = [
     "MainMemory",
     "CoherenceState",
     "DirectoryState",
-    "MESI_STABLE_STATES",
     "DirectoryShard",
     "PrivateCacheAgent",
 ]

@@ -22,7 +22,6 @@ class AddressMap:
         self.config = config
         self.home_tiles = list(home_tiles)
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._word_shift = config.word_bytes.bit_length() - 1
 
     # ------------------------------------------------------------------ #
     # Line / word arithmetic
@@ -34,16 +33,6 @@ class AddressMap:
     def line_index(self, addr: int) -> int:
         """Return the line number (address divided by the line size)."""
         return addr >> self._line_shift
-
-    def word_of(self, addr: int) -> int:
-        """Return the word-aligned address containing ``addr``."""
-        return (addr >> self._word_shift) << self._word_shift
-
-    def offset_in_line(self, addr: int) -> int:
-        return addr & (self.config.line_bytes - 1)
-
-    def same_line(self, addr_a: int, addr_b: int) -> bool:
-        return self.line_of(addr_a) == self.line_of(addr_b)
 
     def lines_spanning(self, addr: int, size_bytes: int) -> List[int]:
         """Return every line-aligned address touched by ``[addr, addr+size)``."""

@@ -65,10 +65,6 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ #
     # Geometry helpers
     # ------------------------------------------------------------------ #
-    @property
-    def capacity_lines(self) -> int:
-        return self.num_sets * self.assoc
-
     def set_index(self, line_addr: int) -> int:
         return (line_addr // self.line_bytes) % self.num_sets
 

@@ -31,14 +31,6 @@ class CoherenceState(enum.Enum):
         return self in (CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE)
 
 
-MESI_STABLE_STATES = (
-    CoherenceState.MODIFIED,
-    CoherenceState.EXCLUSIVE,
-    CoherenceState.SHARED,
-    CoherenceState.INVALID,
-)
-
-
 class DirectoryState(enum.Enum):
     """Per-line state tracked by the home directory slice."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.noc.message import MessagePlane, NocMessage
+from repro.noc.message import NocMessage
 from repro.noc.topology import Mesh2D, Topology, make_topology
 from repro.sim import ClockDomain, Event, Simulator, StatSet
 

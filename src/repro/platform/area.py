@@ -36,16 +36,6 @@ TABLE1_ROWS: List[Table1Row] = [
 ]
 
 
-def linear_scale_area(area_mm2: float, from_nm: float, to_nm: float) -> float:
-    """Linear MOSFET scaling: area scales with the square of feature size."""
-    return area_mm2 * (to_nm / from_nm) ** 2
-
-
-def linear_scale_frequency(freq_mhz: float, from_nm: float, to_nm: float) -> float:
-    """Linear MOSFET scaling: delay scales linearly with feature size."""
-    return freq_mhz * (from_nm / to_nm)
-
-
 class AreaModel:
     """Chip-level area accounting used for the ADP comparison of Fig. 12."""
 

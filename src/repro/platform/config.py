@@ -48,7 +48,6 @@ class DollyConfig:
     system_mhz: float = 1000.0
     fpga_mhz: Optional[float] = None
     sync_stages: int = 2
-    scratchpad_bytes: int = 8192
     noc_topology: str = "mesh"
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -115,7 +114,6 @@ class DollyConfig:
             mode=self.adapter_mode,
             sync_stages=self.sync_stages,
             initial_fpga_mhz=self.fpga_mhz or 100.0,
-            scratchpad_bytes=self.scratchpad_bytes,
         )
 
     @classmethod

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adapter import DuetAdapter
-from repro.core.soft_cache import SoftCacheConfig
 from repro.cpu.core import Core, CpuContext
 from repro.cpu.mmio import MmioMap, MmioPort
 from repro.fpga.accelerator import SoftAccelerator
@@ -18,7 +17,7 @@ from repro.mem.private_cache import PrivateCacheAgent
 from repro.mem.protocol import CoherenceState
 from repro.noc import NocNetwork, TileRouter
 from repro.platform.config import DollyConfig, SystemKind
-from repro.platform.tiles import TilePlan, TileRole
+from repro.platform.tiles import TilePlan
 from repro.power.model import EnergyModel
 from repro.sim import ClockDomain, Process, SimulationError, Simulator
 

@@ -84,10 +84,6 @@ class RegionPlan:
     def region_capacity(self) -> int:
         return self.capacities[0]
 
-    def span_needed(self, name: str) -> int:
-        """Contiguous regions design ``name`` occupies on this grid."""
-        return max(1, -(-self.tiles[name] // self.region_capacity))
-
     @classmethod
     def build(cls, accelerators: Dict[str, "object"], regions: int,
               fabric_scale: float = 1.0,

@@ -174,7 +174,7 @@ class FabricContext:
         #: Requested service clock; ``None`` runs each accelerator at Fmax.
         self.fpga_mhz = fpga_mhz
         self.clock_generator = ProgrammableClockGenerator(
-            sim, sys_domain, name=f"{self.name}.clkgen")
+            sim, name=f"{self.name}.clkgen")
         self.control_hub = ControlHub(
             sim, sys_domain, tile_router, mmio_map, self.clock_generator,
             name=f"{self.name}.ctrl")
@@ -198,7 +198,6 @@ class FabricContext:
         self.plan = plan
         self.allocator: Optional[RegionAllocator] = (
             RegionAllocator(plan.capacities) if plan is not None else None)
-        self.region_programmings = 0
         self.regions_programmed = 0
         self.frag_samples: List[float] = []
         # -- fault state (repro.chaos) ---------------------------------- #
@@ -330,7 +329,6 @@ class FabricContext:
         image = self.images.get(name, self.plan.images[name])
         yield from self.control_hub.program(image.for_regions(span))
         self.reconfigurations += 1
-        self.region_programmings += 1
         self.regions_programmed += len(span)
         elapsed = self.sim.now - started
         self.reconfig_ns_total += elapsed
@@ -804,7 +802,8 @@ class FabricScheduler:
         return {
             "regions": self.config.regions,
             "region_capacity_tiles": self.region_plan.region_capacity,
-            "region_programmings": sum(f.region_programmings for f in self.fabrics),
+            # Region mode programs only through program_span.
+            "region_programmings": sum(f.reconfigurations for f in self.fabrics),
             "regions_programmed": sum(f.regions_programmed for f in self.fabrics),
             "region_evictions": sum(f.allocator.evictions for f in self.fabrics),
             "fragmentation_mean": sum(frag) / len(frag) if frag else 0.0,

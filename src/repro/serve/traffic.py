@@ -33,13 +33,13 @@ final arrival, which nothing else can observe.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.catalog import resolve_accelerator
 from repro.sim import Delay, Process, Simulator
 from repro.sim.event import Event
+from repro.sim.stats import mix_seed
 
 #: The supported arrival processes.
 ARRIVAL_PATTERNS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "closed")
@@ -147,8 +147,8 @@ class TenantSpec:
                 )
 
     def rng_seed(self, seed: int, stream: int = 0) -> int:
-        """A per-(tenant, stream) seed that avoids ``hash()`` entirely."""
-        return (seed * 1_000_003 + zlib.crc32(self.name.encode()) + stream) & 0x7FFFFFFF
+        """A per-(tenant, stream) seed: :func:`~repro.sim.stats.mix_seed`."""
+        return mix_seed(seed, self.name.encode(), stream=stream)
 
 
 class TrafficSource:

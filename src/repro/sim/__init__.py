@@ -16,7 +16,6 @@ from repro.sim.kernel import (
     Simulator,
     Suspend,
     ns_to_ps,
-    ps_to_ns,
 )
 from repro.sim.clock import ClockDomain
 from repro.sim.channel import AsyncFifo, Channel, QueueFullError
@@ -38,5 +37,4 @@ __all__ = [
     "StatSet",
     "TimeSeries",
     "ns_to_ps",
-    "ps_to_ns",
 ]

@@ -15,7 +15,7 @@ and 10 of the paper quantify.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, Optional, Tuple
 
 from repro.sim.clock import ClockDomain
 from repro.sim.event import Event
@@ -30,7 +30,7 @@ class Channel:
     """A FIFO whose producer and consumer share a clock domain.
 
     ``get`` and ``put`` are sub-generators meant to be driven with
-    ``yield from``.  ``try_put``/``try_get`` are the non-blocking variants.
+    ``yield from``.  ``try_put`` is the non-blocking variant.
     """
 
     def __init__(
@@ -55,10 +55,6 @@ class Channel:
         return len(self._items)
 
     @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
@@ -70,13 +66,6 @@ class Channel:
             raise QueueFullError(f"channel {self.name!r} full (capacity={self.capacity})")
         self._items.append((self.sim.now + self.latency_ns, item))
         self._wake_getter()
-
-    def try_get(self) -> Any:
-        if not self._items:
-            raise SimulationError(f"channel {self.name!r} empty")
-        ready_at, item = self._items.popleft()
-        self._wake_putter()
-        return item
 
     # ------------------------------------------------------------------ #
     # Blocking (generator) interface
@@ -158,10 +147,6 @@ class AsyncFifo:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
 
     @property
     def is_full(self) -> bool:

@@ -73,14 +73,6 @@ class ClockDomain:
         """Cached clock period (recomputed only when the clock is retuned)."""
         return self._period_ns
 
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Duration of ``cycles`` clock cycles in nanoseconds."""
-        return cycles * self.period_ns
-
-    def ns_to_cycles(self, ns: float) -> float:
-        """Number of (fractional) cycles spanned by ``ns`` nanoseconds."""
-        return ns / self.period_ns
-
     # ------------------------------------------------------------------ #
     # Edge arithmetic
     # ------------------------------------------------------------------ #

@@ -134,30 +134,3 @@ class Event:
             state = "failed" if self._failed else "triggered"
         return f"<Event {self.name or hex(id(self))} {state}>"
 
-
-class EventGroup:
-    """Waits for a set of events; triggers its own event when all are done."""
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:  # noqa: F821
-        self.done = Event(sim, name="group-done")
-        self._remaining = len(events)
-        self._values: List[Any] = [None] * len(events)
-        if self._remaining == 0:
-            self.done.succeed([])
-            return
-        for index, event in enumerate(events):
-            event.add_callback(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callable[[Any], None]:
-        def _on_done(value: Any) -> None:
-            self._values[index] = value
-            self._remaining -= 1
-            if self._remaining == 0:
-                self.done.succeed(list(self._values))
-
-        return _on_done
-
-
-def all_of(sim: "Simulator", events: List[Event]) -> Event:  # noqa: F821
-    """Return an event triggered when every event in ``events`` has fired."""
-    return EventGroup(sim, events).done

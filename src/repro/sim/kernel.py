@@ -53,18 +53,10 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.event import Event
 
-#: Picoseconds per nanosecond — the kernel's internal resolution.
-PS_PER_NS = 1000
-
 
 def ns_to_ps(time_ns: float) -> int:
     """Convert float nanoseconds to the kernel's integer picoseconds."""
     return int(time_ns * 1000.0 + 0.5)
-
-
-def ps_to_ns(time_ps: int) -> float:
-    """Convert integer picoseconds back to float nanoseconds."""
-    return time_ps / 1000.0
 
 
 class SimulationError(RuntimeError):

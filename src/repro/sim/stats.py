@@ -4,13 +4,14 @@ Components accumulate counters and latency samples into a :class:`StatSet`;
 the analysis layer reads them back to build the latency breakdowns and
 bandwidth numbers reported in the paper's figures.  Every percentile in the
 repository — histograms, ``ResultSet`` columns, SLO and decomposition rows,
-telemetry windows — is :func:`nearest_rank`, and every empirical CDF is
-:func:`cdf_points`.
+telemetry windows — is :func:`nearest_rank`, every empirical CDF is
+:func:`cdf_points`, and every derived RNG stream seed is :func:`mix_seed`.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
@@ -62,6 +63,19 @@ def fraction_at(points: Sequence[Tuple[float, float]], value: float) -> float:
         return 0.0
     index = bisect_right([point[0] for point in points], value)
     return points[index - 1][1] if index else 0.0
+
+
+def mix_seed(seed: int, label: bytes = b"", node: int = 0, epoch: int = 0,
+             stream: int = 0) -> int:
+    """A 31-bit RNG stream seed derived from a run ``seed``.
+
+    Mixes a CRC-32 of ``label`` (a tenant name, a fault spec's identity)
+    and the node/epoch ids with distinct odd constants, so neighbouring
+    streams share no structure.  No ``hash()``: streams are identical
+    across processes and ``PYTHONHASHSEED`` values.
+    """
+    return (seed * 1_000_003 + zlib.crc32(label) + node * 7_919
+            + epoch * 104_729 + stream) & 0x7FFFFFFF
 
 
 @dataclass
@@ -133,10 +147,6 @@ class TimeSeries:
     @property
     def count(self) -> int:
         return len(self.values)
-
-    @property
-    def last(self) -> float:
-        return self.values[-1] if self.values else 0.0
 
     @property
     def mean(self) -> float:

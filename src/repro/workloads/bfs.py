@@ -17,7 +17,6 @@ from typing import Dict, List
 from repro.accel.lockfree_queue import (
     END_OF_FRONTIER,
     FrontierQueueAccelerator,
-    REG_LEVEL_SIZE,
     REG_NUM_CORES,
     REG_POP,
     REG_PUSH,

@@ -13,7 +13,7 @@ hardware.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.accel.pdes_scheduler import (
     COMMIT_COMMAND,
@@ -22,7 +22,6 @@ from repro.accel.pdes_scheduler import (
     PdesSchedulerAccelerator,
     REG_READY,
     REG_SCHEDULE,
-    STOP_COMMAND,
     decode_event,
     encode_event,
     register_layout,

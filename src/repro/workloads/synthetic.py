@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.registers import RegisterKind, RegisterSpec
 from repro.fpga.accelerator import SoftAccelerator

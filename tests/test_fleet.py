@@ -127,6 +127,25 @@ def test_node_seed_streams_are_distinct_and_bounded():
     assert node_seed(2023, 3, 1) != node_seed(2024, 3, 1)
 
 
+def test_seed_mixing_rule_is_pinned():
+    """Node, fault and tenant streams share one mixing rule; these values
+    were recorded before the three spellings became one helper."""
+    from repro.chaos.schedule import FaultSchedule, FaultSpec
+
+    assert [node_seed(*args) for args in
+            [(2023, 0, 0), (2023, 3, 1), (7, 5, 9), (0, 0, 0), (-1, 2, 3)]] == [
+        2023006069, 2023134555, 7982177, 0, 2146813670]
+    schedule = FaultSchedule(seed=2023, specs=(FaultSpec("seu", 0.5),
+                                               FaultSpec("link", 1.0)))
+    assert [schedule.stream_seed(*args) for args in
+            [(0, 0, 0), (1, 3, 2), (0, 9, 5)]] == [847754513, 1438616239, 848736669]
+    alpha = TenantSpec("alpha", "popcount")
+    assert [alpha.rng_seed(*args) for args in
+            [(2023, 0), (2023, 7), (7, 3), (0, 0)]] == [
+        1232394463, 1232394470, 1363872066, 1356872042]
+    assert TenantSpec("bravo", "sort64").rng_seed(2023, 1) == 36722687
+
+
 def test_client_population_thinning():
     population = ClientPopulation(clients=1_000_000, think_ms=50.0,
                                   thin_factor=50.0)

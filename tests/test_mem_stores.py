@@ -39,11 +39,9 @@ def test_config_validation():
 def test_line_and_word_alignment():
     amap = AddressMap(MemoryConfig(), home_tiles=[0, 1, 2, 3])
     assert amap.line_of(0x1234) == 0x1230
-    assert amap.word_of(0x1234) == 0x1230
-    assert amap.word_of(0x123C) == 0x1238
-    assert amap.offset_in_line(0x1234) == 4
-    assert amap.same_line(0x1230, 0x123F)
-    assert not amap.same_line(0x1230, 0x1240)
+    assert 0x1234 - amap.line_of(0x1234) == 4
+    assert amap.line_of(0x1230) == amap.line_of(0x123F)
+    assert amap.line_of(0x1230) != amap.line_of(0x1240)
 
 
 def test_lines_spanning_regions():
@@ -153,7 +151,7 @@ def test_cache_never_exceeds_capacity_and_residency_is_consistent(addresses):
         resident.add(line)
         if victim is not None:
             resident.discard(victim.line_addr)
-        assert len(cache) <= cache.capacity_lines
+        assert len(cache) <= cache.num_sets * cache.assoc
         # Per-set occupancy never exceeds associativity.
         assert len(cache) == len(resident)
     for line in resident:

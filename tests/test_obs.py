@@ -1,7 +1,7 @@
 """Tests for ``repro.obs``: tracer nesting/ordering invariants (Hypothesis
 over arbitrary begin/end sequences), the deterministic Chrome-trace export
 and its pinned golden, the hooks-off ≡ hooks-on bit-identity contract, the
-unified metrics registry (serial ≡ process fleet merge), ``ResultSet.cdf``,
+unified metrics registry (serial ≡ process fleet merge), ``cdf_points``,
 and the ``latency_decomposition`` acceptance pins."""
 
 import copy
@@ -582,7 +582,7 @@ def test_slo_rows_carry_the_deep_tail():
 
 
 # --------------------------------------------------------------------------- #
-# cdf_points / ResultSet.cdf
+# cdf_points
 # --------------------------------------------------------------------------- #
 def test_cdf_points_handles_empty_ragged_and_duplicates():
     assert cdf_points([]) == []
@@ -606,8 +606,11 @@ def test_fraction_at_reads_the_step_function():
 def test_resultset_cdf_matches_percentile_filtering():
     results = ResultSet("t", [{"v": 2.0}, {"v": 1.0}, {"w": 9.0},
                               {"v": "bad"}, {"v": True}, {"v": 2.0}])
-    assert results.cdf("v") == [(1.0, 1 / 3), (2.0, 1.0)]
-    assert results.cdf("missing") == []
+    assert cdf_points([row.get("v") for row in results.rows]) == [(1.0, 1 / 3), (2.0, 1.0)]
+    assert results.percentile("v", 1 / 3) == 1.0
+    assert results.percentile("v", 1.0) == 2.0
+    assert cdf_points([row.get("missing") for row in results.rows]) == []
+    assert results.percentile("missing", 0.5) is None
 
 
 # --------------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from repro.platform import (
     TileRole,
     build_system,
 )
-from repro.platform.area import linear_scale_area, linear_scale_frequency
+from repro.platform.area import TABLE1_ROWS
 from repro.sim import SimulationError
 
 
@@ -195,5 +195,8 @@ def test_adp_normalization():
 
 
 def test_linear_scaling_model():
-    assert linear_scale_area(1.0, 22.0, 44.0) == pytest.approx(4.0)
-    assert linear_scale_frequency(1000.0, 22.0, 44.0) == pytest.approx(500.0)
+    # Table I scales Ariane from 22 nm linearly: area by the square of the
+    # feature-size ratio, frequency by its inverse.
+    ariane = TABLE1_ROWS[0]
+    assert ariane.scaled_area_mm2 == pytest.approx(ariane.area_mm2 * (44.0 / 22.0) ** 2)
+    assert ariane.scaled_freq_mhz == pytest.approx(ariane.freq_mhz * 22.0 / 44.0)

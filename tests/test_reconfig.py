@@ -292,17 +292,22 @@ def test_minimal_region_capacity_is_minimal_and_feasible():
         minimal_region_capacity({}, 4)
 
 
+def _span_needed(plan, name):
+    """Regions ``name`` spans on ``plan``'s grid, by the allocator's rule."""
+    return RegionAllocator(plan.capacities).span_needed(plan.tiles[name])
+
+
 def test_duo_plan_co_locates_both_designs():
     """The tentpole sizing result: at 4 regions the duo designs fill the
     grid exactly, so steady-state serving needs no reconfiguration at all."""
     accelerators = {name: materialize(name) for name in ("popcount", "sort64")}
     plan = RegionPlan.build(accelerators, 4)
-    assert plan.span_needed("popcount") + plan.span_needed("sort64") == 4
+    assert _span_needed(plan, "popcount") + _span_needed(plan, "sort64") == 4
     assert len(set(plan.capacities)) == 1
     for name, acc in accelerators.items():
         image = plan.images[name]
         assert image.regions == 4 and image.verify()
-        assert plan.span_needed(name) * plan.region_capacity >= acc.tiles_needed
+        assert _span_needed(plan, name) * plan.region_capacity >= acc.tiles_needed
     assert plan.fabric.config_bits == sum(plan.images["popcount"].region_bits)
 
 
@@ -319,7 +324,7 @@ def test_underprovisioned_plan_still_fits_the_widest_design():
                     for name in ("popcount", "sort64", "tangent", "dijkstra")}
     plan = RegionPlan.build(accelerators, 4, fabric_scale=0.25)
     for name in accelerators:
-        assert plan.span_needed(name) <= plan.regions
+        assert _span_needed(plan, name) <= plan.regions
 
 
 def test_synthesis_tiles_needed_matches_fabric():
@@ -427,7 +432,7 @@ def test_co_located_designs_serve_concurrently():
     assert first.start_ns < second.finish_ns
     assert second.start_ns < first.finish_ns      # genuinely concurrent
     fabric = scheduler.fabrics[0]
-    assert fabric.region_programmings == 2
+    assert fabric.reconfigurations == 2
     assert fabric.regions_programmed == 4
     assert fabric.allocator.evictions == 0
 
@@ -449,7 +454,7 @@ def test_hot_swap_under_traffic_then_evict_when_idle():
     fabric = scheduler.fabrics[0]
     assert wide.start_ns >= min(long_run.finish_ns, swap_in.finish_ns)
     assert fabric.allocator.evictions >= 1
-    assert fabric.region_programmings == 3
+    assert fabric.reconfigurations == 3
     assert not scheduler.pending                   # drained, no deadlock
 
 
@@ -465,7 +470,7 @@ def test_fully_pinned_fabric_sheds_under_bounded_queue():
         ("popcount", "sort64", "tangent"), regions=2, scale=0.1,
         queue_capacity=1)
     plan = scheduler.region_plan
-    assert all(plan.span_needed(name) == 2
+    assert all(_span_needed(plan, name) == 2
                for name in ("popcount", "sort64", "tangent"))
     assert running.finish_ns > 0
     assert queued.finish_ns > 0                   # waited, then evicted in

@@ -192,24 +192,6 @@ def test_run_process_detects_unfinished_process():
         sim.run_process(body())
 
 
-def test_all_of_event_group():
-    from repro.sim.event import all_of
-
-    sim = Simulator()
-    events = [sim.event(str(i)) for i in range(3)]
-
-    def waiter():
-        values = yield all_of(sim, events)
-        return values
-
-    process = sim.process(waiter())
-    sim.schedule(1.0, events[1].succeed, "b")
-    sim.schedule(2.0, events[0].succeed, "a")
-    sim.schedule(3.0, events[2].succeed, "c")
-    sim.run()
-    assert process.done.value == ["a", "b", "c"]
-
-
 def _parking_process(sim, log, on_error=None):
     """A process that parks on ``Suspend``; returns it and its wake-up handle."""
     handle = {}

@@ -75,12 +75,12 @@ def test_stat_reset_after_clock_retune_starts_clean():
 # --------------------------------------------------------------------------- #
 def test_time_series_records_in_order_and_summarizes():
     series = TimeSeries("power_mw")
-    assert series.count == 0 and series.last == 0.0 and series.mean == 0.0
+    assert series.count == 0 and series.values == [] and series.mean == 0.0
     series.record(10.0, 2.0)
     series.record(20.0, 4.0)
     series.record(40.0, 1.0)
     assert series.count == 3
-    assert series.last == 1.0
+    assert series.values[-1] == 1.0
     assert series.mean == pytest.approx(7.0 / 3.0)
     assert series.as_pairs() == [(10.0, 2.0), (20.0, 4.0), (40.0, 1.0)]
 
