@@ -19,7 +19,7 @@ Three fault kinds ship (:data:`FAULT_KINDS`):
 
 * ``seu`` — a single-event upset flips bits in one accelerator's stored
   bitstream image (via :meth:`repro.fpga.bitstream.Bitstream.corrupted`);
-  the corruption is latent until the next ``ControlHub.program`` of that
+  the corruption is latent until the next ``transfer_bitstream`` of that
   image trips the integrity check;
 * ``fabric`` — an eFPGA fabric dies outright (its in-flight request is
   lost, its programmed design is gone); ``scope="node"`` kills every

@@ -52,7 +52,6 @@ class AdapterConfig:
             # The FPSoC baseline has no fast-domain shadow registers.
             self.control_hub = ControlHubConfig(
                 downgrade_shadow=True,
-                programming_bits_per_cycle=self.control_hub.programming_bits_per_cycle,
                 mmio_service_cycles=self.control_hub.mmio_service_cycles,
             )
 
@@ -180,8 +179,9 @@ class DuetAdapter:
         """Run the full installation flow and attach ``accelerator``.
 
         This is the zero-simulated-time variant used by experiments; the
-        timed programming path is :meth:`ControlHub.program`, which the
-        serving layer drives.
+        timed programming path is
+        :func:`~repro.core.control_hub.transfer_bitstream`, which the serving
+        layer drives.
         Returns the synthesis result (Fmax, area, utilization) so callers can
         build Table II and the ADP figures.
         """

@@ -12,6 +12,11 @@ memory-mapped I/O (Sec. II-E).  It has two submodules:
 MMIO accesses are serviced in arrival order (Fig. 6c: shadow accesses stay
 ordered with respect to normal accesses), but a blocking CPU-bound-FIFO read
 parks to the side so it cannot deadlock the hub.
+
+The programming engine's timed configuration transfer is the module-level
+:func:`transfer_bitstream`, which the serving layer (:mod:`repro.serve`)
+pays on every reconfiguration; the cycle-level model installs its image up
+front through :meth:`ControlHub.program_instantly`.
 """
 
 from __future__ import annotations
@@ -44,11 +49,16 @@ SOFT_REGISTER_STRIDE = 0x8
 CONTROL_REGION_SIZE = 0x2000
 
 
+#: Configuration-bit transfer rate of the programming engine (bits per
+#: system-clock cycle).
+PROGRAMMING_BITS_PER_CYCLE = 64
+
+
 def program_cycles(config_bits: int, bits_per_cycle: int) -> int:
     """System cycles the programming engine spends transferring an image.
 
     The single source of truth for configuration-transfer time: used by
-    :meth:`ControlHub.program` and by fleet migration stalls
+    :func:`transfer_bitstream` and by fleet migration stalls
     (:func:`repro.fleet.node.migration_stall_ns`), so region-granular
     accounting cannot drift between serve and fleet.  A partial transfer
     still pays at least one cycle.
@@ -61,6 +71,38 @@ def program_cycles(config_bits: int, bits_per_cycle: int) -> int:
     return max(1, -(-config_bits // bits_per_cycle))
 
 
+def transfer_bitstream(sim: Simulator, sys_domain: ClockDomain,
+                       bitstream: Bitstream, track: str, tracer=None):
+    """Programming engine: integrity check, then configuration transfer.
+
+    A generator: the caller (the serving layer's reconfiguration path)
+    pays :func:`program_cycles` system cycles of ``sys_domain``.  A corrupt
+    image raises :class:`DuetError` before or after the transfer.  With a
+    :class:`~repro.obs.trace.Tracer` the transfer is one ``xfer`` span on
+    ``track``.
+    """
+    if not bitstream.verify():
+        raise DuetError(f"bitstream {bitstream.design_name!r} failed its integrity check")
+    start_ps = sim.now_ps if tracer is not None else 0
+    yield sys_domain.wait_cycles(
+        program_cycles(bitstream.config_bits, PROGRAMMING_BITS_PER_CYCLE))
+    # Re-verify after the transfer window: an image mutated in place while
+    # the configuration memory was being written must not activate a
+    # corrupt design.  A chaos SEU never lands here:
+    # FabricScheduler.corrupt_image swaps in a new stored image, so the
+    # upset stays latent until the next program of that design.  An
+    # unchanged image answers from Bitstream.verify's memo.
+    if not bitstream.verify():
+        raise DuetError(
+            f"bitstream {bitstream.design_name!r} corrupted during "
+            "the configuration transfer"
+        )
+    if tracer is not None:
+        tracer.complete(
+            "xfer", track, start_ps, sim.now_ps - start_ps, cat="ctrl",
+            args={"design": bitstream.design_name, "bits": bitstream.config_bits})
+
+
 @dataclass
 class ControlHubConfig:
     """Static configuration of one Control Hub."""
@@ -68,9 +110,6 @@ class ControlHubConfig:
     #: Downgrade every shadowed register to a normal soft register (the
     #: FPSoC baseline of Sec. V-D).
     downgrade_shadow: bool = False
-    #: Configuration-bit transfer rate of the programming engine
-    #: (bits per system-clock cycle).
-    programming_bits_per_cycle: int = 64
     #: Service time of one MMIO access inside the hub (system cycles).
     mmio_service_cycles: int = 1
 
@@ -112,13 +151,7 @@ class ControlHub:
             CONTROL_REGION_SIZE, self.node, self.TARGET, name=self.name
         )
         self.stats = StatSet(f"{self.name}.stats")
-        #: Observability hook (:mod:`repro.obs`): when a Tracer is attached
-        #: the programming engine records one ``xfer`` span per transfer.
-        #: Default off — ``None`` keeps this path allocation-free.
-        self.tracer = None
-        # Programming state.
         self.programmed_bitstream: Optional[Bitstream] = None
-        self.programming_busy = False
         self._hub_activation_hook: Optional[Callable[[int], None]] = None
         # Serialized MMIO service queue (strict I/O ordering, Fig. 6c).
         self._mmio_queue = Channel(sim, name=f"{self.name}.mmio-queue")
@@ -149,47 +182,8 @@ class ControlHub:
     def configure_registers(self, layout: RegisterLayout) -> None:
         self.registers.configure(layout)
 
-    def program(self, bitstream: Bitstream):
-        """Programming engine: integrity check, then configuration transfer.
-
-        A generator — the caller (the serving layer's reconfiguration
-        path) pays the programming time.
-        """
-        self.programming_busy = True
-        try:
-            if not bitstream.verify():
-                self.exceptions.raise_error(ErrorCode.BITSTREAM_CORRUPT)
-                raise DuetError(f"bitstream {bitstream.design_name!r} failed its integrity check")
-            transfer_cycles = program_cycles(
-                bitstream.config_bits, self.config.programming_bits_per_cycle
-            )
-            start_ps = self.sim.now_ps if self.tracer is not None else 0
-            yield self.sys_domain.wait_cycles(transfer_cycles)
-            # Re-verify after the transfer window: an image mutated in
-            # place while the configuration memory was being written must
-            # not activate a corrupt design.  A chaos SEU never lands here:
-            # FabricScheduler.corrupt_image swaps in a new stored image, so
-            # the upset stays latent until the next program of that design.
-            # An unchanged image answers from Bitstream.verify's memo.
-            if not bitstream.verify():
-                self.exceptions.raise_error(ErrorCode.BITSTREAM_CORRUPT)
-                raise DuetError(
-                    f"bitstream {bitstream.design_name!r} corrupted during "
-                    "the configuration transfer"
-                )
-            self.programmed_bitstream = bitstream
-            self.stats.counter("programmings").increment()
-            if self.tracer is not None:
-                self.tracer.complete(
-                    "xfer", self.name, start_ps, self.sim.now_ps - start_ps,
-                    cat="ctrl", args={"design": bitstream.design_name,
-                                      "bits": bitstream.config_bits})
-        finally:
-            self.programming_busy = False
-        return None
-
     def program_instantly(self, bitstream: Bitstream) -> None:
-        """Zero-time variant used by experiment set-up code."""
+        """Install ``bitstream`` in zero time (experiment set-up code)."""
         if not bitstream.verify():
             self.exceptions.raise_error(ErrorCode.BITSTREAM_CORRUPT)
             raise DuetError(f"bitstream {bitstream.design_name!r} failed its integrity check")
@@ -259,7 +253,7 @@ class ControlHub:
             self.exceptions.clear()
         elif offset == REG_PROGRAM:
             # Software cannot hand the engine an image over MMIO; images
-            # are programmed through program() / program_instantly().
+            # are programmed through program_instantly().
             self.exceptions.raise_error(ErrorCode.PROTOCOL)
         elif offset == REG_HUB_ACTIVE:
             if self._hub_activation_hook is not None:
@@ -272,7 +266,7 @@ class ControlHub:
     def _control_read(self, offset: int):
         yield self.sys_domain.wait_cycles(1)
         if offset == REG_STATUS:
-            return 1 if (self.programmed_bitstream is not None and not self.programming_busy) else 0
+            return 1 if self.programmed_bitstream is not None else 0
         if offset == REG_CLK_MHZ:
             return int(self.clock_generator.frequency_mhz)
         if offset == REG_TIMEOUT:

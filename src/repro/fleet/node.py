@@ -12,12 +12,14 @@ same rows (it sorts them by node id; see ``docs/fleet.md``).
 Nodes may differ in fabric count (:attr:`NodeSpec.fabrics`); the placement
 policies normalize load by fabric count so a 2-fabric node absorbs twice
 the traffic.  Every node serves at the :class:`ServeConfig` defaults for
-clocks, queue capacity and patience.
+queue capacity and patience, and at the serving clocks (the
+:data:`~repro.serve.scheduler.SYSTEM_MHZ` system clock, each accelerator
+at its Fmax).
 
 A tenant that *migrates* onto a node (the router re-placed it) pays a real
 cost before its stream starts there: the target fabric must be programmed
-from scratch (``config_bits / programming_bits_per_cycle`` system cycles,
-exactly what :meth:`~repro.core.control_hub.ControlHub.program` charges)
+from scratch (``config_bits / PROGRAMMING_BITS_PER_CYCLE`` system cycles,
+exactly what :func:`~repro.core.control_hub.transfer_bitstream` charges)
 plus a state-transfer stall.  The stall is applied as the traffic source's
 ``start_delay_ns``, so a migration shows up where it hurts: requests that
 would have arrived during the blackout never get served there.
@@ -30,10 +32,10 @@ from typing import Any, Dict, Optional, Tuple
 
 import random
 
-from repro.core.control_hub import program_cycles
+from repro.core.control_hub import PROGRAMMING_BITS_PER_CYCLE, program_cycles
 from repro.serve.catalog import resolve_accelerator
 from repro.serve.deployment import Deployment
-from repro.serve.scheduler import FabricScheduler, ServeConfig
+from repro.serve.scheduler import SYSTEM_MHZ, FabricScheduler, ServeConfig
 from repro.serve.traffic import Request, TenantSpec, TrafficSource
 from repro.sim import Delay
 from repro.sim.stats import mix_seed
@@ -100,13 +102,11 @@ def node_seed(seed: int, node_id: int, epoch: int) -> int:
 
 def migration_stall_ns(scheduler: FabricScheduler, accelerator: str) -> float:
     """The blackout a migrated tenant pays before serving on a new node:
-    one full bitstream program through the node's own control hub at its
-    system clock, plus the fixed :data:`STATE_TRANSFER_NS`."""
+    one full bitstream program at the serving system clock, plus the fixed
+    :data:`STATE_TRANSFER_NS`."""
     bitstream = scheduler.accelerators[accelerator].bitstream
-    hub = scheduler.fabrics[0].control_hub
-    cycles = program_cycles(bitstream.config_bits,
-                            hub.config.programming_bits_per_cycle)
-    return cycles * 1000.0 / scheduler.config.system_mhz + STATE_TRANSFER_NS
+    cycles = program_cycles(bitstream.config_bits, PROGRAMMING_BITS_PER_CYCLE)
+    return cycles * 1000.0 / SYSTEM_MHZ + STATE_TRANSFER_NS
 
 
 def _replay_burst(scheduler: FabricScheduler, tenant: TenantSpec, count: int,

@@ -12,7 +12,7 @@ configuration chain).  A regioned image records per-region configuration-bit
 counts and per-region CRC-32 checksums of the pristine payload slices;
 :meth:`Bitstream.for_regions` cuts a partial image covering a subset of
 regions, whose ``config_bits`` is exactly what a region-granular reprogram
-pays through :meth:`repro.core.control_hub.ControlHub.program`.  Monolithic
+pays through :func:`repro.core.control_hub.transfer_bitstream`.  Monolithic
 bitstreams (``region_bits is None``) behave exactly as before.
 """
 

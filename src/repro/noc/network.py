@@ -171,23 +171,6 @@ class NocNetwork:
         delivered.succeed(sim.now)
 
     # ------------------------------------------------------------------ #
-    # Link faults (delegated to the topology; see repro.chaos)
-    # ------------------------------------------------------------------ #
-    def fail_link(self, a: int, b: int, bidirectional: bool = True) -> None:
-        """Kill the physical link ``a <-> b``: later sends route around it.
-
-        Messages already injected keep their reserved route (the flits are
-        in flight); only routes computed after the fault avoid the link.
-        """
-        self.topology.fail_link(a, b, bidirectional=bidirectional)
-        self.stats.counter("link_faults").increment()
-
-    def heal_link(self, a: int, b: int, bidirectional: bool = True) -> None:
-        """Restore a failed link; later sends may use it again."""
-        self.topology.heal_link(a, b, bidirectional=bidirectional)
-        self.stats.counter("link_repairs").increment()
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property

@@ -8,7 +8,7 @@ request:
 * ``queue`` — time between becoming ready (admission or replay) and a
   worker dequeuing the request;
 * ``program`` — bitstream/span transfer time paid on behalf of the
-  request (the ``ControlHub.program`` walk, whole image or region span);
+  request (the ``transfer_bitstream`` walk, whole image or region span);
 * ``retune`` — clock retune time (zero in the current model: the
   generator settles instantaneously after programming — the stage is
   kept so the table survives a future retune-latency model);

@@ -81,9 +81,6 @@ class PowerConfig:
     #: Leakage power density at nominal voltage (mW per mm^2 of silicon).
     leakage_mw_per_mm2: float = 0.12
 
-    #: Record per-epoch power/frequency traces into ``EnergyModel.stats``.
-    trace: bool = True
-
     def __post_init__(self) -> None:
         if self.nominal_mhz <= 0:
             raise ValueError(f"nominal_mhz must be positive, got {self.nominal_mhz}")
@@ -324,7 +321,7 @@ class EnergyModel:
             fpga_active_cycles=delta["fpga_active_cycles"],
             fpga_utilization=fpga_util,
         )
-        if config.trace and elapsed > 0:
+        if elapsed > 0:
             stats = self.stats
             stats.series("power_mw").record(now, sample.avg_power_mw)
             stats.series("energy_pj").record(now, total)

@@ -7,15 +7,15 @@ programming engine — the cost the reconfiguration-affinity policy exists to
 amortize.  Each catalog entry pre-computes what installation would compute:
 the synthesis result (post-route Fmax, fabric instance, area) and the
 deterministic :class:`~repro.fpga.bitstream.Bitstream`, whose
-``config_bits`` drive the programming-transfer time exactly as they do in
-:meth:`repro.core.control_hub.ControlHub.program`.
+``config_bits`` drive the programming-transfer time of
+:func:`repro.core.control_hub.transfer_bitstream`.
 
 The request-service model is intentionally simple and deterministic: a
 request of ``size`` work items occupies the fabric for
-``base_cycles + size * cycles_per_item`` eFPGA cycles at the programmed
-clock.  The constants are per-accelerator so SJF has real variance to
-exploit and so the clock retune (each accelerator runs at its own Fmax
-clamp) actually shows up in latency.
+``base_cycles + size * cycles_per_item`` eFPGA cycles at the accelerator's
+Fmax.  The constants are per-accelerator so SJF has real variance to
+exploit and so the clock retune (each accelerator runs at its own Fmax)
+actually shows up in latency.
 """
 
 from __future__ import annotations

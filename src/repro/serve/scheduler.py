@@ -1,14 +1,15 @@
 """Reconfiguration-aware multiplexing of eFPGA fabrics across tenants.
 
 A :class:`FabricScheduler` owns a bounded admission queue and one worker
-process per :class:`FabricContext`.  Each fabric is a real slice of the
-existing simulation stack — a :class:`~repro.core.control_hub.ControlHub`
-on its own one-tile NoC plus a
-:class:`~repro.fpga.clocking.ProgrammableClockGenerator` — so switching a
-fabric between two tenants' accelerators pays the *actual* programming
-engine transfer time (``config_bits / programming_bits_per_cycle`` system
-cycles through :meth:`ControlHub.program`) and retunes the eFPGA clock
-through the same Fmax-clamped path software retunes use.
+process per :class:`FabricContext`.  A fabric is the two parts of the
+Control Hub's FPGA Manager that serving uses: the programming engine's
+timed transfer (:func:`~repro.core.control_hub.transfer_bitstream`,
+``config_bits / PROGRAMMING_BITS_PER_CYCLE`` cycles of the
+:data:`SYSTEM_MHZ` system clock) and a
+:class:`~repro.fpga.clocking.ProgrammableClockGenerator`, retuned to each
+programmed accelerator's Fmax.  The fabrics are the tiles of one
+``num_fabrics`` x 1 control-NoC mesh (:attr:`FabricScheduler.topology`)
+whose links chaos can cut; tile 0 is the control tile.
 
 Scheduling policies are pluggable (:data:`POLICY_KINDS`):
 
@@ -25,7 +26,7 @@ Scheduling policies are pluggable (:data:`POLICY_KINDS`):
 With ``ServeConfig.regions > 1`` each fabric is one *shared* device carved
 into K column-band regions (:mod:`repro.reconfig`): designs co-locate on
 contiguous spans, a switch programs only the changed span
-(:meth:`Bitstream.for_regions` through the same ``ControlHub.program``),
+(:meth:`Bitstream.for_regions` through the same ``transfer_bitstream``),
 idle spans are evicted LRU-first when the grid is full, and K region
 workers per fabric serve different resident designs concurrently.  With
 the default ``regions=1`` the whole-fabric path below runs unchanged —
@@ -43,12 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.control_hub import ControlHub
+from repro.core.control_hub import transfer_bitstream
 from repro.core.exceptions import DuetError
-from repro.cpu.mmio import MmioMap
 from repro.fpga.bitstream import Bitstream
 from repro.fpga.clocking import ProgrammableClockGenerator
-from repro.noc import NocNetwork, TileRouter, make_topology
+from repro.noc import make_topology
 from repro.obs.trace import LifecycleSubscriber, RequestTrace, Tracer
 from repro.reconfig.placement import RegionAllocator
 from repro.reconfig.plan import RegionPlan
@@ -152,17 +152,14 @@ def make_policy(kind: str, patience_ns: float = 100_000.0) -> SchedulingPolicy:
 # One servable fabric
 # --------------------------------------------------------------------------- #
 class FabricContext:
-    """One eFPGA fabric: Control Hub, clock generator, programmed state."""
+    """One eFPGA fabric: programming engine, clock generator, programmed state."""
 
     def __init__(
         self,
         sim: Simulator,
         sys_domain: ClockDomain,
-        tile_router: TileRouter,
-        mmio_map: MmioMap,
         accelerators: Dict[str, ServedAccelerator],
         index: int = 0,
-        fpga_mhz: Optional[float] = None,
         images: Optional[Dict[str, Bitstream]] = None,
         plan: Optional[RegionPlan] = None,
     ) -> None:
@@ -171,13 +168,8 @@ class FabricContext:
         self.index = index
         self.name = f"fabric{index}"
         self.accelerators = accelerators
-        #: Requested service clock; ``None`` runs each accelerator at Fmax.
-        self.fpga_mhz = fpga_mhz
         self.clock_generator = ProgrammableClockGenerator(
             sim, name=f"{self.name}.clkgen")
-        self.control_hub = ControlHub(
-            sim, sys_domain, tile_router, mmio_map, self.clock_generator,
-            name=f"{self.name}.ctrl")
         self.current_design: Optional[str] = None
         self.reconfigurations = 0
         self.reconfig_ns_total = 0.0
@@ -187,8 +179,9 @@ class FabricContext:
         self.energy = None
         #: Observability hooks (:mod:`repro.obs`): when the scheduler is
         #: built with a Tracer, ``tracer`` records ``clock_retune`` instants
-        #: and the scheduler's :class:`~repro.obs.trace.RequestTrace`
-        #: records the serve path's ``program``/``service`` spans.
+        #: and ``xfer`` transfer spans (on track ``<name>.ctrl``), and the
+        #: scheduler's :class:`~repro.obs.trace.RequestTrace` records the
+        #: serve path's ``program``/``service`` spans.
         self.tracer = None
         self.request_trace: Optional[RequestTrace] = None
         #: Corrupt-image overrides shared with the scheduler (see
@@ -226,7 +219,7 @@ class FabricContext:
         self.failed = False
         self.fail_reason = None
         # The configuration memory did not survive the fault: the next
-        # request pays a full reprogram through ControlHub.program.
+        # request pays a full reprogram through transfer_bitstream.
         self.current_design = None
         if self.allocator is not None:
             self.allocator.reset()
@@ -259,39 +252,40 @@ class FabricContext:
             return not self.allocator.is_pinned(name)
         return self.allocator.can_place(self.plan.tiles[name], name)
 
-    def clock_mhz_for(self, accelerator: ServedAccelerator) -> float:
-        """The clock the generator would settle at for this accelerator."""
-        target = self.fpga_mhz if self.fpga_mhz is not None else accelerator.fmax_mhz
-        return min(target, accelerator.fmax_mhz)
-
     def estimate_service_ns(self, request: Request) -> float:
-        """Pure service-time estimate (no queueing, no reconfiguration)."""
+        """Pure service-time estimate at Fmax (no queueing, no reconfiguration)."""
         accelerator = self.accelerators[request.accelerator]
         cycles = accelerator.service_cycles(request.size)
-        return cycles * 1000.0 / self.clock_mhz_for(accelerator)
+        return cycles * 1000.0 / accelerator.fmax_mhz
 
     # ------------------------------------------------------------------ #
     # The serve path (generators driven by the scheduler worker)
     # ------------------------------------------------------------------ #
+    def _transfer(self, image: Bitstream):
+        """The programming engine's timed transfer of ``image``."""
+        return transfer_bitstream(self.sim, self.sys_domain, image,
+                                  f"{self.name}.ctrl", self.tracer)
+
     def reconfigure(self, accelerator: ServedAccelerator):
-        """Program ``accelerator``'s bitstream and retune the eFPGA clock."""
+        """Program ``accelerator``'s bitstream and retune the eFPGA clock to
+        its Fmax."""
         started = self.sim.now
         if self.energy is not None:
             # Close the accounting epoch at the old frequency before the
             # retune so each epoch integrates at the voltage that applied.
             self.energy.sample()
         image = self.images.get(accelerator.name)
-        yield from self.control_hub.program(
+        yield from self._transfer(
             image if image is not None else accelerator.bitstream)
         self.clock_generator.set_max_frequency(accelerator.fmax_mhz)
-        self.clock_generator.set_frequency(self.clock_mhz_for(accelerator))
+        self.clock_generator.set_frequency(accelerator.fmax_mhz)
         if self.tracer is not None:
             # The generator settles instantaneously in the current clock
             # model, so the retune is an instant, not a span (decompose
             # keeps a zero "retune" stage for when that changes).
             self.tracer.instant(
                 "clock_retune", self.name, self.sim.now_ps, cat="reconfig",
-                args={"mhz": self.clock_mhz_for(accelerator)})
+                args={"mhz": accelerator.fmax_mhz})
         self.current_design = accelerator.name
         self.reconfigurations += 1
         elapsed = self.sim.now - started
@@ -327,7 +321,7 @@ class FabricContext:
         """Hot-swap one contiguous span: transfer only its regions' bits."""
         started = self.sim.now
         image = self.images.get(name, self.plan.images[name])
-        yield from self.control_hub.program(image.for_regions(span))
+        yield from self._transfer(image.for_regions(span))
         self.reconfigurations += 1
         self.regions_programmed += len(span)
         elapsed = self.sim.now - started
@@ -341,8 +335,8 @@ class FabricContext:
         accelerator instance = one request at a time) and pinned *before*
         programming starts, so a concurrent worker placing another design
         can never evict a span mid-transfer.  Region grids run each design
-        at its own clock (per-region clocking), so service time is a plain
-        delay at :meth:`clock_mhz_for` — no shared-generator retune.
+        at its own Fmax (per-region clocking), so service time is a plain
+        delay — no shared-generator retune.
         """
         trace = self.request_trace
         accelerator = self.accelerators[request.accelerator]
@@ -372,7 +366,7 @@ class FabricContext:
             request.start_ns = self.sim.now
             service_start_ps = self.sim.now_ps if trace is not None else 0
             cycles = accelerator.service_cycles(request.size)
-            yield Delay(cycles * 1000.0 / self.clock_mhz_for(accelerator))
+            yield Delay(cycles * 1000.0 / accelerator.fmax_mhz)
             request.finish_ns = self.sim.now
             self.service_ns_total += request.finish_ns - request.start_ns
             if trace is not None:
@@ -385,15 +379,20 @@ class FabricContext:
 # --------------------------------------------------------------------------- #
 # The scheduler
 # --------------------------------------------------------------------------- #
+#: System clock of every serving deployment (MHz): the clock the programming
+#: engine's transfer cycles tick at.
+SYSTEM_MHZ = 1000.0
+
+
 @dataclass
 class ServeConfig:
-    """Static configuration of one serving deployment."""
+    """Static configuration of one serving deployment.
+
+    Every accelerator serves at its own post-route Fmax.
+    """
 
     policy: str = "fcfs"
     num_fabrics: int = 1
-    system_mhz: float = 1000.0
-    #: ``None`` runs every accelerator at its own post-route Fmax.
-    fpga_mhz: Optional[float] = None
     #: Bounded admission queue; ``None`` means unbounded (never shed).
     queue_capacity: Optional[int] = 64
     #: Affinity starvation guard (see :class:`AffinityPolicy`).
@@ -410,11 +409,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.num_fabrics < 1:
             raise ValueError(f"need at least one fabric, got {self.num_fabrics}")
-        if self.system_mhz <= 0:
-            raise ValueError(f"system_mhz must be positive, got {self.system_mhz}")
-        if self.fpga_mhz is not None and self.fpga_mhz <= 0:
-            raise ValueError(
-                f"fpga_mhz must be positive or None, got {self.fpga_mhz}")
         if self.patience_ns < 0:
             raise ValueError(f"patience_ns cannot be negative, got {self.patience_ns}")
         if self.queue_capacity is not None and self.queue_capacity < 1:
@@ -452,8 +446,8 @@ class FabricScheduler:
 
     Every observer and mode is fixed at construction: ``tracer`` records
     the request lifecycle (a :class:`~repro.obs.trace.RequestTrace`
-    subscriber) plus the fabrics' program/service spans and the control
-    hubs' transfers; ``telemetry`` (a
+    subscriber) plus the fabrics' program/service spans and their
+    ``xfer`` transfers; ``telemetry`` (a
     :class:`~repro.obs.monitor.TelemetryMonitor`) windows the monitor's
     series; ``recovery`` selects the fault path — replay lost requests
     and scrub corrupt images (True) or shed what a fault touches.
@@ -470,17 +464,16 @@ class FabricScheduler:
         self.config = config
         self.monitor = monitor or SloMonitor(sim)
         self.policy = make_policy(config.policy, patience_ns=config.patience_ns)
-        self.sys_domain = ClockDomain(sim, config.system_mhz, "serve-sys")
+        self.sys_domain = ClockDomain(sim, SYSTEM_MHZ, "serve-sys")
         # Pre-materialize every servable bitstream once (the offline
         # synthesis the paper's toolchain performs).
         self.accelerators: Dict[str, ServedAccelerator] = {}
         for name in config.accelerators:
             if name not in self.accelerators:
                 self.accelerators[name] = materialize(name)
-        # One tile per fabric on a private control NoC.
-        self.network = NocNetwork(sim, self.sys_domain,
-                                  topology=make_topology("mesh", config.num_fabrics, 1))
-        mmio_map = MmioMap()
+        #: The control NoC: one tile per fabric, tile 0 the control tile.
+        #: It carries no traffic; chaos cuts its links (:meth:`cut_link`).
+        self.topology = make_topology("mesh", config.num_fabrics, 1)
         #: Corrupt-image overrides keyed by accelerator name.  SEU injection
         #: writes here; reconfigure reads through it; scrubbing pops the
         #: entry to restore the pristine catalog bitstream.  Empty (and
@@ -493,8 +486,7 @@ class FabricScheduler:
             if config.regions > 1 else None)
         self.fabrics = [
             FabricContext(
-                sim, self.sys_domain, TileRouter(self.network, node), mmio_map,
-                self.accelerators, index=node, fpga_mhz=config.fpga_mhz,
+                sim, self.sys_domain, self.accelerators, index=node,
                 images=self.images, plan=self.region_plan,
             )
             for node in range(config.num_fabrics)
@@ -520,7 +512,6 @@ class FabricScheduler:
             for fabric in self.fabrics:
                 fabric.tracer = tracer
                 fabric.request_trace = request_trace
-                fabric.control_hub.tracer = tracer
         if telemetry is not None:
             telemetry.scheduler = self
         #: The request-lifecycle fan-out: every event goes once to each
@@ -612,7 +603,7 @@ class FabricScheduler:
         """SEU: flip bits in the stored image of ``accelerator``.
 
         Latent until the next reprogram of that accelerator trips the
-        programming engine's integrity check (see ControlHub.program).  In
+        programming engine's integrity check (see transfer_bitstream).  In
         region mode the upset lands in the design's *regioned* image, so it
         only trips when the flipped span is actually transferred — an SEU
         in a region that is never reprogrammed stays latent forever."""
@@ -634,9 +625,9 @@ class FabricScheduler:
         """Fault the control-NoC link ``a <-> b``; fabrics cut off from the
         control tile (tile 0) fail until :meth:`restore_link`.  Returns the
         indices that went unreachable."""
-        self.network.fail_link(a, b)
+        self.topology.fail_link(a, b)
         self.fault_stats["link_faults"].increment()
-        reachable = self.network.topology.reachable_set(0)
+        reachable = self.topology.reachable_set(0)
         lost = tuple(
             fabric.index for fabric in self.fabrics
             if fabric.index not in reachable and not fabric.failed)
@@ -646,8 +637,8 @@ class FabricScheduler:
 
     def restore_link(self, a: int, b: int) -> Tuple[int, ...]:
         """Heal the link and revive fabrics that are reachable again."""
-        self.network.heal_link(a, b)
-        reachable = self.network.topology.reachable_set(0)
+        self.topology.heal_link(a, b)
+        reachable = self.topology.reachable_set(0)
         revived = tuple(
             fabric.index for fabric in self.fabrics
             if fabric.index in reachable and fabric.failed

@@ -33,7 +33,6 @@ from repro.chaos import (
     FaultSchedule,
     FaultSpec,
 )
-from repro.core.exceptions import ErrorCode
 from repro.fleet import NodeSpec, TenantShare
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.fleet.router import HashPlacement
@@ -256,21 +255,21 @@ def test_seu_during_a_transfer_stays_latent_until_the_next_program():
     """An SEU lands in the *stored* image: ``corrupt_image`` swaps in a new
     object, so the image already in flight is untouched.  The transfer that
     was running completes on the pristine image, and the next program of
-    that accelerator trips ``BITSTREAM_CORRUPT`` and takes the scrub path."""
+    that accelerator trips the integrity check and takes the scrub path."""
     sim = Simulator()
+    tracer = Tracer()
     scheduler = FabricScheduler(sim, ServeConfig(
-        policy="fcfs", accelerators=("popcount", "sort64")))
+        policy="fcfs", accelerators=("popcount", "sort64")), tracer=tracer)
     fabric = scheduler.fabrics[0]
-    hub = fabric.control_hub
-    injected, errors = [], []
+    injected = []
     corrupt_image = scheduler.corrupt_image
 
     def observed_corrupt_image(name, offset, flip_mask):
-        injected.append((name, hub.programming_busy, fabric.current_design))
+        injected.append((name, sim.now_ps, fabric.current_design,
+                         fabric.reconfigurations))
         corrupt_image(name, offset, flip_mask)
 
     scheduler.corrupt_image = observed_corrupt_image
-    hub.exceptions.on_error(lambda code: errors.append((code, sim.now)))
     # 1 ns in: the worker is inside popcount's configuration transfer.
     FaultInjector(sim, scheduler, [FaultEvent(
         kind="seu", time_ns=1.0, fabric=0, spec_index=0, seu_offset=3)], seu_targets=("popcount",))
@@ -286,17 +285,30 @@ def test_seu_during_a_transfer_stays_latent_until_the_next_program():
 
     sim.process(feeder(), name="test.feeder")
     sim.run(max_events=500_000)
-    assert injected == [("popcount", True, None)]
+    # The upset hit while the fabric's first program was still running.
+    assert len(injected) == 1
+    name, injected_ps, design, reconfigurations = injected[0]
+    assert (name, design, reconfigurations) == ("popcount", None, 0)
+    transfers = [span for span in tracer.spans
+                 if span.name == "xfer" and span.tid == f"{fabric.name}.ctrl"]
+    assert [span.args["design"] for span in transfers] == [
+        "popcount", "sort64", "popcount"]
+    assert transfers[0].start_ps < injected_ps < transfers[0].start_ps + transfers[0].dur_ps
     # The in-flight program completed: the first request was served.
     assert first.finish_ns > 0 and not first.shed
-    # The next popcount program tripped the check, after sort64 was served.
-    assert [code for code, _ in errors] == [ErrorCode.BITSTREAM_CORRUPT]
-    assert other.finish_ns <= errors[0][1]
+    # The next popcount program tripped the check, after sort64 was served:
+    # the scrub starts at the trip, and no transfer ran for that attempt.
+    scrubs = [span for span in tracer.spans if span.name == "seu_scrub"]
+    assert [(span.tid, span.args["design"]) for span in scrubs] == [
+        (fabric.name, "popcount")]
+    assert other.finish_ns * 1000.0 <= scrubs[0].start_ps
+    assert scrubs[0].start_ps + scrubs[0].dur_ps <= transfers[2].start_ps
     assert scheduler.fault_stats["seu_scrubs"].value == 1
     assert scheduler.monitor.accounts["t"].replayed == 1
     assert again.finish_ns > 0 and not again.shed
     assert "popcount" not in scheduler.images
-    assert hub.programmed_bitstream is scheduler.accelerators["popcount"].bitstream
+    assert fabric.current_design == "popcount"
+    assert fabric.reconfigurations == 3
 
 
 def test_the_injector_keeps_the_fault_path_the_scheduler_was_built_with():
@@ -350,6 +362,56 @@ def test_link_cut_fails_unreachable_fabrics_and_repair_restores_them():
     # The link repaired mid-run, so no fabric is dead at the end.
     assert outcome["chaos"]["dead_fabrics"] == 0
     assert row["completed"] > 0
+
+
+@pytest.mark.parametrize("num_fabrics", [3, 4])
+def test_link_cuts_fail_exactly_the_fabrics_cut_off_from_the_control_tile(
+        num_fabrics):
+    """On a ``num_fabrics`` x 1 control NoC, after every cut or repair the
+    dead fabrics are exactly those unreachable from tile 0 plus those a
+    ``fabric`` fault killed; a repair revives only ``unreachable`` ones,
+    and a fabric-killed fabric stays dead through every link repair."""
+    scheduler = FabricScheduler(Simulator(), ServeConfig(
+        num_fabrics=num_fabrics, accelerators=("popcount",)))
+    reference = make_topology("mesh", num_fabrics, 1)
+    links = [(a, a + 1) for a in range(num_fabrics - 1)]
+    rng = random.Random(num_fabrics)
+    killed = {num_fabrics - 1}
+    assert scheduler.fail_fabric(num_fabrics - 1, reason="fabric")
+    cuts = 0
+
+    def check():
+        cut_off = set(range(num_fabrics)) - reference.reachable_set(0)
+        failed = {f.index: f.fail_reason for f in scheduler.fabrics if f.failed}
+        assert set(failed) == cut_off | killed
+        assert all(failed[index] == "fabric" for index in killed)
+        assert all(failed[index] == "unreachable"
+                   for index in cut_off - killed)
+        return cut_off
+
+    cut_off = check()
+    for _ in range(16):
+        a, b = rng.choice(links)
+        if rng.random() < 0.5:
+            before = {f.index for f in scheduler.fabrics if f.failed}
+            reference.fail_link(a, b)
+            cuts += 1
+            lost = scheduler.cut_link(a, b)
+            cut_off = check()
+            assert set(lost) == cut_off - before
+        else:
+            was_unreachable = cut_off - killed
+            reference.heal_link(a, b)
+            revived = scheduler.restore_link(a, b)
+            cut_off = check()
+            assert set(revived) == was_unreachable - cut_off
+            assert not set(revived) & killed
+    for a, b in links:
+        reference.heal_link(a, b)
+        scheduler.restore_link(a, b)
+    assert check() == set()
+    assert {f.index for f in scheduler.fabrics if f.failed} == killed
+    assert scheduler.fault_stats["link_faults"].value == cuts > 0
 
 
 def test_serve_chaos_rows_only_grow_columns_after_a_fault():

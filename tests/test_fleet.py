@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.api import Runner
+from repro.core.control_hub import PROGRAMMING_BITS_PER_CYCLE
 from repro.fleet import (
     STATE_TRANSFER_NS,
     Autoscaler,
@@ -35,7 +36,7 @@ from repro.fleet.experiments import (
     fleet_scaling_summary,
     pareto_front,
 )
-from repro.serve.scheduler import FabricScheduler, ServeConfig
+from repro.serve.scheduler import SYSTEM_MHZ, FabricScheduler, ServeConfig
 from repro.serve.traffic import ClientPopulation, TenantSpec
 from repro.sim import Simulator
 
@@ -386,21 +387,13 @@ def test_node_free_capacity_is_the_serving_queue_bound_minus_its_peak():
 
 
 def test_migration_stall_charges_programming_plus_state_transfer():
-    def scheduler_at(system_mhz):
-        return FabricScheduler(Simulator(), ServeConfig(
-            system_mhz=system_mhz, accelerators=("popcount",)))
-
-    scheduler = scheduler_at(1000.0)
+    scheduler = FabricScheduler(Simulator(), ServeConfig(
+        accelerators=("popcount",)))
     bitstream = scheduler.accelerators["popcount"].bitstream
-    hub = scheduler.fabrics[0].control_hub
-    bits_per_cycle = hub.config.programming_bits_per_cycle
-    expected_program_ns = -(-bitstream.config_bits // bits_per_cycle) * 1.0
+    cycles = -(-bitstream.config_bits // PROGRAMMING_BITS_PER_CYCLE)
+    expected_program_ns = cycles * 1000.0 / SYSTEM_MHZ
     stall = migration_stall_ns(scheduler, "popcount")
     assert stall == pytest.approx(expected_program_ns + STATE_TRANSFER_NS)
-    # A node with a faster system clock programs faster; the state
-    # transfer is fixed.
-    faster = migration_stall_ns(scheduler_at(2000.0), "popcount")
-    assert faster == pytest.approx(expected_program_ns / 2 + STATE_TRANSFER_NS)
 
 
 def test_migrated_tenant_pays_the_blackout():

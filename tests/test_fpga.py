@@ -193,37 +193,46 @@ def test_bitstream_corrupted_rejects_empty_and_cancelling_masks():
 
 def test_corruption_mid_transfer_trips_the_post_transfer_check():
     """An upset landing while the configuration memory is being written
-    must not activate a corrupt design: ``ControlHub.program`` re-verifies
+    must not activate a corrupt design: ``transfer_bitstream`` re-verifies
     after the transfer window and raises (see repro.chaos)."""
+    import dataclasses
+
+    from repro.core.control_hub import transfer_bitstream
     from repro.core.exceptions import DuetError
-    from repro.serve.scheduler import FabricScheduler, ServeConfig
+    from repro.obs import Tracer
+    from repro.serve.catalog import materialize
 
     sim = Simulator()
-    scheduler = FabricScheduler(sim, ServeConfig(accelerators=("popcount",)))
-    hub = scheduler.fabrics[0].control_hub
-    bitstream = scheduler.accelerators["popcount"].bitstream
-    errors = []
+    sys_domain = ClockDomain(sim, 1000.0)
+    tracer = Tracer()
+    # A private copy: the upset below mutates it in place.
+    bitstream = dataclasses.replace(materialize("popcount").bitstream)
+    errors, upsets = [], []
 
     def programmer():
         try:
-            yield from hub.program(bitstream)
+            yield from transfer_bitstream(sim, sys_domain, bitstream,
+                                          "fabric0.ctrl", tracer)
         except DuetError as exc:
-            errors.append(str(exc))
+            errors.append((str(exc), sim.now))
 
     def upset():
         # Fire inside the transfer window: the pre-transfer verify already
         # passed, so only the post-transfer re-check can catch this.
         yield sim.timeout(1.0)
-        assert hub.programming_busy
+        upsets.append(sim.now)
         bitstream.data = bitstream.corrupted(offset=3).data
 
     sim.process(programmer())
     sim.process(upset())
     sim.run()
     assert len(errors) == 1
-    assert "corrupted during the configuration transfer" in errors[0]
-    assert hub.programmed_bitstream is None
-    assert not hub.programming_busy
+    message, tripped_ns = errors[0]
+    assert "corrupted during the configuration transfer" in message
+    # The check ran at the end of the window, after the upset.
+    assert upsets == [1.0] and tripped_ns > 1.0
+    # A tripped transfer records no ``xfer`` span.
+    assert [span for span in tracer.spans if span.name == "xfer"] == []
 
 
 class _CountingZlib:

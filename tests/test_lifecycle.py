@@ -169,8 +169,7 @@ def test_scheduler_built_with_observers_orders_hooks_and_matches_golden():
     assert isinstance(scheduler.hooks[2], RequestTrace)
     assert scheduler.hooks[2].tracer is tracer
     assert telemetry.scheduler is scheduler
-    assert all(fabric.tracer is tracer and fabric.control_hub.tracer is tracer
-               for fabric in scheduler.fabrics)
+    assert all(fabric.tracer is tracer for fabric in scheduler.fabrics)
     sources = build_sources(sim, tenants, scheduler.submit,
                             total_rate_rps=300_000.0, duration_ns=300_000.0,
                             seed=DEFAULT_SEED)

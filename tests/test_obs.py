@@ -446,6 +446,38 @@ def test_tracing_never_perturbs_results():
         assert plain["rows"] == traced["rows"], kwargs
 
 
+@pytest.mark.parametrize("regions", [1, 4])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_every_transfer_is_one_program_span_and_one_reconfiguration(
+        regions, noisy):
+    """Each traced ``xfer`` span on ``fabricN.ctrl`` pairs with one
+    ``program`` span on that fabric's track, with the same start and
+    duration, and there are as many as the scheduler counted
+    reconfigurations: a transfer the integrity check trips records
+    neither."""
+    from collections import Counter
+
+    from repro.chaos.inject import ChaosConfig
+    from repro.obs.experiments import noise_schedule
+
+    tracer = Tracer()
+    outcome = run_serve(
+        "affinity", tenant_mix="quad", arrival_rate_krps=300.0,
+        regions=regions, tracer=tracer,
+        chaos=ChaosConfig(noise_schedule(4.0)) if noisy else None)
+    transfers = Counter(
+        (span.tid[:-len(".ctrl")], span.start_ps, span.dur_ps)
+        for span in tracer.spans if span.name == "xfer")
+    programs = Counter(
+        (span.tid.split("/")[0], span.start_ps, span.dur_ps)
+        for span in tracer.spans if span.name == "program")
+    assert all(span.tid.endswith(".ctrl")
+               for span in tracer.spans if span.name == "xfer")
+    assert transfers == programs
+    reconfigurations = outcome["scheduler"].fabric_totals()["reconfigurations"]
+    assert sum(transfers.values()) == reconfigurations > 0
+
+
 @settings(max_examples=20, deadline=None)
 @given(mix=st.sampled_from(["duo", "quad"]), regions=st.sampled_from([1, 2, 4]),
        policy=st.sampled_from(POLICY_KINDS),

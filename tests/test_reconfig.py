@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.registry import get_experiment
 from repro.api.runner import Runner
-from repro.core.control_hub import ControlHubConfig, program_cycles
+from repro.core.control_hub import PROGRAMMING_BITS_PER_CYCLE, program_cycles
 from repro.fpga.bitstream import Bitstream, BitstreamError
 from repro.fpga.fabric import FabricInstance, FabricSpec
 from repro.fpga.synthesis import SynthesisModel
@@ -57,7 +57,7 @@ def test_program_cycles_matches_both_legacy_formulas_for_catalog_images():
     """Tile-aligned images (tiles x 1024 bits vs 64 bits/cycle) divide
     exactly, so unifying serve's floor and fleet's ceil on one helper is
     bit-identical for every image either layer ever programs."""
-    bits_per_cycle = ControlHubConfig().programming_bits_per_cycle
+    bits_per_cycle = PROGRAMMING_BITS_PER_CYCLE
     for name in ("popcount", "sort64", "tangent", "dijkstra"):
         bits = materialize(name).bitstream.config_bits
         assert bits % bits_per_cycle == 0
@@ -71,8 +71,7 @@ def test_migration_stall_uses_the_shared_helper():
     sim = Simulator()
     scheduler = FabricScheduler(sim, ServeConfig(accelerators=("popcount",)))
     bits = scheduler.accelerators["popcount"].bitstream.config_bits
-    cycles = program_cycles(
-        bits, scheduler.fabrics[0].control_hub.config.programming_bits_per_cycle)
+    cycles = program_cycles(bits, PROGRAMMING_BITS_PER_CYCLE)
     expected = cycles * 1000.0 / 1000.0 + 25_000.0
     assert migration_stall_ns(scheduler, "popcount") == expected
 
