@@ -18,8 +18,9 @@ What each kind does:
   that image and the engine's integrity check trips; then the scheduler
   either scrubs + replays (built with ``recovery=True``) or poisons the
   accelerator.
-* ``link`` — cut one control-NoC link; fabrics partitioned away from the
-  control tile fail, and heal when the link repairs.
+* ``link`` — :meth:`FabricScheduler.cut_link` cuts one link of the chain of
+  control links from the control tile (fabric 0); every fabric past the
+  cut fails, and heals when the link repairs.
 """
 
 from __future__ import annotations
@@ -44,29 +45,17 @@ class ChaosConfig:
     schedule: FaultSchedule
     recovery: bool = True
 
-    @property
-    def enabled(self) -> bool:
-        return self.schedule.enabled
-
 
 class FaultInjector:
     """Arms fault events against one scheduler; purely event-driven."""
 
-    def __init__(
-        self,
-        sim,
-        scheduler,
-        events: Sequence[FaultEvent],
-        seu_targets: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, sim, scheduler, events: Sequence[FaultEvent]) -> None:
         self.sim = sim
         self.scheduler = scheduler
         self.events: Tuple[FaultEvent, ...] = tuple(events)
         #: Accelerator names SEUs can hit; the event's fabric draw indexes
         #: this list (mod its length), so targeting is plain-data too.
-        self.targets: Tuple[str, ...] = (
-            tuple(seu_targets) if seu_targets is not None
-            else tuple(sorted(scheduler.accelerators)))
+        self.targets: Tuple[str, ...] = tuple(sorted(scheduler.accelerators))
         for index, event in enumerate(self.events):
             sim.process(self._run(event),
                         name=f"chaos.{event.kind}.{index}")
@@ -115,8 +104,8 @@ class FaultInjector:
         if event.kind == "link":
             fabrics = len(scheduler.fabrics)
             if fabrics < 2:
-                return None  # a one-fabric control NoC has no links to cut
-            a = min(event.fabric, fabrics - 2)
-            scheduler.cut_link(a, a + 1)
-            return lambda: scheduler.restore_link(a, a + 1)
+                return None  # one fabric has no control link to cut
+            link = min(event.fabric, fabrics - 2)
+            scheduler.cut_link(link)
+            return lambda: scheduler.restore_link(link)
         raise ValueError(f"unknown fault kind {event.kind!r}")  # pragma: no cover

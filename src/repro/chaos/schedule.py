@@ -24,8 +24,9 @@ Three fault kinds ship (:data:`FAULT_KINDS`):
 * ``fabric`` — an eFPGA fabric dies outright (its in-flight request is
   lost, its programmed design is gone); ``scope="node"`` kills every
   fabric on the node at once;
-* ``link`` — a control-NoC link faults: fabrics cut off from the control
-  tile are unreachable until the link repairs after ``repair_ns``.
+* ``link`` — one link of the chain of control links from the control tile
+  (fabric 0) is cut: every fabric past it is unreachable until the link
+  repairs after ``repair_ns``.
 
 See ``docs/chaos.md`` for the fault model and the determinism contract.
 """
@@ -136,10 +137,6 @@ class FaultSchedule:
         # Tolerate a list literal at the call site; keep the field a tuple.
         if not isinstance(self.specs, tuple):
             object.__setattr__(self, "specs", tuple(self.specs))
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.specs)
 
     def stream_seed(self, spec_index: int, epoch: int, node_id: int = 0) -> int:
         """The per-(spec, epoch, node) RNG seed (:func:`mix_seed`).

@@ -218,20 +218,24 @@ class PrivateCacheAgent:
     # Miss handling
     # ------------------------------------------------------------------ #
     def _miss(self, line: int, want_modified: bool):
+        # Every wait loops back to the pending check: a miss to this line
+        # that another request sent while this one waited for an MSHR must
+        # be joined, not duplicated.
         while True:
             pending = self._pending.get(line)
-            if pending is None:
+            if pending is not None:
+                yield pending
+                entry = self.l2.peek(line)
+                if entry is not None and (
+                    entry.state.can_write if want_modified else entry.state.can_read
+                ):
+                    return None
+            elif len(self._pending) >= self.config.max_outstanding_misses:
+                if self._mshr_free is None:
+                    self._mshr_free = self.sim.event(f"{self.name}.mshr-free")
+                yield self._mshr_free
+            else:
                 break
-            yield pending
-            entry = self.l2.peek(line)
-            if entry is not None and (
-                entry.state.can_write if want_modified else entry.state.can_read
-            ):
-                return None
-        while len(self._pending) >= self.config.max_outstanding_misses:
-            if self._mshr_free is None:
-                self._mshr_free = self.sim.event(f"{self.name}.mshr-free")
-            yield self._mshr_free
         completion = Event(self.sim, self._miss_wait_name)
         self._pending[line] = completion
         home = self.address_map.home_tile(line)

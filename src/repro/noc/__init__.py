@@ -13,6 +13,9 @@ The fabric is pluggable: :class:`NocNetwork` routes over any
 ``torus``, ``ring`` or ``crossbar``), selected per system via
 ``DollyConfig.noc_topology`` or built directly with :func:`make_topology`.
 See ``docs/noc.md`` for the topology gallery and the model's invariants.
+Routes are fixed: no link of this network fails.  The serving layer's
+control links, which chaos can cut, are a chain of its own
+(:meth:`repro.serve.scheduler.FabricScheduler.cut_link`), not a NoC.
 """
 
 from repro.noc.message import NocMessage, MessagePlane
@@ -20,7 +23,6 @@ from repro.noc.topology import (
     TOPOLOGY_KINDS,
     Crossbar,
     Mesh2D,
-    NocRouteError,
     Ring,
     Topology,
     Torus2D,
@@ -38,7 +40,6 @@ __all__ = [
     "Torus2D",
     "Ring",
     "Crossbar",
-    "NocRouteError",
     "make_topology",
     "NocNetwork",
     "NocPort",

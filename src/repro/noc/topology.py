@@ -22,43 +22,27 @@ Routes are cached per (src, dst) pair and returned as immutable tuples —
 the route tables are tiny (O(n²) entries) and route computation would
 otherwise dominate the batched-injection fast path in
 :meth:`repro.noc.network.NocNetwork.send`.
-
-**Fault-aware routing** (the :mod:`repro.chaos` layer): any topology can
-mark directed links dead via :meth:`Topology.fail_link`.  While links are
-dead, routes whose primary (dimension-ordered) path crosses a dead link are
-recomputed as the *deterministic shortest detour*: a breadth-first search
-expanding neighbours in ascending node order, so the same fault set always
-yields the same route on every machine.  :meth:`Topology.heal_link`
-restores a link; both clear the route cache, and with no dead links the
-fast path is byte-for-byte the PR 3 one (routes and cache behaviour are
-unchanged — pinned by the NoC goldens).  A partitioned pair raises
-:class:`NocRouteError`; :meth:`Topology.reachable` probes without raising.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 Link = Tuple[int, int]
 Route = Tuple[Link, ...]
 
 
-class NocRouteError(RuntimeError):
-    """Raised when dead links leave a (src, dst) pair unreachable."""
-
-
 class Topology:
     """Base class: node naming, route caching and the routing contract.
 
-    Subclasses implement :meth:`hop_count`, :meth:`neighbors` and
-    :meth:`_compute_route`; ``route`` wraps the latter with a per-pair
-    cache.  The contract every implementation must honour (property-tested
-    in ``tests/test_noc_topologies.py``):
+    Subclasses implement :meth:`hop_count` and :meth:`_compute_route`;
+    ``route`` wraps the latter with a per-pair cache.  The contract every
+    implementation must honour (property-tested in
+    ``tests/test_noc_topologies.py``):
 
     * ``len(route(src, dst)) == hop_count(src, dst)``;
     * the route is contiguous, starts at ``src``, ends at ``dst``, and each
-      link ``(a, b)`` satisfies ``b in neighbors(a)``;
+      link ``(a, b)`` has ``hop_count(a, b) == 1``;
     * ``route(src, src) == ()`` — a local message never enters the fabric;
     * routes are deterministic (the same pair always yields the same route).
     """
@@ -76,8 +60,6 @@ class Topology:
             raise ValueError(f"a topology needs at least one node, got {node_count}")
         self.node_count = node_count
         self._route_cache: Dict[Tuple[int, int], Route] = {}
-        #: Directed links currently marked dead (see :meth:`fail_link`).
-        self._dead_links: Set[Link] = set()
 
     # ------------------------------------------------------------------ #
     # Routing contract
@@ -86,114 +68,17 @@ class Topology:
         """Directed-link route from ``src`` to ``dst`` (cached, immutable).
 
         An empty tuple means source and destination are the same node (the
-        message never enters the network fabric).  With dead links present
-        the primary route is replaced by the deterministic shortest detour;
-        raises :class:`NocRouteError` when no path survives.
+        message never enters the network fabric).
         """
         key = (src, dst)
         cached = self._route_cache.get(key)
         if cached is None:
             self._check_node(src)
             self._check_node(dst)
-            computed = tuple(self._compute_route(src, dst))
-            if self._dead_links and any(link in self._dead_links
-                                        for link in computed):
-                computed = self._detour_route(src, dst)
-            cached = self._route_cache[key] = computed
+            cached = self._route_cache[key] = tuple(self._compute_route(src, dst))
         return cached
 
-    # ------------------------------------------------------------------ #
-    # Link faults (the repro.chaos layer)
-    # ------------------------------------------------------------------ #
-    @property
-    def dead_links(self) -> frozenset:
-        return frozenset(self._dead_links)
-
-    def fail_link(self, a: int, b: int, bidirectional: bool = True) -> None:
-        """Mark the link ``a -> b`` (and, by default, ``b -> a``) dead.
-
-        ``b`` must be a neighbour of ``a`` — failing a link that does not
-        exist is a configuration error, not a fault.  Clears the route
-        cache so every later :meth:`route` call re-routes around the fault.
-        """
-        self._check_node(a)
-        self._check_node(b)
-        if b not in self.neighbors(a):
-            raise ValueError(
-                f"no link {a} -> {b} in {self.kind} topology to fail")
-        self._dead_links.add((a, b))
-        if bidirectional:
-            self._dead_links.add((b, a))
-        self._route_cache.clear()
-
-    def heal_link(self, a: int, b: int, bidirectional: bool = True) -> None:
-        """Restore a previously failed link; clears the route cache."""
-        self._dead_links.discard((a, b))
-        if bidirectional:
-            self._dead_links.discard((b, a))
-        self._route_cache.clear()
-
-    def reachable(self, src: int, dst: int) -> bool:
-        """True when a path from ``src`` to ``dst`` survives the dead links."""
-        self._check_node(src)
-        self._check_node(dst)
-        if src == dst:
-            return True
-        if not self._dead_links:
-            return True
-        return dst in self.reachable_set(src)
-
-    def reachable_set(self, src: int) -> Set[int]:
-        """Every node reachable from ``src`` over live links (includes src)."""
-        self._check_node(src)
-        seen = {src}
-        frontier = deque((src,))
-        dead = self._dead_links
-        while frontier:
-            node = frontier.popleft()
-            for neighbor in self.neighbors(node):
-                if neighbor not in seen and (node, neighbor) not in dead:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return seen
-
-    def _detour_route(self, src: int, dst: int) -> Route:
-        """Deterministic shortest path avoiding dead links (sorted BFS).
-
-        Neighbours expand in ascending node order, so among equal-length
-        detours the lexicographically smallest node sequence always wins —
-        the same fault set yields the same route on every machine and
-        ``PYTHONHASHSEED``.
-        """
-        if src == dst:
-            return ()
-        dead = self._dead_links
-        parent: Dict[int, int] = {src: src}
-        frontier = deque((src,))
-        while frontier:
-            node = frontier.popleft()
-            for neighbor in sorted(self.neighbors(node)):
-                if neighbor in parent or (node, neighbor) in dead:
-                    continue
-                parent[neighbor] = node
-                if neighbor == dst:
-                    frontier.clear()
-                    break
-                frontier.append(neighbor)
-        if dst not in parent:
-            raise NocRouteError(
-                f"no route {src} -> {dst}: dead links "
-                f"{sorted(self._dead_links)} partition the {self.kind} fabric")
-        nodes = [dst]
-        while nodes[-1] != src:
-            nodes.append(parent[nodes[-1]])
-        nodes.reverse()
-        return tuple(zip(nodes, nodes[1:]))
-
     def hop_count(self, src: int, dst: int) -> int:
-        raise NotImplementedError
-
-    def neighbors(self, node: int) -> List[int]:
         raise NotImplementedError
 
     def _compute_route(self, src: int, dst: int) -> List[Link]:
@@ -256,15 +141,6 @@ class Mesh2D(Topology):
             current = nxt
         return links
 
-    def neighbors(self, node: int) -> List[int]:
-        """Return the mesh neighbours of ``node``."""
-        x, y = self.coordinates(node)
-        result = []
-        for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-            if 0 <= nx < self.width and 0 <= ny < self.height:
-                result.append(self.node_at(nx, ny))
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Mesh2D {self.width}x{self.height}>"
 
@@ -315,15 +191,6 @@ class Torus2D(Mesh2D):
             current = nxt
         return links
 
-    def neighbors(self, node: int) -> List[int]:
-        x, y = self.coordinates(node)
-        result = []
-        for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-            candidate = self.node_at(nx % self.width, ny % self.height)
-            if candidate != node and candidate not in result:
-                result.append(candidate)
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Torus2D {self.width}x{self.height}>"
 
@@ -358,15 +225,6 @@ class Ring(Topology):
             current = nxt
         return links
 
-    def neighbors(self, node: int) -> List[int]:
-        self._check_node(node)
-        n = self.node_count
-        if n == 1:
-            return []
-        if n == 2:
-            return [1 - node]
-        return sorted({(node - 1) % n, (node + 1) % n})
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Ring n={self.node_count}>"
 
@@ -390,10 +248,6 @@ class Crossbar(Topology):
         if src == dst:
             return []
         return [(src, dst)]
-
-    def neighbors(self, node: int) -> List[int]:
-        self._check_node(node)
-        return [other for other in range(self.node_count) if other != node]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Crossbar n={self.node_count}>"

@@ -25,7 +25,7 @@ acceptance pins (``tests/test_alerts.py``) are:
   :data:`ALERT_RECOVERY_EPOCHS` epochs of the kill.
 
 SEU/link recall is reported, not pinned: a scrubbed SEU or a transient
-link detour that never dents the SLO is *invisible in telemetry by
+link cut that never dents the SLO is *invisible in telemetry by
 design* — the experiment quantifies that blind spot instead of hiding it.
 
 Cells are module-level and picklable; this module must not import

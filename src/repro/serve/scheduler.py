@@ -7,9 +7,10 @@ timed transfer (:func:`~repro.core.control_hub.transfer_bitstream`,
 ``config_bits / PROGRAMMING_BITS_PER_CYCLE`` cycles of the
 :data:`SYSTEM_MHZ` system clock) and a
 :class:`~repro.fpga.clocking.ProgrammableClockGenerator`, retuned to each
-programmed accelerator's Fmax.  The fabrics are the tiles of one
-``num_fabrics`` x 1 control-NoC mesh (:attr:`FabricScheduler.topology`)
-whose links chaos can cut; tile 0 is the control tile.
+programmed accelerator's Fmax.  Fabric 0 is the control tile, and a chain
+of control links reaches the rest: link ``a`` joins fabric ``a`` to fabric
+``a + 1``.  Chaos can cut a link (:meth:`FabricScheduler.cut_link`), which
+strands every fabric past it.
 
 Scheduling policies are pluggable (:data:`POLICY_KINDS`):
 
@@ -48,7 +49,6 @@ from repro.core.control_hub import transfer_bitstream
 from repro.core.exceptions import DuetError
 from repro.fpga.bitstream import Bitstream
 from repro.fpga.clocking import ProgrammableClockGenerator
-from repro.noc import make_topology
 from repro.obs.trace import LifecycleSubscriber, RequestTrace, Tracer
 from repro.reconfig.placement import RegionAllocator
 from repro.reconfig.plan import RegionPlan
@@ -471,9 +471,9 @@ class FabricScheduler:
         for name in config.accelerators:
             if name not in self.accelerators:
                 self.accelerators[name] = materialize(name)
-        #: The control NoC: one tile per fabric, tile 0 the control tile.
-        #: It carries no traffic; chaos cuts its links (:meth:`cut_link`).
-        self.topology = make_topology("mesh", config.num_fabrics, 1)
+        #: Indices of the cut control links (:meth:`cut_link`); link ``a``
+        #: joins fabric ``a`` to fabric ``a + 1``.
+        self.cut_links: Set[int] = set()
         #: Corrupt-image overrides keyed by accelerator name.  SEU injection
         #: writes here; reconfigure reads through it; scrubbing pops the
         #: entry to restore the pristine catalog bitstream.  Empty (and
@@ -621,31 +621,41 @@ class FabricScheduler:
         self.images.pop(accelerator, None)
         self.poisoned.discard(accelerator)
 
-    def cut_link(self, a: int, b: int) -> Tuple[int, ...]:
-        """Fault the control-NoC link ``a <-> b``; fabrics cut off from the
-        control tile (tile 0) fail until :meth:`restore_link`.  Returns the
-        indices that went unreachable."""
-        self.topology.fail_link(a, b)
+    def cut_link(self, link: int) -> Tuple[int, ...]:
+        """Cut control link ``link`` (fabric ``link`` to ``link + 1``);
+        fabrics cut off from the control tile (fabric 0) fail until
+        :meth:`restore_link`.  Returns the indices that went unreachable."""
+        self._check_link(link)
+        self.cut_links.add(link)
         self.fault_stats["link_faults"].increment()
-        reachable = self.topology.reachable_set(0)
         lost = tuple(
             fabric.index for fabric in self.fabrics
-            if fabric.index not in reachable and not fabric.failed)
+            if not self._reachable(fabric.index) and not fabric.failed)
         for index in lost:
             self.fail_fabric(index, reason="unreachable")
         return lost
 
-    def restore_link(self, a: int, b: int) -> Tuple[int, ...]:
+    def restore_link(self, link: int) -> Tuple[int, ...]:
         """Heal the link and revive fabrics that are reachable again."""
-        self.topology.heal_link(a, b)
-        reachable = self.topology.reachable_set(0)
+        self._check_link(link)
+        self.cut_links.discard(link)
         revived = tuple(
             fabric.index for fabric in self.fabrics
-            if fabric.index in reachable and fabric.failed
+            if self._reachable(fabric.index) and fabric.failed
             and fabric.fail_reason == "unreachable")
         for index in revived:
             self.heal_fabric(index)
         return revived
+
+    def _check_link(self, link: int) -> None:
+        if not 0 <= link < len(self.fabrics) - 1:
+            raise ValueError(
+                f"no control link {link} among "
+                f"{len(self.fabrics)} fabrics")
+
+    def _reachable(self, index: int) -> bool:
+        """Fabric ``index`` reaches the control tile: no link before it is cut."""
+        return not any(link < index for link in self.cut_links)
 
     def _handle_lost(self, request: Request) -> None:
         """The fabric serving ``request`` died mid-service."""

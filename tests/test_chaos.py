@@ -1,9 +1,9 @@
 """Tests for the ``repro.chaos`` reliability layer: deterministic fault
 schedules (seeded, picklable, ``PYTHONHASHSEED``-independent), serve-level
-failover (fabric kills, latent SEUs, control-NoC link cuts), the fleet
-chaos control plane (spare promotion, replay, the recovery acceptance
-pins), fault-aware NoC detour routing, and the consistent-hash ring's
-arc-neighbour property that failover re-placement relies on."""
+failover (fabric kills, latent SEUs, cuts in the chain of control links),
+the fleet chaos control plane (spare promotion, replay, the recovery
+acceptance pins), and the consistent-hash ring's arc-neighbour property
+that failover re-placement relies on."""
 
 import dataclasses
 import os
@@ -36,8 +36,6 @@ from repro.chaos import (
 from repro.fleet import NodeSpec, TenantShare
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.fleet.router import HashPlacement
-from repro.noc import NocRouteError
-from repro.noc.topology import make_topology
 from repro.serve.experiments import run_serve
 from repro.obs import Tracer
 from repro.serve.scheduler import SEU_DETECT_NS, FabricScheduler, ServeConfig
@@ -174,8 +172,7 @@ def test_fault_schedules_are_pythonhashseed_independent():
 
 def test_chaos_config_validation_and_enabled():
     config = ChaosConfig(empty_schedule().schedule)
-    assert not config.enabled
-    assert ChaosConfig(pinned_fault("fabric")).enabled
+    assert config.schedule.specs == () and config.recovery
 
 
 # --------------------------------------------------------------------------- #
@@ -272,7 +269,7 @@ def test_seu_during_a_transfer_stays_latent_until_the_next_program():
     scheduler.corrupt_image = observed_corrupt_image
     # 1 ns in: the worker is inside popcount's configuration transfer.
     FaultInjector(sim, scheduler, [FaultEvent(
-        kind="seu", time_ns=1.0, fabric=0, spec_index=0, seu_offset=3)], seu_targets=("popcount",))
+        kind="seu", time_ns=1.0, fabric=0, spec_index=0, seu_offset=3)])
     first, other, again = (
         Request(request_id=index, tenant="t", accelerator=name, size=8)
         for index, name in enumerate(("popcount", "sort64", "popcount")))
@@ -319,8 +316,7 @@ def test_the_injector_keeps_the_fault_path_the_scheduler_was_built_with():
     scheduler = FabricScheduler(sim, ServeConfig(
         policy="fcfs", accelerators=("popcount", "sort64")), recovery=False)
     FaultInjector(sim, scheduler, [FaultEvent(
-        kind="seu", time_ns=0.0, fabric=0, spec_index=0, seu_offset=3)],
-        seu_targets=("popcount",))
+        kind="seu", time_ns=0.0, fabric=0, spec_index=0, seu_offset=3)])
     requests = [Request(request_id=index, tenant="t", accelerator="popcount",
                         size=8) for index in range(2)]
 
@@ -367,21 +363,32 @@ def test_link_cut_fails_unreachable_fabrics_and_repair_restores_them():
 @pytest.mark.parametrize("num_fabrics", [3, 4])
 def test_link_cuts_fail_exactly_the_fabrics_cut_off_from_the_control_tile(
         num_fabrics):
-    """On a ``num_fabrics`` x 1 control NoC, after every cut or repair the
-    dead fabrics are exactly those unreachable from tile 0 plus those a
-    ``fabric`` fault killed; a repair revives only ``unreachable`` ones,
-    and a fabric-killed fabric stays dead through every link repair."""
+    """On the chain of control links (link ``a`` joins fabric ``a`` to
+    ``a + 1``), after every cut or repair the dead fabrics are exactly
+    those unreachable from fabric 0 plus those a ``fabric`` fault killed;
+    a repair revives only ``unreachable`` ones, and a fabric-killed fabric
+    stays dead through every link repair."""
     scheduler = FabricScheduler(Simulator(), ServeConfig(
         num_fabrics=num_fabrics, accelerators=("popcount",)))
-    reference = make_topology("mesh", num_fabrics, 1)
-    links = [(a, a + 1) for a in range(num_fabrics - 1)]
+    links = list(range(num_fabrics - 1))
+    cut = set()
     rng = random.Random(num_fabrics)
     killed = {num_fabrics - 1}
     assert scheduler.fail_fabric(num_fabrics - 1, reason="fabric")
     cuts = 0
 
+    def reachable_from_control_tile():
+        seen, frontier = {0}, [0]
+        while frontier:
+            node = frontier.pop()
+            for link, other in ((node - 1, node - 1), (node, node + 1)):
+                if link in links and link not in cut and other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        return seen
+
     def check():
-        cut_off = set(range(num_fabrics)) - reference.reachable_set(0)
+        cut_off = set(range(num_fabrics)) - reachable_from_control_tile()
         failed = {f.index: f.fail_reason for f in scheduler.fabrics if f.failed}
         assert set(failed) == cut_off | killed
         assert all(failed[index] == "fabric" for index in killed)
@@ -391,27 +398,43 @@ def test_link_cuts_fail_exactly_the_fabrics_cut_off_from_the_control_tile(
 
     cut_off = check()
     for _ in range(16):
-        a, b = rng.choice(links)
+        link = rng.choice(links)
         if rng.random() < 0.5:
             before = {f.index for f in scheduler.fabrics if f.failed}
-            reference.fail_link(a, b)
+            cut.add(link)
             cuts += 1
-            lost = scheduler.cut_link(a, b)
+            lost = scheduler.cut_link(link)
             cut_off = check()
             assert set(lost) == cut_off - before
         else:
             was_unreachable = cut_off - killed
-            reference.heal_link(a, b)
-            revived = scheduler.restore_link(a, b)
+            cut.discard(link)
+            revived = scheduler.restore_link(link)
             cut_off = check()
             assert set(revived) == was_unreachable - cut_off
             assert not set(revived) & killed
-    for a, b in links:
-        reference.heal_link(a, b)
-        scheduler.restore_link(a, b)
+    for link in links:
+        cut.discard(link)
+        scheduler.restore_link(link)
     assert check() == set()
     assert {f.index for f in scheduler.fabrics if f.failed} == killed
     assert scheduler.fault_stats["link_faults"].value == cuts > 0
+    for link in (-1, num_fabrics - 1):
+        with pytest.raises(ValueError, match="control link"):
+            scheduler.cut_link(link)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FaultInjector._run counts faults_injected even when _apply did "
+    "nothing; the fix moves fleet_chaos rows"))
+def test_faults_injected_counts_only_applied_faults():
+    """A ``link`` fault on one fabric has no control link to cut, so it
+    injects nothing and must not count (nor must a ``fabric`` kill of a
+    fabric that is already dead)."""
+    outcome = run_chaos_serve(ChaosConfig(pinned_fault("link")),
+                              num_fabrics=1)
+    assert outcome["chaos"]["link_faults"] == 0
+    assert outcome["chaos"]["faults_injected"] == 0
 
 
 def test_serve_chaos_rows_only_grow_columns_after_a_fault():
@@ -580,102 +603,3 @@ def test_hash_ring_shrink_moves_only_the_dead_nodes_tenants():
         for name, node_id in before.items():
             if node_id != dead:
                 assert after[name] == node_id
-
-
-# --------------------------------------------------------------------------- #
-# Fault-aware NoC routing (seeded sweeps; no hypothesis dependency)
-# --------------------------------------------------------------------------- #
-TOPOLOGY_CASES = (
-    ("mesh", 4, 3),
-    ("torus", 3, 3),
-    ("ring", 8, 1),
-)
-
-
-def _random_link_faults(topology, rng, max_faults=3):
-    """Fail up to ``max_faults`` random live links; returns the pairs."""
-    failed = []
-    for _ in range(rng.randint(1, max_faults)):
-        node = rng.randrange(topology.node_count)
-        neighbors = topology.neighbors(node)
-        if not neighbors:
-            continue
-        other = rng.choice(neighbors)
-        if (node, other) not in topology.dead_links:
-            topology.fail_link(node, other)
-            failed.append((node, other))
-    return failed
-
-
-@pytest.mark.parametrize("kind,width,height", TOPOLOGY_CASES)
-def test_detour_routes_honour_the_routing_contract(kind, width, height):
-    rng = random.Random(97)
-    for trial in range(25):
-        topology = make_topology(kind, width, height)
-        _random_link_faults(topology, rng)
-        dead = topology.dead_links
-        for src in range(topology.node_count):
-            reachable = topology.reachable_set(src)
-            for dst in range(topology.node_count):
-                if dst not in reachable:
-                    assert not topology.reachable(src, dst)
-                    with pytest.raises(NocRouteError):
-                        topology.route(src, dst)
-                    continue
-                route = topology.route(src, dst)
-                if src == dst:
-                    assert route == ()
-                    continue
-                # Contiguous src -> dst over live neighbour links, at least
-                # as long as the fault-free distance.
-                assert route[0][0] == src and route[-1][1] == dst
-                for (a, b), (c, _) in zip(route, route[1:]):
-                    assert b == c
-                for a, b in route:
-                    assert b in topology.neighbors(a)
-                    assert (a, b) not in dead
-                assert len(route) >= topology.hop_count(src, dst)
-
-
-@pytest.mark.parametrize("kind,width,height", TOPOLOGY_CASES)
-def test_detour_routes_are_deterministic_across_instances(kind, width, height):
-    rng = random.Random(31)
-    for trial in range(10):
-        first = make_topology(kind, width, height)
-        faults = _random_link_faults(first, rng)
-        second = make_topology(kind, width, height)
-        for a, b in faults:
-            second.fail_link(a, b)
-        for src in range(first.node_count):
-            for dst in range(first.node_count):
-                if not first.reachable(src, dst):
-                    continue
-                assert first.route(src, dst) == second.route(src, dst)
-
-
-@pytest.mark.parametrize("kind,width,height", TOPOLOGY_CASES)
-def test_heal_link_restores_the_pristine_routes(kind, width, height):
-    pristine = make_topology(kind, width, height)
-    topology = make_topology(kind, width, height)
-    rng = random.Random(58)
-    faults = _random_link_faults(topology, rng)
-    for a, b in faults:
-        topology.heal_link(a, b)
-    assert topology.dead_links == frozenset()
-    for src in range(topology.node_count):
-        for dst in range(topology.node_count):
-            assert topology.route(src, dst) == pristine.route(src, dst)
-
-
-def test_partition_raises_and_reachable_set_agrees():
-    ring = make_topology("ring", 6)
-    ring.fail_link(0, 1)
-    assert ring.reachable(0, 3)  # the long way around survives
-    ring.fail_link(3, 4)
-    # Two cuts partition a ring: {1, 2, 3} vs {4, 5, 0}.
-    assert ring.reachable_set(0) == {4, 5, 0}
-    assert ring.reachable_set(1) == {1, 2, 3}
-    with pytest.raises(NocRouteError, match="partition"):
-        ring.route(0, 2)
-    ring.heal_link(0, 1)
-    assert ring.reachable(0, 2)

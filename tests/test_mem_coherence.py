@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem import CoherenceState, DirectoryState
+from repro.mem import CoherenceState, DirectoryState, MemoryConfig
+from repro.mem.protocol import MsgKind
 from tests.conftest import build_mini_system
 
 
@@ -219,6 +220,36 @@ def test_mshr_limit_allows_many_outstanding_lines():
 
     run(system, body())
     assert agent.stats.counter("load_misses").value == 32
+
+
+def test_misses_to_one_line_queued_behind_full_mshrs_send_one_getm():
+    """Two stores to one line that both wait for an MSHR: the first sends
+    GetM, the second joins that miss instead of sending its own."""
+    system = build_mini_system(config=MemoryConfig(max_outstanding_misses=2))
+    agent = system.agents[0]
+    sent = []
+    send = agent.port.send
+
+    def recording_send(dst, target, kind, **kwargs):
+        sent.append((kind, kwargs.get("addr")))
+        return send(dst, target, kind, **kwargs)
+
+    agent.port.send = recording_send
+    shared = 0x40000
+
+    def fill(addr):
+        yield from agent.load(addr)
+
+    def store(value):
+        yield from agent.store(shared, value)
+
+    # The two loads take both MSHRs; both stores then wait for one.  ``run``
+    # checks that all four accesses complete.
+    run(system, fill(0x30000), fill(0x30010), store(1), store(2))
+    line = system.address_map.line_of(shared)
+    assert sent.count((MsgKind.GET_M, line)) == 1
+    assert system.memory.read_word(shared) == 2
+    assert agent.state_of(shared) is CoherenceState.MODIFIED
 
 
 def test_store_larger_than_port_rejected(mini_system):

@@ -45,12 +45,6 @@ def test_mesh_rejects_bad_nodes_and_dims():
         mesh.node_at(2, 0)
 
 
-def test_mesh_neighbors_corner_and_center():
-    mesh = Mesh2D(3, 3)
-    assert sorted(mesh.neighbors(0)) == [1, 3]
-    assert sorted(mesh.neighbors(4)) == [1, 3, 5, 7]
-
-
 @given(
     width=st.integers(min_value=1, max_value=6),
     height=st.integers(min_value=1, max_value=6),
@@ -66,7 +60,7 @@ def test_route_length_matches_hop_count(width, height, data):
     current = src
     for a, b in route:
         assert a == current
-        assert b in mesh.neighbors(a)
+        assert mesh.hop_count(a, b) == 1
         current = b
     assert current == dst
 

@@ -5,15 +5,19 @@ runs a (scaled-down) benchmark on at least two of the three systems and
 checks functional correctness plus the headline performance relationship.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.api import Runner
+from repro.api.registry import fig12_row
 from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
+from repro.fpga.synthesis import SynthesisModel
 from repro.platform import SystemKind
-from repro.workloads import bfs, dijkstra, pdes, popcount, sort, tangent
+from repro.workloads import (
+    APPLICATION_CONFIGS, bfs, dijkstra, pdes, popcount, sort, tangent)
 from repro.workloads.common import WorkloadParams
 from repro.workloads.synthetic import measure_bandwidth, measure_latency
 from tests.conftest import QUICK_FIG12_LABELS
@@ -218,3 +222,22 @@ def test_fig12_quick_rows_and_summary_match_golden_file(quick_fig12):
         golden = json.load(handle)
     measured = {"rows": quick_fig12.to_dicts(), "summary": quick_fig12.summary}
     assert json.loads(json.dumps(measured, sort_keys=True)) == golden
+
+
+@pytest.mark.parametrize("label, fmax_mhz", [("sort/64", 234.0),
+                                             ("sort/128", 228.0)])
+def test_fig12_sorts_are_correct_at_the_paper_table_ii_clock(
+        monkeypatch, label, fmax_mhz):
+    """At the paper's Table II Fmax the sorting accelerator issues misses
+    fast enough to queue two misses to one line behind full MSHRs; the
+    private cache must join them into one ``GetM``, and every system must
+    still sort correctly."""
+    implement = SynthesisModel.implement
+
+    def at_paper_clock(model, design, fabric=None):
+        return dataclasses.replace(implement(model, design, fabric),
+                                   fmax_mhz=fmax_mhz)
+
+    monkeypatch.setattr(SynthesisModel, "implement", at_paper_clock)
+    row = fig12_row(APPLICATION_CONFIGS[label])
+    assert row["all_correct"], row
