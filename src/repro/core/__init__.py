@@ -5,17 +5,20 @@ peer on the NoC without touching the processor design.  It is composed of:
 
 * one or more :class:`MemoryHub` s, each with a hardware :class:`ProxyCache`
   (the hybrid cache-organization of Sec. II-C), an optional eFPGA-emulated
-  :class:`SoftCache`, a :class:`Tlb` for virtualized accelerators, an
-  :class:`ExceptionHandler` and :class:`FeatureSwitches`;
+  :class:`SoftCache`, a :class:`Tlb` for virtualized accelerators and a
+  bank of :class:`FeatureSwitches`;
 * one :class:`ControlHub` with the FPGA manager (programming engine,
-  programmable clock generator) and the Soft Register Interface, augmented
-  with the fast-clock-domain :class:`ShadowRegisterFile` of Sec. II-F;
+  programmable clock generator) and the Soft Register Interface
+  (:class:`SoftRegisterInterface`), augmented with the fast-clock-domain
+  shadow registers of Sec. II-F;
+* one :class:`ExceptionHandler`, shared by every hub of the adapter;
 * the :class:`DuetAdapter` that composes them and programs accelerators.
 
 The FPSoC-like baseline of Sec. V (FPGA-side cache in the slow clock
 domain, shadow registers downgraded to normal soft registers) is provided
-by :class:`SlowCacheAgent` plus the ``downgrade_shadow`` switch of the
-Control Hub, so the exact comparison of Figs. 9-12 can be reproduced.
+by :class:`SlowCacheAgent` plus the Control Hub's ``downgrade_shadow``
+argument, which the adapter sets for ``mode="fpsoc"``, so the exact
+comparison of Figs. 9-12 can be reproduced.
 """
 
 from repro.core.feature_switches import FeatureSwitches
@@ -27,7 +30,7 @@ from repro.core.soft_cache import SoftCache, SoftCacheConfig
 from repro.core.memory_hub import HubMemoryPort, MemoryHub
 from repro.core.registers import RegisterKind, RegisterLayout, RegisterSpec
 from repro.core.shadow_registers import FpgaRegisterView, SoftRegisterInterface
-from repro.core.control_hub import ControlHub, ControlHubConfig
+from repro.core.control_hub import ControlHub
 from repro.core.adapter import AdapterConfig, DuetAdapter
 
 __all__ = [
@@ -49,7 +52,6 @@ __all__ = [
     "SoftRegisterInterface",
     "FpgaRegisterView",
     "ControlHub",
-    "ControlHubConfig",
     "DuetAdapter",
     "AdapterConfig",
 ]

@@ -11,10 +11,10 @@ toolchain (Yosys, VTR, PRGA, Catapult) performs offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from repro.core.control_hub import ControlHub, ControlHubConfig
+from repro.core.control_hub import ControlHub
 from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
 from repro.core.feature_switches import FeatureSwitches
 from repro.core.memory_hub import MODE_DUET, MODE_FPSOC, MemoryHub
@@ -43,17 +43,16 @@ class AdapterConfig:
     sync_stages: int = 2
     #: Initial eFPGA clock frequency (MHz); retuned at installation time.
     initial_fpga_mhz: float = 100.0
-    control_hub: ControlHubConfig = field(default_factory=ControlHubConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_DUET, MODE_FPSOC):
             raise ValueError(f"unknown adapter mode {self.mode!r}")
-        if self.mode == MODE_FPSOC:
-            # The FPSoC baseline has no fast-domain shadow registers.
-            self.control_hub = ControlHubConfig(
-                downgrade_shadow=True,
-                mmio_service_cycles=self.control_hub.mmio_service_cycles,
-            )
+        if self.sync_stages < 1:
+            raise ValueError(
+                f"sync_stages must be >= 1, got {self.sync_stages}")
+        if not self.initial_fpga_mhz > 0:
+            raise ValueError(
+                f"initial_fpga_mhz must be positive, got {self.initial_fpga_mhz}")
 
 
 class DuetAdapter:
@@ -90,8 +89,9 @@ class DuetAdapter:
             control_tile_router,
             mmio_map,
             self.clock_generator,
-            config=self.config.control_hub,
             exceptions=self.exceptions,
+            # The FPSoC baseline has no fast-domain shadow registers.
+            downgrade_shadow=self.config.mode == MODE_FPSOC,
             name=f"{name}.ctrl",
         )
         self.memory_hubs: List[MemoryHub] = []

@@ -4,8 +4,10 @@ The Control Hub presents the eFPGA as an on-chip device reachable via
 memory-mapped I/O (Sec. II-E).  It has two submodules:
 
 * the **FPGA Manager** — programming engine (bitstream load + integrity
-  check), programmable clock generator, exception handler and feature
-  switches (timeout limit, reset, error-code clear);
+  check), programmable clock generator and exception handler, driven
+  through control registers (reset, clock, error-code clear, and the
+  exception timeout: ``REG_TIMEOUT`` reads and writes the handler's
+  ``timeout_cycles``; the manager has no switch bank of its own);
 * the **Soft Register Interface** — the accelerator's software interface,
   augmented with the fast-clock-domain Shadow Registers of Sec. II-F.
 
@@ -21,11 +23,9 @@ front through :meth:`ControlHub.program_instantly`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.exceptions import DuetError, ErrorCode, ExceptionHandler
-from repro.core.feature_switches import FeatureSwitches
 from repro.core.registers import RegisterLayout
 from repro.core.shadow_registers import BOGUS_VALUE, SoftRegisterInterface
 from repro.cpu.mmio import MmioMap, MmioRegion
@@ -47,6 +47,9 @@ REG_HUB_ACTIVE = 0x30    # write: bit i (de)activates memory hub i
 SOFT_REGISTER_BASE = 0x1000
 SOFT_REGISTER_STRIDE = 0x8
 CONTROL_REGION_SIZE = 0x2000
+
+#: Service time of one MMIO access inside the hub (system cycles).
+MMIO_SERVICE_CYCLES = 1
 
 
 #: Configuration-bit transfer rate of the programming engine (bits per
@@ -103,19 +106,12 @@ def transfer_bitstream(sim: Simulator, sys_domain: ClockDomain,
             args={"design": bitstream.design_name, "bits": bitstream.config_bits})
 
 
-@dataclass
-class ControlHubConfig:
-    """Static configuration of one Control Hub."""
-
-    #: Downgrade every shadowed register to a normal soft register (the
-    #: FPSoC baseline of Sec. V-D).
-    downgrade_shadow: bool = False
-    #: Service time of one MMIO access inside the hub (system cycles).
-    mmio_service_cycles: int = 1
-
-
 class ControlHub:
-    """The Duet Adapter's software-facing control plane."""
+    """The Duet Adapter's software-facing control plane.
+
+    ``downgrade_shadow`` turns every shadowed register into a normal soft
+    register (the FPSoC baseline of Sec. V-D).
+    """
 
     TARGET = "ctrl"
 
@@ -126,25 +122,23 @@ class ControlHub:
         tile_router: TileRouter,
         mmio_map: MmioMap,
         clock_generator: ProgrammableClockGenerator,
-        config: Optional[ControlHubConfig] = None,
-        exceptions: Optional[ExceptionHandler] = None,
+        exceptions: ExceptionHandler,
+        downgrade_shadow: bool = False,
         name: str = "",
     ) -> None:
         self.sim = sim
         self.sys_domain = sys_domain
         self.node = tile_router.node
         self.name = name or f"ctrlhub@{self.node}"
-        self.config = config or ControlHubConfig()
         self.clock_generator = clock_generator
-        self.switches = FeatureSwitches(f"{self.name}.switches")
-        self.exceptions = exceptions or ExceptionHandler(sim, sys_domain, name=f"{self.name}.exc")
+        self.exceptions = exceptions
         self.registers = SoftRegisterInterface(
             sim,
             sys_domain,
             clock_generator.fpga_domain,
             self.exceptions,
             name=f"{self.name}.softreg",
-            downgrade_shadow=self.config.downgrade_shadow,
+            downgrade_shadow=downgrade_shadow,
         )
         self.port = tile_router.port(self.TARGET, self._handle_mmio)
         self.region: MmioRegion = mmio_map.register(
@@ -202,7 +196,7 @@ class ControlHub:
     def _mmio_server(self):
         while True:
             message = yield from self._mmio_queue.get()
-            yield self.sys_domain.wait_cycles(self.config.mmio_service_cycles)
+            yield self.sys_domain.wait_cycles(MMIO_SERVICE_CYCLES)
             offset = self._decode(message.addr)
             if offset >= SOFT_REGISTER_BASE:
                 index = (offset - SOFT_REGISTER_BASE) // SOFT_REGISTER_STRIDE

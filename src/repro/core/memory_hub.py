@@ -100,8 +100,8 @@ class MemoryHub:
         target: str = "mh",
         mode: str = MODE_DUET,
         sync_stages: int = 2,
-        switches: Optional[FeatureSwitches] = None,
-        exceptions: Optional[ExceptionHandler] = None,
+        *,
+        exceptions: ExceptionHandler,
     ) -> None:
         if mode not in (MODE_DUET, MODE_FPSOC):
             raise ValueError(f"unknown Memory Hub mode {mode!r}")
@@ -114,8 +114,8 @@ class MemoryHub:
         self.memory = memory
         self.name = name or f"memhub@{self.node}"
         self.mode = mode
-        self.switches = switches or FeatureSwitches(f"{self.name}.switches")
-        self.exceptions = exceptions or ExceptionHandler(sim, sys_domain, name=f"{self.name}.exc")
+        self.switches = FeatureSwitches(f"{self.name}.switches")
+        self.exceptions = exceptions
         self.tlb = Tlb(sim, sys_domain, name=f"{self.name}.tlb")
         self.stats = StatSet(f"{self.name}.stats")
 

@@ -47,13 +47,6 @@ class RegisterSpec:
         if self.depth < 1:
             raise ValueError("register FIFO depth must be >= 1")
 
-    def downgraded(self) -> "RegisterSpec":
-        """The FPSoC baseline downgrades every shadowed register to NORMAL."""
-        if self.kind is RegisterKind.NORMAL:
-            return self
-        return RegisterSpec(index=self.index, kind=RegisterKind.NORMAL, name=self.name,
-                            depth=self.depth)
-
 
 @dataclass
 class RegisterLayout:
@@ -68,9 +61,6 @@ class RegisterLayout:
         names = [spec.name for spec in self.specs if spec.name]
         if len(names) != len(set(names)):
             raise ValueError("duplicate register names in layout")
-
-    def downgraded(self) -> "RegisterLayout":
-        return RegisterLayout([spec.downgraded() for spec in self.specs])
 
     def __iter__(self):
         return iter(self.specs)

@@ -154,11 +154,6 @@ class SoftCache(FpgaMemoryPort):
             self.stats.counter("invalidations").increment()
         self._line_words.pop(line, None)
 
-    def flush(self) -> None:
-        """Drop every cached line (used around reconfiguration)."""
-        self.tags.invalidate_all()
-        self._line_words.clear()
-
     # ------------------------------------------------------------------ #
     # Write-buffer drain
     # ------------------------------------------------------------------ #
@@ -188,7 +183,3 @@ class SoftCache(FpgaMemoryPort):
         count = self.config.line_bytes // self.config.word_bytes
         word_map = self._line_words.get(line, {})
         return [word_map.get(line + i * self.config.word_bytes, 0) for i in range(count)]
-
-    @property
-    def hit_rate(self) -> float:
-        return self.tags.hit_rate

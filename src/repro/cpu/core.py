@@ -145,11 +145,6 @@ class CpuContext:
         old = yield from self.amo(addr, lambda v: value)
         return old
 
-    def flush(self, addr: int):
-        """Flush one line back to the LLC (used around DMA-style hand-offs)."""
-        yield from self._core.cache.flush_line(addr)
-        return None
-
     # -- MMIO ----------------------------------------------------------- #
     def mmio_read(self, addr: int):
         if self._core.mmio is None:

@@ -1,7 +1,9 @@
 """Memory-mapped I/O over the NoC.
 
 On-chip MMIOs are how processors talk to the Duet Adapter's Control Hub
-(soft registers, shadow registers, feature switches, FPGA manager).  The
+(soft registers, shadow registers and the FPGA Manager's control
+registers, among them the mask that flips the Memory Hubs' ``active``
+switches).  The
 paper stresses that MMIOs "typically adhere to a strict memory ordering
 model, e.g. I/O ordering" (Sec. II-F): the processor issues at most one
 MMIO at a time and stalls until the response returns.  That stall is what

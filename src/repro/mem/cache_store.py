@@ -118,12 +118,6 @@ class SetAssociativeCache:
         cache_set = self._sets[self.set_index(line_addr)]
         return cache_set.pop(line_addr, None)
 
-    def invalidate_all(self) -> int:
-        """Flush every line; returns the number of lines removed."""
-        removed = len(self)
-        self._sets = [_EMPTY_SET] * self.num_sets
-        return removed
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -136,11 +130,6 @@ class SetAssociativeCache:
     def entries(self) -> Iterator[CacheEntry]:
         for cache_set in self._sets:
             yield from cache_set.values()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -186,17 +186,6 @@ class PrivateCacheAgent:
         old = self.memory.read_modify_write(addr, fn)
         return old
 
-    def flush_line(self, addr: int) -> None:
-        """Write back and drop one line (used by explicit cache flushes)."""
-        line = self.address_map.line_of(addr)
-        entry = self.l2.peek(line)
-        if entry is None:
-            return
-        yield self.domain.wait_cycles(self.config.l2_latency_cycles)
-        self._drop_line(line, notify="flush")
-        yield from self._evict(line, entry.state)
-        return None
-
     # ------------------------------------------------------------------ #
     # State inspection / warm-up
     # ------------------------------------------------------------------ #

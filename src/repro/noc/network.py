@@ -95,9 +95,6 @@ class NocNetwork:
             raise ValueError(f"node {node} already has a handler attached")
         self._handlers[node] = handler
 
-    def detach(self, node: int) -> None:
-        self._handlers.pop(node, None)
-
     # ------------------------------------------------------------------ #
     # Message injection
     # ------------------------------------------------------------------ #

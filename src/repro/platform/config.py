@@ -83,6 +83,11 @@ class DollyConfig:
                 f"valid topologies: {known}"
             )
         self.noc_topology = normalized
+        # The adapter fields are checked by the AdapterConfig the system
+        # builds from them; build one here so a bad value fails now, not
+        # deep inside build_system.
+        if self.kind.has_fpga:
+            self.adapter_config()
 
     # ------------------------------------------------------------------ #
     # Naming and layout helpers

@@ -16,8 +16,6 @@ from repro.reconfig.placement import (
     Placement,
     PlacementError,
     RegionAllocator,
-    pack_designs,
-    sort_key,
 )
 from repro.reconfig.plan import RegionPlan, minimal_region_capacity
 
@@ -27,6 +25,4 @@ __all__ = [
     "RegionAllocator",
     "RegionPlan",
     "minimal_region_capacity",
-    "pack_designs",
-    "sort_key",
 ]

@@ -1,28 +1,22 @@
-"""Region allocator and pack/place-lite for partial reconfiguration.
+"""Region allocator for partial reconfiguration.
 
 A fabric is an array of K equal-capacity *regions* (contiguous column
 bands, each with its own configuration chain — the PRGA structure).  A
 design occupies a *contiguous span* of regions big enough for its tile
 footprint; hot-swapping a design reprograms only its span.
 
-Everything here is deterministic and ``PYTHONHASHSEED``-independent:
-ordering uses tile counts, CRC-32 of names and lexicographic names — never
-``hash()`` — and the allocator iterates plain lists, never set/dict order.
+Everything here is deterministic and ``PYTHONHASHSEED``-independent: the
+allocator orders by region index and a recency counter — never ``hash()``
+— and iterates plain lists, never set/dict order.
 
-Two layers:
-
-* :class:`RegionAllocator` — the free-list/occupancy state machine for one
-  fabric: first-fit contiguous placement, LRU-span eviction of unpinned
-  residents, pin counts protecting in-flight spans, and fragmentation
-  accounting.
-* :func:`pack_designs` — first-fit-decreasing static packing of a design
-  set onto the grid (used for the initial layout and by the property
-  tests as the reference packing).
+:class:`RegionAllocator` is the free-list/occupancy state machine for one
+fabric: first-fit contiguous placement, LRU-span eviction of unpinned
+residents, pin counts protecting in-flight spans, and fragmentation
+accounting.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,15 +30,6 @@ def _span_needed(tiles: int, capacity: int) -> int:
     if tiles < 1:
         raise PlacementError(f"a design needs at least one tile, got {tiles}")
     return max(1, -(-tiles // capacity))
-
-
-def sort_key(name: str, tiles: int) -> Tuple[int, int, str]:
-    """Deterministic decreasing-size ordering with a CRC-32 tiebreak.
-
-    Bigger designs first; equal sizes break on CRC-32 of the name, then
-    the name itself — stable across processes and ``PYTHONHASHSEED``.
-    """
-    return (-tiles, zlib.crc32(name.encode()), name)
 
 
 @dataclass(frozen=True)
@@ -266,24 +251,3 @@ class RegionAllocator:
         self._pins.clear()
         self._last_used.clear()
 
-
-def pack_designs(designs: Dict[str, int],
-                 capacities: Sequence[int]) -> Dict[str, Placement]:
-    """First-fit-decreasing static packing of ``{name: tiles}`` onto a grid.
-
-    Deterministic: designs sorted by :func:`sort_key` (biggest first,
-    CRC-32 then name tiebreak), placed first-fit without eviction.  Designs
-    that do not fit are simply left out — at serve time they hot-swap in
-    via :meth:`RegionAllocator.place`.
-    """
-    allocator = RegionAllocator(capacities)
-    placements: Dict[str, Placement] = {}
-    for name, tiles in sorted(designs.items(),
-                              key=lambda item: sort_key(item[0], item[1])):
-        span = allocator.span_needed(tiles)
-        if span > allocator.regions:
-            continue
-        free = allocator._free_spans()
-        if any(length >= span for _, length in free):
-            placements[name] = allocator.place(name, tiles)
-    return placements

@@ -9,7 +9,6 @@ accounting (:mod:`repro.serve.slo`).  The ``serve_policy`` and
 """
 
 from repro.serve.catalog import (
-    ACCELERATOR_NAMES,
     SERVE_ACCELERATORS,
     ServedAccelerator,
     ServedAcceleratorSpec,
@@ -38,7 +37,6 @@ from repro.serve.traffic import (
 )
 
 __all__ = [
-    "ACCELERATOR_NAMES",
     "ARRIVAL_PATTERNS",
     "AffinityPolicy",
     "FabricContext",

@@ -21,7 +21,7 @@ actually shows up in latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.accel import (
     DijkstraRelaxAccelerator,
@@ -89,8 +89,6 @@ SERVE_ACCELERATORS: Dict[str, ServedAcceleratorSpec] = {
                               base_cycles=48, cycles_per_item=12),
     )
 }
-
-ACCELERATOR_NAMES: Tuple[str, ...] = tuple(SERVE_ACCELERATORS)
 
 
 def resolve_accelerator(name: str) -> ServedAcceleratorSpec:

@@ -56,8 +56,6 @@ TENANT_MIXES: Dict[str, Tuple[TenantSpec, ...]] = {
     ),
 }
 
-MIX_NAMES: Tuple[str, ...] = tuple(TENANT_MIXES)
-
 
 def get_mix(name: str) -> Tuple[TenantSpec, ...]:
     try:

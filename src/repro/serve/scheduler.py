@@ -288,9 +288,7 @@ class FabricContext:
                 args={"mhz": accelerator.fmax_mhz})
         self.current_design = accelerator.name
         self.reconfigurations += 1
-        elapsed = self.sim.now - started
-        self.reconfig_ns_total += elapsed
-        return elapsed
+        self.reconfig_ns_total += self.sim.now - started
 
     def serve(self, request: Request):
         """Occupy the fabric for the request's service time."""
@@ -324,9 +322,7 @@ class FabricContext:
         yield from self._transfer(image.for_regions(span))
         self.reconfigurations += 1
         self.regions_programmed += len(span)
-        elapsed = self.sim.now - started
-        self.reconfig_ns_total += elapsed
-        return elapsed
+        self.reconfig_ns_total += self.sim.now - started
 
     def serve_regional(self, request: Request):
         """Serve on the design's span; place/program it first if absent.

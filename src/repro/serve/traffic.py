@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.serve.catalog import resolve_accelerator
 from repro.sim import Delay, Process, Simulator
@@ -404,9 +404,3 @@ class ClientPopulation:
     def thinned_rps(self) -> float:
         """The rate the simulation actually offers."""
         return self.offered_rps / self.thin_factor
-
-    def split(self, tenants: Tuple[TenantSpec, ...]) -> Dict[str, float]:
-        """Thinned per-tenant rates (rps), apportioned by tenant weight."""
-        total_weight = sum(tenant.weight for tenant in tenants)
-        return {tenant.name: self.thinned_rps * tenant.weight / total_weight
-                for tenant in tenants}

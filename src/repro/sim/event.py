@@ -10,8 +10,8 @@ Events can also *fail* (:meth:`Event.fail`): waiting processes then get the
 exception thrown into their generator at the yield point instead of
 receiving it as a value, which makes failure propagation explicit.  Plain
 callbacks registered with :meth:`add_callback` are invoked with the
-exception as their argument in that case; check :attr:`Event.ok` when that
-distinction matters.
+exception as their argument in that case; check :attr:`Event.failed` when
+that distinction matters.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class Event:
     def failed(self) -> bool:
         """Whether the event was triggered via :meth:`fail`."""
         return self._failed
-
-    @property
-    def ok(self) -> bool:
-        """Triggered successfully (i.e. carries a result, not an exception)."""
-        return self._triggered and not self._failed
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event, delivering ``value`` to every waiter.

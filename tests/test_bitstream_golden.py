@@ -27,7 +27,7 @@ import pytest
 from repro.accel.popcount import PopcountAccelerator, register_layout
 from repro.platform.config import SystemKind
 from repro.reconfig.plan import RegionPlan
-from repro.serve.catalog import ACCELERATOR_NAMES, materialize
+from repro.serve.catalog import SERVE_ACCELERATORS, materialize
 from repro.serve.experiments import get_mix
 from repro.workloads.common import WorkloadParams, build_benchmark_system
 
@@ -69,7 +69,7 @@ def _dolly_install_image():
     return system.adapter.control_hub.programmed_bitstream
 
 
-IMAGES = {f"catalog/{name}": _catalog_image(name) for name in ACCELERATOR_NAMES}
+IMAGES = {f"catalog/{name}": _catalog_image(name) for name in SERVE_ACCELERATORS}
 IMAGES.update({
     f"plan/quad/r{regions}/s{fabric_scale}/{spec.accelerator}":
         _plan_image(spec.accelerator, regions, fabric_scale)

@@ -35,23 +35,6 @@ def test_feature_switch_unknown_names_rejected():
         switches.enabled("nonsense")
     with pytest.raises(KeyError):
         switches.set("nonsense", True)
-    with pytest.raises(KeyError):
-        switches.configure("nonsense", 1)
-
-
-def test_feature_switch_settings_and_observers():
-    switches = FeatureSwitches()
-    seen = []
-    switches.observe(lambda key, value: seen.append((key, value)))
-    switches.configure(FeatureSwitches.TIMEOUT_CYCLES, 500)
-    switches.set(FeatureSwitches.ACTIVE, False)
-    assert switches.setting(FeatureSwitches.TIMEOUT_CYCLES) == 500
-    assert (FeatureSwitches.TIMEOUT_CYCLES, 500) in seen
-    assert (FeatureSwitches.ACTIVE, False) in seen
-    with pytest.raises(ValueError):
-        switches.configure(FeatureSwitches.TIMEOUT_CYCLES, -1)
-    snapshot = switches.snapshot()
-    assert snapshot[FeatureSwitches.ACTIVE] is False
 
 
 # --------------------------------------------------------------------------- #
@@ -199,9 +182,6 @@ def test_tlb_capacity_eviction_and_identity_map():
 def test_register_spec_validation_and_downgrade():
     spec = RegisterSpec(0, RegisterKind.CPU_BOUND_FIFO, "results", depth=4)
     assert spec.kind is not RegisterKind.NORMAL  # a shadowed kind
-    downgraded = spec.downgraded()
-    assert downgraded.kind is RegisterKind.NORMAL
-    assert downgraded.index == 0
     with pytest.raises(ValueError):
         RegisterSpec(-1, RegisterKind.PLAIN)
     with pytest.raises(ValueError):

@@ -111,14 +111,6 @@ def test_cache_invalidate_and_contains():
     assert cache.invalidate(0x40) is None
 
 
-def test_cache_invalidate_all():
-    cache = SetAssociativeCache(1024, 16, 4)
-    for i in range(10):
-        cache.insert(i * 16, CoherenceState.SHARED)
-    assert cache.invalidate_all() == 10
-    assert len(cache) == 0
-
-
 def test_cache_geometry_validation():
     with pytest.raises(ValueError):
         SetAssociativeCache(1000, 16, 3)
@@ -203,8 +195,7 @@ class _ReferenceCache:
 
 
 _CACHE_OPS = st.lists(
-    st.tuples(st.sampled_from(["insert", "lookup", "touchless", "invalidate",
-                               "invalidate_all"]),
+    st.tuples(st.sampled_from(["insert", "lookup", "touchless", "invalidate"]),
               st.integers(min_value=0, max_value=63),
               st.sampled_from(list(CoherenceState))),
     max_size=120)
@@ -214,8 +205,8 @@ _CACHE_OPS = st.lists(
 @given(ops=_CACHE_OPS, assoc=st.sampled_from([1, 2, 4]))
 def test_lazily_allocated_sets_match_a_reference_cache(ops, assoc):
     """Sets get their own storage on first insert; LRU order, eviction,
-    ``entries()``, ``len``, the counters and ``invalidate_all`` match a
-    plain model, and the one shared empty set is never written."""
+    ``entries()``, ``len`` and the counters match a plain model, and the
+    one shared empty set is never written."""
     from repro.mem.cache_store import _EMPTY_SET
 
     cache = SetAssociativeCache(size_bytes=16 * assoc * 8, line_bytes=16,
@@ -230,12 +221,9 @@ def test_lazily_allocated_sets_match_a_reference_cache(ops, assoc):
             entry = cache.lookup(line, touch=op == "lookup")
             expected = model.lookup(line, touch=op == "lookup")
             assert (entry and (entry.line_addr, entry.state)) == expected
-        elif op == "invalidate":
+        else:
             removed = cache.invalidate(line)
             assert (removed and removed.line_addr) == model.invalidate(line)
-        else:
-            assert cache.invalidate_all() == len(model.entries())
-            model.sets = [[] for _ in model.sets]
         assert [(entry.line_addr, entry.state)
                 for entry in cache.entries()] == model.entries()
         assert len(cache) == len(model.entries())

@@ -122,22 +122,27 @@ def test_topology_rejects_out_of_range_nodes():
 # --------------------------------------------------------------------------- #
 # Network invariants on every fabric
 # --------------------------------------------------------------------------- #
-def _build_network(kind, width=4, height=4):
+def _drop(message):
+    pass
+
+
+def _build_network(kind, far_handler=_drop, width=4, height=4):
+    """A network whose last node runs ``far_handler``; the rest drop."""
     sim = Simulator()
     clock = ClockDomain(sim, 1000.0, "sys")
     network = NocNetwork(sim, clock, width, height, topology=kind)
-    for node in range(network.node_count):
-        network.attach(node, lambda message: None)
+    far = network.node_count - 1
+    for node in range(far):
+        network.attach(node, _drop)
+    network.attach(far, far_handler)
     return sim, network
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_network_delivers_on_every_topology(kind):
-    sim, network = _build_network(kind)
-    far = network.node_count - 1
     received = []
-    network.detach(far)
-    network.attach(far, received.append)
+    sim, network = _build_network(kind, received.append)
+    far = network.node_count - 1
     msg = NocMessage(src=0, dst=far, kind="ping")
     done = network.send(msg)
     sim.run()
@@ -150,11 +155,9 @@ def test_network_delivers_on_every_topology(kind):
 def test_per_link_fifo_order_under_contention(kind):
     """Messages between the same (src, dst) pair arrive in injection order
     even when the shared route is saturated."""
-    sim, network = _build_network(kind)
-    far = network.node_count - 1
     received = []
-    network.detach(far)
-    network.attach(far, lambda m: received.append(m.meta["seq"]))
+    sim, network = _build_network(kind, lambda m: received.append(m.meta["seq"]))
+    far = network.node_count - 1
 
     def sender():
         for seq in range(30):

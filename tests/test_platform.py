@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import AdapterConfig
 from repro.platform import (
     AreaModel,
     DollyConfig,
@@ -58,6 +59,26 @@ def test_config_validates_noc_topology_at_config_time():
     # Case and whitespace are normalized, not rejected.
     assert DollyConfig.dolly(1, 1, noc_topology="Torus").noc_topology == "torus"
     assert DollyConfig.dolly(1, 1, noc_topology=" mesh ").noc_topology == "mesh"
+
+
+@pytest.mark.parametrize("field, bad, default", [
+    ("sync_stages", 0, 2),
+    ("initial_fpga_mhz", 0.0, 100.0),
+])
+def test_adapter_config_rejects_bad_fields_when_built(field, bad, default):
+    """A bad adapter field raises, naming the field, when the config is
+    built, not later inside AsyncFifo or ClockDomain."""
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        AdapterConfig(**{field: bad})
+    assert getattr(AdapterConfig(), field) == default
+
+
+def test_dolly_config_checks_its_adapter_fields_when_built():
+    """A system with an FPGA builds its AdapterConfig up front, so a bad
+    synchronizer depth fails at DollyConfig(), not inside build_system."""
+    for make in (DollyConfig.dolly, DollyConfig.fpsoc):
+        with pytest.raises(ValueError, match="sync_stages must be >= 1"):
+            make(1, 1, sync_stages=0)
 
 
 def test_tile_plan_roles_cover_p_c_and_m_tiles():

@@ -23,8 +23,6 @@ from repro.reconfig import (
     RegionAllocator,
     RegionPlan,
     minimal_region_capacity,
-    pack_designs,
-    sort_key,
 )
 from repro.reconfig.experiments import reconfig_cell, reconfig_summary
 from repro.serve.catalog import materialize
@@ -212,52 +210,23 @@ def test_allocator_invariants_under_arbitrary_sequences(regions, capacity, ops):
         assert 0.0 <= allocator.fragmentation() <= 1.0
 
 
-@given(
-    tiles=st.dictionaries(st.sampled_from(_NAMES),
-                          st.integers(min_value=1, max_value=200),
-                          min_size=1, max_size=6),
-    regions=st.integers(min_value=2, max_value=6),
-    capacity=st.integers(min_value=8, max_value=64),
-)
-@settings(max_examples=60, deadline=None)
-def test_pack_designs_is_deterministic_and_non_overlapping(
-        tiles, regions, capacity):
-    capacities = [capacity] * regions
-    packed = pack_designs(tiles, capacities)
-    # Insertion order of the input dict must not matter (FFD sorts with the
-    # CRC-32 tiebreak, never hash order).
-    reordered = dict(sorted(tiles.items(), reverse=True))
-    assert pack_designs(reordered, capacities) == packed
-    claimed = [index for placement in packed.values()
-               for index in placement.regions]
-    assert len(claimed) == len(set(claimed))            # no overlap
-    for name, placement in packed.items():
-        assert placement.count * capacity >= tiles[name]  # area covered
-
-
-def test_sort_key_orders_big_first_with_stable_tiebreak():
-    designs = {"aa": 10, "bb": 10, "cc": 40}
-    ordering = sorted(designs, key=lambda name: sort_key(name, designs[name]))
-    assert ordering[0] == "cc"
-    tie = sorted(["aa", "bb"], key=lambda name: zlib.crc32(name.encode()))
-    assert ordering[1:] == tie
-
-
 def test_packing_is_pythonhashseed_independent():
-    """Provisioning + packing must not consult ``hash()`` anywhere:
+    """Provisioning + placement must not consult ``hash()`` anywhere:
     interpreters with different string-hash seeds agree byte for byte."""
     script = (
         "import json, sys\n"
-        "from repro.reconfig import RegionPlan, pack_designs\n"
+        "from repro.reconfig import RegionAllocator, RegionPlan\n"
         "from repro.serve.catalog import materialize\n"
         "accs = {n: materialize(n)\n"
         "        for n in ('popcount', 'sort64', 'tangent', 'dijkstra')}\n"
         "plan = RegionPlan.build(accs, 4, fabric_scale=0.6)\n"
-        "packed = pack_designs(plan.tiles, plan.capacities)\n"
+        "allocator = RegionAllocator(plan.capacities)\n"
+        "placed = [allocator.place(name, tiles)\n"
+        "          for name, tiles in sorted(plan.tiles.items())]\n"
         "json.dump({'capacity': plan.region_capacity,\n"
         "           'grid': [plan.fabric.columns, plan.fabric.rows],\n"
-        "           'placements': {name: [p.start, p.count]\n"
-        "                          for name, p in sorted(packed.items())}},\n"
+        "           'placements': [[p.name, p.start, p.count, list(p.evicted)]\n"
+        "                          for p in placed]},\n"
         "          sys.stdout, sort_keys=True)\n"
     )
     outputs = []

@@ -14,8 +14,8 @@ from repro.core.control_hub import PROGRAMMING_BITS_PER_CYCLE
 from repro.fleet.cluster import FleetConfig
 from repro.obs import Tracer
 from repro.serve import (
-    ACCELERATOR_NAMES,
     POLICY_KINDS,
+    SERVE_ACCELERATORS,
     AffinityPolicy,
     FabricScheduler,
     Request,
@@ -30,7 +30,6 @@ from repro.serve import (
 )
 from repro.serve.experiments import (
     DEFAULT_SEED,
-    MIX_NAMES,
     TENANT_MIXES,
     get_mix,
     run_serve,
@@ -51,7 +50,7 @@ def aggregate_row(rows):
 # Catalog
 # --------------------------------------------------------------------------- #
 def test_catalog_entries_materialize():
-    for name in ACCELERATOR_NAMES:
+    for name in SERVE_ACCELERATORS:
         accelerator = materialize(name)
         assert accelerator.name == name
         assert accelerator.fmax_mhz > 0
@@ -553,7 +552,7 @@ def test_tenant_rows_are_sorted_and_percentiles_monotone():
 # Experiments
 # --------------------------------------------------------------------------- #
 def test_mixes_and_registry():
-    assert set(MIX_NAMES) == {"mono", "duo", "quad"}
+    assert set(TENANT_MIXES) == {"mono", "duo", "quad"}
     with pytest.raises(KeyError, match="known mixes"):
         get_mix("octet")
     spec = get_experiment("serve_policy")

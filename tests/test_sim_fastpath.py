@@ -277,7 +277,7 @@ def test_event_fail_requires_an_exception_and_is_one_shot():
     with pytest.raises(TypeError):
         event.fail("not an exception")
     event.fail(RuntimeError("x"))
-    assert event.triggered and event.failed and not event.ok
+    assert event.triggered and event.failed
     with pytest.raises(RuntimeError):
         event.succeed(1)
 
